@@ -115,18 +115,15 @@ class FDAlgebra:
         for i, ca in vec_a.items():
             for j, cb in vec_b.items():
                 c = ca * cb
-                if c == zero:
+                if not c:
                     continue
                 for k, ck in self.mult(i, j).items():
                     s = out.get(k, zero) + c * ck
-                    if s == zero:
-                        out.pop(k, None)
-                    else:
+                    if s:
                         out[k] = s
+                    else:
+                        out.pop(k, None)
         return out
-
-    def unit_vector(self):
-        return {i: self.field.one for i in self.idempotent_index}
 
     # -- generators and factorization --------------------------------------
 
@@ -188,7 +185,7 @@ class FDAlgebra:
                 else:
                     factor[b] = [
                         (c, keys[k][0], keys[k][1])
-                        for k, c in enumerate(x) if c != zero
+                        for k, c in enumerate(x) if c
                     ]
         self._generators = gens
         self._factor.update(factor)
@@ -235,8 +232,8 @@ class FDAlgebra:
                     for x, c in self.mult(j, k).items():
                         for y, d in self.mult(i, x).items():
                             right[y] = right.get(y, self.field.zero) + c * d
-                    left = {y: c for y, c in left.items() if c != self.field.zero}
-                    right = {y: c for y, c in right.items() if c != self.field.zero}
+                    left = {y: c for y, c in left.items() if c}
+                    right = {y: c for y, c in right.items() if c}
                     assert left == right, f"associativity fails at ({i},{j},{k})"
         rad = [{i: one} for i in self.radical_indices]
         power = rad
@@ -333,10 +330,10 @@ def _build_graded(pres, field):
         for u, c in vec.items():
             for w, d in lm.get(u, {}).items():
                 s = nxt.get(w, zero) + c * d
-                if s == zero:
-                    nxt.pop(w, None)
-                else:
+                if s:
                     nxt[w] = s
+                else:
+                    nxt.pop(w, None)
         return nxt
 
     def path_class(word, src_vertex):
@@ -383,10 +380,10 @@ def _build_graded(pres, field):
                 for u, c in pre.items():
                     kkey = (w[-1], u)
                     s = vec.get(kkey, zero) + cf * c
-                    if s == zero:
-                        vec.pop(kkey, None)
-                    else:
+                    if s:
                         vec[kkey] = s
+                    else:
+                        vec.pop(kkey, None)
             if vec:
                 key = coord_pos[next(iter(vec))][0]
                 images[key].append(vec)
@@ -397,10 +394,10 @@ def _build_graded(pres, field):
                     for w, d in rho[b_pos].get(u, {}).items():
                         kkey = (a_pos, w)
                         s = vec.get(kkey, zero) + c * d
-                        if s == zero:
-                            vec.pop(kkey, None)
-                        else:
+                        if s:
                             vec[kkey] = s
+                        else:
+                            vec.pop(kkey, None)
                 if vec:
                     key = coord_pos[next(iter(vec))][0]
                     images[key].append(vec)
@@ -418,7 +415,7 @@ def _build_graded(pres, field):
                     dense[coord_pos[au][1]] = c
                 sub.insert(dense)
             for r in sub.rows:
-                carried.append({cc[k]: c for k, c in enumerate(r) if c != zero})
+                carried.append({cc[k]: c for k, c in enumerate(r) if c})
             pivset = set(sub.pivots)
             nonpiv = [k for k in range(npos) if k not in pivset]
             local_id = {}
@@ -432,7 +429,7 @@ def _build_graded(pres, field):
                 else:
                     stage_quota[cc[k]] = {}
             for r, p in zip(sub.rows, sub.pivots):
-                tail = {local_id[k]: -r[k] for k in nonpiv if r[k] != zero}
+                tail = {local_id[k]: -r[k] for k in nonpiv if r[k]}
                 stage_quota[cc[p]] = tail
 
         # canonical order within the degree: ascending by word
@@ -455,10 +452,10 @@ def _build_graded(pres, field):
                 for x, c in rb.get(u2, {}).items():
                     for y, d in left_mult[a_pos].get(x, {}).items():
                         s = acc.get(y, zero) + c * d
-                        if s == zero:
-                            acc.pop(y, None)
-                        else:
+                        if s:
                             acc[y] = s
+                        else:
+                            acc.pop(y, None)
                 if acc:
                     rb[u] = acc
         if not new_elts and m >= max_rel_len:
@@ -559,7 +556,7 @@ def build_algebra_blunt(pres: Presentation, field=QQ, max_paths=250_000):
         for coeff, pw in rel.terms:
             i = index[(pw.arrows, Q.vertex_index[pw.source])]
             vec[i] = vec.get(i, zero) + field.coerce(coeff)
-        vec = {i: c for i, c in vec.items() if c != zero}
+        vec = {i: c for i, c in vec.items() if c}
         if vec:
             key, dense = to_dense(vec)
             spans[key].insert(dense)
@@ -593,7 +590,7 @@ def build_algebra_blunt(pres: Presentation, field=QQ, max_paths=250_000):
             for ok, nv_ in ((l_ok, lv), (r_ok, rv)):
                 if not ok or not nv_:
                     continue
-                nv_ = {i: c for i, c in nv_.items() if c != zero}
+                nv_ = {i: c for i, c in nv_.items() if c}
                 if not nv_:
                     continue
                 key, dense = to_dense(nv_)
@@ -638,7 +635,7 @@ def build_algebra_blunt(pres: Presentation, field=QQ, max_paths=250_000):
         res = spans[key].reduce(unit)
         out = {}
         for k, c in enumerate(res):
-            if c != zero:
+            if c:
                 pi = block_order[key][k]
                 assert len(paths[pi][0]) < eff
                 out[new_index[pi]] = c
@@ -781,7 +778,7 @@ def quotient_by_idempotent_ideal(A, vertex_ids):
             for k, c in g.items():
                 dense[block_pos[k]] = c
             for k2, c in enumerate(spans[key].reduce(dense)):
-                if c != zero:
+                if c:
                     i = block_order[key][k2]
                     if i in reindex:
                         out[reindex[i]] = c
@@ -811,16 +808,6 @@ class ExtractedPresentation:
         self.presentation = presentation
         self.arrow_lift = arrow_lift   # arrow id -> sparse vector over algebra basis
         self.algebra = algebra
-
-    def lift_word(self, word, src_id=None):
-        A = self.algebra
-        arrs = self.presentation.quiver.arrows
-        if not word:
-            return {A.idempotent_index[A.vertex_pos[src_id]]: A.field.one}
-        vec = dict(self.arrow_lift[arrs[word[0]].id])
-        for a_pos in word[1:]:
-            vec = A.mult_vec(self.arrow_lift[arrs[a_pos].id], vec)
-        return vec
 
 
 def quiver_of(A):
@@ -871,7 +858,7 @@ def quiver_of(A):
                     x = solve(mat, dense) if chosen else []
                     terms = [(one, PathWord(Q, elems[e][0] + (k,)))]
                     for pos, c in enumerate(x):
-                        if c != zero:
+                        if c:
                             (k2, e2), _ = chosen[pos]
                             terms.append((-c, PathWord(Q, elems[e2][0] + (k2,))))
                     relations.append(Relation(terms))
@@ -918,10 +905,10 @@ def check_presentation_isomorphism(pres, B, vertex_map, arrow_images):
             cf = B.field.coerce(coeff)
             for i, c in eval_word(pw.arrows, pw.source).items():
                 s = acc.get(i, zero) + cf * c
-                if s == zero:
-                    acc.pop(i, None)
-                else:
+                if s:
                     acc[i] = s
+                else:
+                    acc.pop(i, None)
         if acc:
             return False
 

@@ -118,6 +118,12 @@ def cmd_fabric(args):
     return 0 if report.definitional.get("verdict") else 1
 
 
+def _label_list(labels):
+    """Vertex labels joined by spaces: nakayama.vertex_label puts commas
+    inside labels with a coordinate of 10 or more."""
+    return " ".join(labels)
+
+
 def cmd_nakayama(args):
     entries = tuple(int(x) for x in args.kupisch.split(","))
     cutoff = _default_cutoff(args)
@@ -130,7 +136,7 @@ def cmd_nakayama(args):
     doc.add("seed", args.seed)
     doc.add("cutoff", cutoff)
     A, pres = nk.higher_nakayama(args.n, series)
-    doc.add("vertices", ",".join(A.vertices))
+    doc.add("vertices", _label_list(A.vertices))
     doc.add("dimension", A.dim)
     doc.add("self-injective", hm.is_self_injective(A, seed=args.seed))
     if args.reduce:
@@ -141,9 +147,9 @@ def cmd_nakayama(args):
         doc.add("series-history", [str(s) for s in trace.series_history], indent=1)
         for st in trace.stages:
             doc.add(f"round {st.round} pass {st.pass_index}",
-                    {"f": ",".join(st.idempotent), "corner_dim": st.corner_dim,
-                     "fabric_e": ",".join(st.fabric_e or ())}, indent=1)
-        doc.add("terminal-vertices", ",".join(sorted(trace.terminal.vertices)),
+                    {"f": _label_list(st.idempotent), "corner_dim": st.corner_dim,
+                     "fabric_e": _label_list(st.fabric_e or ())}, indent=1)
+        doc.add("terminal-vertices", _label_list(sorted(trace.terminal.vertices)),
                 indent=1)
         doc.add("terminal-dimension", trace.terminal.dim, indent=1)
         if trace.terminal_series is not None:

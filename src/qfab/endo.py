@@ -129,7 +129,7 @@ def endomorphism_algebra(summands, seed=0, validate=True):
         if x is None:
             raise QfabError("endomorphism composition left its block")
         return {block_members[key][k]: c for k, c in enumerate(x)
-                if c != field.zero}
+                if c}
 
     # radical square and arrow choice
     rad2 = {key: Subspace(len(m), field) for key, m in block_members.items()}
@@ -174,10 +174,10 @@ def endomorphism_algebra(summands, seed=0, validate=True):
             for j, cb in vec_b.items():
                 for k2, ck in mult_raw(i, j).items():
                     s2 = out.get(k2, field.zero) + ca * cb * ck
-                    if s2 == field.zero:
-                        out.pop(k2, None)
-                    else:
+                    if s2:
                         out[k2] = s2
+                    else:
+                        out.pop(k2, None)
         return out
 
     while prev and degree <= dim + 2:
@@ -206,7 +206,7 @@ def endomorphism_algebra(summands, seed=0, validate=True):
                     x = solve(mat, dense) if chosen else []
                     terms = [(field.one, PathWord(Q, elems[e][0] + (k,)))]
                     for pos2, c in enumerate(x):
-                        if c != field.zero:
+                        if c:
                             (k2, e2), _ = chosen[pos2]
                             terms.append((-c, PathWord(Q, elems[e2][0] + (k2,))))
                     relations.append(Relation(terms))

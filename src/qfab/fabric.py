@@ -544,9 +544,3 @@ def verify_generator_switching(A, F, E, H=None, sample_budget=20, seed=0,
             report["violations"].append((name, "gen_inf(Af)"))
     report["pass"] = not report["violations"]
     return report
-
-
-def resolution_generator_pattern(M, cutoff=24, seed=0):
-    """Vertex supports of the minimal-resolution terms, with closure status."""
-    res = hm.minimal_resolution(M, "projective", cutoff=cutoff, seed=seed)
-    return [sorted(set(vs)) for vs in res.term_vertices], res.status, res.period

@@ -1,16 +1,20 @@
 """Exact scalar fields: the rationals (arbitrary precision) and prime fields.
 
 Scalars are plain values supporting +, -, *, /, ==, hash.  Rationals are
-gmpy2.mpq when available (much faster), else fractions.Fraction; both keep
-values in lowest terms with a positive denominator.  Prime-field elements are
-small wrapper objects around a residue.
+fractions.Fraction, or gmpy2.mpq when the optional ``gmpy2`` extra is
+installed; both keep values in lowest terms with a positive denominator.
+Prime-field elements are small wrapper objects around a residue.
+
+Every scalar is falsy exactly when it is zero, so the rest of the package
+tests ``if x`` instead of comparing with ``field.zero`` (an ``__eq__`` call on
+every entry).  ``zero`` and ``one`` are stored constants of each field.
 """
 
 from __future__ import annotations
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra
     from fractions import Fraction as _rational
 
 
@@ -19,17 +23,11 @@ class RationalField:
 
     name = "Q"
     characteristic = 0
+    zero = _rational(0)
+    one = _rational(1)
 
     def __call__(self, num, den=1):
         return _rational(num, den)
-
-    @property
-    def zero(self):
-        return _rational(0)
-
-    @property
-    def one(self):
-        return _rational(1)
 
     def coerce(self, x):
         if isinstance(x, str):
@@ -124,20 +122,14 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = f"F{p}"
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     def __call__(self, num, den=1):
         val = FpElement(num, self.p)
         if den != 1:
             val = val / FpElement(den, self.p)
         return val
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
 
     def coerce(self, x):
         if isinstance(x, FpElement):

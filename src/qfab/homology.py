@@ -132,16 +132,6 @@ def syzygy(M, n=1):
     return cur
 
 
-def injective_envelope(M):
-    """Minimal injective envelope (E, inclusion, summand vertex list)."""
-    A = M.algebra
-    DM = dual_module(M)
-    P, cover, verts = projective_cover(DM)
-    E = dual_module(P)
-    inc = dual_map(cover)
-    return E, inc, verts
-
-
 def cosyzygy(M, n=1):
     """The n-th cosyzygy, via duality."""
     return dual_module(syzygy(dual_module(M), n))
@@ -182,13 +172,6 @@ class Resolution:
     def length(self):
         """Index of the last nonzero term for terminated resolutions."""
         return len(self.terms) - 1
-
-    def term_multiset(self, i):
-        if i < len(self.term_vertices):
-            return sorted(self.term_vertices[i])
-        if self.status == "terminated":
-            return []
-        raise QfabError("resolution not computed that far")
 
 
 def minimal_resolution(M, direction="projective", cutoff=10, seed=0,
@@ -331,13 +314,13 @@ def _hom_complex_matrix(P_prev, verts_prev, P_next, verts_next, d, N):
             if d.mats[vpos_r].rows else []
         # img is d(gen_r), a vector in P_prev's vertex-vpos_r component
         for k, c in enumerate(img):
-            if c == A.field.zero:
+            if not c:
                 continue
             s, i = concrete[(vpos_r, k)]
             act = N.action(i)   # N_{v_s} -> N_{vpos_r}
             for a in range(act.rows):
                 for b in range(act.cols):
-                    if act.data[a][b] != A.field.zero:
+                    if act.data[a][b]:
                         out[hoff_next[r] + a][hoff_prev[s] + b] += c * act.data[a][b]
     return Matrix(rows, cols, out, A.field)
 
@@ -567,7 +550,7 @@ def _dual_presentation_map(P0, verts0, P1, verts1, d, H0, h0_data, H1, h1_data):
         # d(gen_r) lives in P0's vertex-vpos_r component
         col = [d.mats[vpos_r].data[k][col_r] for k in range(d.mats[vpos_r].rows)]
         for k, c in enumerate(col):
-            if c == zero:
+            if not c:
                 continue
             s, i = concrete[(vpos_r, k)]
             # contribution: y_s -> c * (i . y_s): left multiplication by i,

@@ -1,12 +1,19 @@
-"""Exact dense linear algebra over Q or F_p.
+"""Exact linear algebra over Q or F_p, dense storage with sparse updates.
 
 Matrices are immutable (tuple-of-tuples) and every operation is a pure
 function, so values can be shared freely.  All echelon forms are reduced and
 pivot-ordered, which makes kernel bases, solutions and ranks canonical:
 re-running any computation reproduces identical output.
+
+Most entries are 0 or +-1, so the kernel relies on the scalar contract of
+``field``: a scalar is falsy exactly when it is zero.  Entries are tested with
+``if x``, and products and row operations touch only the non-zero entries of
+the row that is added (``a - f*0 == a`` exactly, so results are unchanged).
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .field import QQ
 from .errors import DimensionMismatch
@@ -59,8 +66,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self):
-        z = self.field.zero
-        return all(x == z for r in self.data for x in r)
+        return not any(any(r) for r in self.data)
 
     def transpose(self):
         return Matrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)], self.field)
@@ -71,7 +77,8 @@ class Matrix:
         return Matrix(
             self.rows,
             self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[a + b if b else a for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)],
             self.field,
         )
 
@@ -79,23 +86,22 @@ class Matrix:
         return self + other.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix(self.rows, self.cols, [[c * x for x in r] for r in self.data], self.field)
+        return Matrix(self.rows, self.cols,
+                      [[c * x if x else x for x in r] for r in self.data], self.field)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            ot = other.transpose().data
             z = self.field.zero
+            right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
             out = []
             for r in self.data:
-                row = []
-                for c in ot:
-                    s = z
-                    for a, b in zip(r, c):
-                        if a != z and b != z:
-                            s = s + a * b
-                    row.append(s)
+                row = [z] * other.cols
+                for a, nz in zip(r, right):
+                    if a:
+                        for j, b in nz:
+                            row[j] = row[j] + a * b
                 out.append(row)
             return Matrix(self.rows, other.cols, out, self.field)
         return self.scale(other)
@@ -105,11 +111,13 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         z = self.field.zero
+        nz = [(k, b) for k, b in enumerate(vec) if b]
         out = []
         for r in self.data:
             s = z
-            for a, b in zip(r, vec):
-                if a != z and b != z:
+            for k, b in nz:
+                a = r[k]
+                if a:
                     s = s + a * b
             out.append(s)
         return out
@@ -133,8 +141,10 @@ class Matrix:
 
 
 def rref(mat):
-    """Reduced row echelon form.  Returns (Matrix, pivot column list)."""
-    z = mat.field.zero
+    """Reduced row echelon form.  Returns (Matrix, pivot column list).
+
+    Each elimination step updates only the pivot row's non-zero columns."""
+    one = mat.field.one
     rows = [list(r) for r in mat.data]
     n, m = mat.rows, mat.cols
     pivots = []
@@ -142,22 +152,24 @@ def rref(mat):
     for c in range(m):
         if r >= n:
             break
-        pr = None
-        for i in range(r, n):
-            if rows[i][c] != z:
-                pr = i
-                break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != mat.field.one:
-            inv = mat.field.one / pv
-            rows[r] = [inv * x for x in rows[r]]
+        prow = rows[r]
+        # columns left of c are zero in every row from r on
+        support = [j for j in range(c, m) if prow[j]]
+        pv = prow[c]
+        if pv != one:
+            inv = one / pv
+            for j in support:
+                prow[j] = inv * prow[j]
         for i in range(n):
-            if i != r and rows[i][c] != z:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
     return Matrix(n, m, rows, mat.field), pivots
@@ -203,14 +215,21 @@ def solve(mat, b):
 
 
 def solve_matrix(mat, rhs):
-    """Solve mat*X = rhs columnwise; None if any column is inconsistent."""
-    cols = []
-    for j in range(rhs.cols):
-        x = solve(mat, rhs.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix(mat.cols, rhs.cols, list(zip(*cols)) if cols else [[] for _ in range(mat.cols)], mat.field)
+    """Solve mat*X = rhs, free variables set to zero; None if any column is
+    inconsistent.  One elimination of [mat | rhs] gives, column by column,
+    the same solutions as ``solve``."""
+    if rhs.rows != mat.rows:
+        raise DimensionMismatch("rhs row count mismatch")
+    n, k = mat.cols, rhs.cols
+    if not k:
+        return Matrix(n, 0, [[] for _ in range(n)], mat.field)
+    R, pivots = rref(mat.hstack(rhs))
+    if pivots and pivots[-1] >= n:
+        return None
+    out = [[mat.field.zero] * k for _ in range(n)]
+    for r, pc in enumerate(pivots):
+        out[pc] = R.data[r][n:]
+    return Matrix(n, k, out, mat.field)
 
 
 def from_columns(cols, rows, field=QQ):
@@ -237,8 +256,10 @@ def inverse(mat):
 class Subspace:
     """A subspace kept in reduced echelon form for membership tests.
 
-    Rows are vectors of fixed length `dim`; `pivot_of_row[i]` is the pivot
-    column of the i-th stored row.  Supports incremental insertion.
+    Rows are vectors of fixed length `dim`; `pivots[i]` is the pivot column
+    of the i-th stored row, in increasing order.  Supports incremental
+    insertion.  Each row's non-zero columns are kept beside it, so reducing
+    a vector updates only those entries.
     """
 
     def __init__(self, dim, field=QQ):
@@ -246,58 +267,56 @@ class Subspace:
         self.field = field
         self.rows = []
         self.pivots = []
+        self._support = []
+
+    def _eliminate(self, v, coords=None):
+        """Clear v (in place) at every stored pivot; record the multipliers
+        in coords when given."""
+        for i, (row, p, support) in enumerate(zip(self.rows, self.pivots, self._support)):
+            f = v[p]
+            if f:
+                if coords is not None:
+                    coords[i] = f
+                for j in support:
+                    v[j] = v[j] - f * row[j]
+        return v
 
     def reduce(self, vec):
         """Reduce vec against the stored rows; returns the residue (a list)."""
-        z = self.field.zero
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != z:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return self._eliminate(list(vec))
 
     def contains(self, vec):
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def insert(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        z = self.field.zero
         v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x != z), None)
+        p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
+        support = [j for j in range(p, self.dim) if v[j]]
         inv = self.field.one / v[p]
-        v = [inv * x for x in v]
-        for i, (row, rp) in enumerate(zip(self.rows, self.pivots)):
-            if row[p] != z:
-                f = row[p]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(p)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+        for j in support:
+            v[j] = inv * v[j]
+        for i, (row, rsupp) in enumerate(zip(self.rows, self._support)):
+            f = row[p]
+            if f:
+                for j in support:
+                    row[j] = row[j] - f * v[j]
+                self._support[i] = [j for j in sorted(set(rsupp).union(support)) if row[j]]
+        k = bisect(self.pivots, p)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, p)
+        self._support.insert(k, support)
         return True
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def basis_matrix(self):
-        return Matrix(len(self.rows), self.dim, self.rows, self.field)
-
     def coordinates(self, vec):
         """Coordinates of vec in the stored echelon basis, or None."""
-        z = self.field.zero
-        v = list(vec)
-        coords = [z] * len(self.rows)
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            if v[p] != z:
-                f = v[p]
-                coords[i] = f
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(x != z for x in v):
+        coords = [self.field.zero] * len(self.rows)
+        if any(self._eliminate(list(vec), coords)):
             return None
         return coords

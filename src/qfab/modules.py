@@ -69,13 +69,6 @@ class Representation:
         self._action[idx] = m
         return m
 
-    def action_of_vec(self, vec, src, tgt):
-        """Matrix of a sparse algebra element supported in one block."""
-        m = Matrix.zero(self.dims[tgt], self.dims[src], self.algebra.field)
-        for idx, c in vec.items():
-            m = m + self.action(idx).scale(c)
-        return m
-
     def validate(self, full=False):
         """Check multiplicativity of the action.
 
@@ -171,12 +164,6 @@ class ModuleMap:
 
     def rank(self):
         return sum(rank(m) for m in self.mats)
-
-    def is_injective(self):
-        return all(rank(m) == m.cols for m in self.mats)
-
-    def is_surjective(self):
-        return all(rank(m) == m.rows for m in self.mats)
 
     def is_isomorphism(self):
         return (self.source.dims == self.target.dims and
@@ -503,12 +490,12 @@ def hom_space(M, N):
             for j in range(M.dims[s]):
                 row = [zero] * total
                 for k in range(M.dims[t]):
-                    if mg.data[k][j] != zero:
+                    if mg.data[k][j]:
                         row[offs[t] + i * M.dims[t] + k] += mg.data[k][j]
                 for k in range(N.dims[s]):
-                    if ng.data[i][k] != zero:
+                    if ng.data[i][k]:
                         row[offs[s] + k * M.dims[s] + j] -= ng.data[i][k]
-                if any(x != zero for x in row):
+                if any(row):
                     rows.append(row)
     if not rows:
         basis_vecs = [[zero] * total for _ in range(total)]
@@ -657,7 +644,7 @@ def endo_radical_dim(M):
             prod = table[(i, j)]
             tr = M.field.zero
             for l in range(n):
-                if prod[l] != M.field.zero:
+                if prod[l]:
                     tr = tr + prod[l] * left_trace[l]
             gram[i][j] = tr
     return n - rank(Matrix(n, n, gram, M.field))
@@ -704,7 +691,7 @@ def submodule_generated_by(N, seeds):
             b = A.basis[g]
             if b.source == v:
                 img = N.action(g).apply(vec)
-                if any(x != A.field.zero for x in img) and subs[b.target].insert(img):
+                if any(img) and subs[b.target].insert(img):
                     work.append((b.target, img))
     bases = [[list(r) for r in sub.rows] for sub in subs]
     return _sub_representation(N, bases)

@@ -424,7 +424,3 @@ def _cross_check_corner(stage, B, presB, old_k, trace):
                                       "higher Nakayama algebra")
     trace.certificates.setdefault("cross_checks", []).append(
         {"dim": B.dim, "vertices": sorted(B.vertices)})
-
-
-def is_self_injective(A, seed=0):
-    return hm.is_self_injective(A, seed=seed)

@@ -61,9 +61,6 @@ class Quiver:
     def arrows_from(self, vid):
         return [a for a in self.arrows if a.source == vid]
 
-    def arrows_to(self, vid):
-        return [a for a in self.arrows if a.target == vid]
-
     def __repr__(self):
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
 
@@ -96,9 +93,6 @@ class PathWord:
     @property
     def length(self):
         return len(self.arrows)
-
-    def sort_key(self):
-        return (len(self.arrows), self.arrows)
 
     def __eq__(self, other):
         return (

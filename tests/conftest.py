@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from qfab.fixtures import fixture
 from qfab.algebra import build_algebra
+
+# Property tests draw the same examples on every run, and timing never fails
+# them: the suite must give the same verdict on a loaded machine.
+settings.register_profile("qfab", derandomize=True, deadline=None)
+settings.load_profile("qfab")
 
 
 @pytest.fixture(scope="session")

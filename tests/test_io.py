@@ -136,6 +136,16 @@ def test_cli_nakayama_reduce():
     assert "terminal-dimension: 12" in r.stdout
 
 
+def test_cli_nakayama_vertex_list_splits_into_labels():
+    from qfab.nakayama import higher_nakayama
+    # coordinates reach 10 and 11, so some labels contain commas
+    r = _run_cli("nakayama", "--n", "2", "--kupisch", "7,6,5,5,5,6")
+    assert r.returncode == 0
+    line = next(ln for ln in r.stdout.splitlines() if ln.startswith("vertices: "))
+    A, _ = higher_nakayama(2, (7, 6, 5, 5, 5, 6))
+    assert line[len("vertices: "):].split(" ") == A.vertices
+
+
 def test_cli_nakayama_bad_series():
     r = _run_cli("nakayama", "--n", "1", "--kupisch", "2,4")
     assert r.returncode == 2

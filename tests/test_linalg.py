@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from qfab.field import QQ, PrimeField
-from qfab.linalg import (Matrix, rref, rank, kernel_basis, solve, inverse,
-                         is_invertible, Subspace, from_columns)
+from qfab.errors import DimensionMismatch
+from qfab.linalg import (Matrix, rref, rank, kernel_basis, solve, solve_matrix,
+                         inverse, is_invertible, Subspace, from_columns)
 
 
 def mat(rows, field=QQ):
@@ -40,6 +43,22 @@ def test_solve_free_variable_zeroed():
 
 def test_solve_inconsistent():
     assert solve(mat([[1], [2]]), [QQ(1), QQ(1)]) is None
+
+
+def test_solve_matrix_matches_columnwise_solve():
+    m = mat([[1, 2, 0], [2, 4, 1], [0, 0, 0]])
+    rhs = mat([[1, 0, 3], [3, 1, 6], [0, 0, 0]])
+    got = solve_matrix(m, rhs)
+    cols = [solve(m, rhs.column(j)) for j in range(rhs.cols)]
+    assert got == from_columns(cols, m.cols)
+    # one inconsistent column makes the whole system inconsistent
+    bad = rhs.hstack(mat([[0], [0], [1]]))
+    assert solve(m, bad.column(3)) is None
+    assert solve_matrix(m, bad) is None
+    empty = solve_matrix(m, Matrix(3, 0, [[], [], []]))
+    assert (empty.rows, empty.cols) == (3, 0)
+    with pytest.raises(DimensionMismatch):
+        solve_matrix(m, mat([[1], [2]]))
 
 
 def test_rref_idempotent():
