@@ -825,36 +825,49 @@ def quiver_of(A):
         b = A.basis[g]
         arrows.append(Arrow(f"x{k}", vertex_ids[b.source], vertex_ids[b.target]))
     Q = Quiver(vertex_ids, arrows)
-    zero, one = A.field.zero, A.field.one
+    one = A.field.one
+    relations = _extract_relations(
+        Q, [(A.basis[g].source, A.basis[g].target, {g: one}) for g in gens],
+        A.mult_vec, A.dim, A.field)
+    pres = Presentation(Q, relations,
+                        name=f"quiver_of({A.name})" if A.name else "")
+    arrow_lift = {f"x{k}": {g: one} for k, g in enumerate(gens)}
+    return ExtractedPresentation(pres, arrow_lift, A)
 
-    elems = []   # (word over new arrows, src, tgt, eval vector over A basis)
-    for k, g in enumerate(gens):
-        b = A.basis[g]
-        elems.append(((k,), b.source, b.target, {g: one}))
+
+def _extract_relations(Q, gens, mult_vec, dim, field):
+    """Relations among the arrows of Q, found degree by degree.
+
+    Arrow k runs ``gens[k][0] -> gens[k][1]`` and evaluates to the sparse
+    vector ``gens[k][2]``; ``mult_vec(a, b)`` multiplies two sparse vectors
+    of a ``dim``-dimensional algebra (a after b).  Each block of paths of one
+    degree is split into products chosen in word order, spanning the block's
+    image, and one relation per other path, solved against the chosen ones.
+    """
+    zero, one = field.zero, field.one
+    elems = [((k,), s, t, vec) for k, (s, t, vec) in enumerate(gens)]
     relations = []
     prev = list(range(len(elems)))
     degree = 2
-    while prev and degree <= A.dim + 2:
+    while prev and degree <= dim + 2:
         blocks = {}
-        for k, g in enumerate(gens):
-            bg = A.basis[g]
+        for k, (gs, gt, _) in enumerate(gens):
             for e in prev:
-                word, s, t, ev = elems[e]
-                if t == bg.source:
-                    blocks.setdefault((s, bg.target), []).append((k, e))
+                if elems[e][2] == gs:
+                    blocks.setdefault((elems[e][1], gt), []).append((k, e))
         new = []
         for key in sorted(blocks):
             cc = sorted(blocks[key], key=lambda ke: elems[ke[1]][0] + (ke[0],))
-            sub = Subspace(A.dim, A.field)
+            sub = Subspace(dim, field)
             chosen = []
             for k, e in cc:
-                val = A.mult_vec({gens[k]: one}, elems[e][3])
-                dense = _dense(val, A.dim, zero)
+                val = mult_vec(gens[k][2], elems[e][3])
+                dense = _dense(val, dim, zero)
                 if sub.insert(dense):
                     chosen.append(((k, e), val))
                 else:
-                    mat = from_columns([_dense(v, A.dim, zero) for _, v in chosen],
-                                       A.dim, A.field)
+                    mat = from_columns([_dense(v, dim, zero) for _, v in chosen],
+                                       dim, field)
                     x = solve(mat, dense) if chosen else []
                     terms = [(one, PathWord(Q, elems[e][0] + (k,)))]
                     for pos, c in enumerate(x):
@@ -867,10 +880,7 @@ def quiver_of(A):
                 elems.append((elems[e][0] + (k,), key[0], key[1], val))
         prev = new
         degree += 1
-    pres = Presentation(Q, relations,
-                        name=f"quiver_of({A.name})" if A.name else "")
-    arrow_lift = {f"x{k}": {g: one} for k, g in enumerate(gens)}
-    return ExtractedPresentation(pres, arrow_lift, A)
+    return relations
 
 
 def check_presentation_isomorphism(pres, B, vertex_map, arrow_images):

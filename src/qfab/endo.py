@@ -12,9 +12,9 @@ result carries the same path-graded structure as every other algebra here.
 from __future__ import annotations
 
 from .errors import QfabError, SummandsNotDistinct, SummandDecomposable
-from .linalg import Matrix, Subspace, from_columns, solve
-from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
-from .algebra import build_algebra
+from .linalg import Subspace, from_columns, solve
+from .quiver import Quiver, Arrow, Presentation
+from .algebra import build_algebra, _extract_relations
 from . import modules as md
 
 
@@ -111,7 +111,7 @@ def endomorphism_algebra(summands, seed=0, validate=True):
     block_members = {}
     for i, (s, u, phi) in enumerate(raw):
         block_members.setdefault((s, u), []).append(i)
-    flat = {i: _flatten(phi) for i, (s, u, phi) in enumerate(raw)}
+    flat = {i: phi.as_vector() for i, (s, u, phi) in enumerate(raw)}
     block_mat = {}
     for key, members in block_members.items():
         cols = [flat[i] for i in members]
@@ -125,7 +125,7 @@ def endomorphism_algebra(summands, seed=0, validate=True):
             return {}
         comp = phi_j.compose(phi_i)       # module side reverses
         key = (sj, ui)
-        x = solve(block_mat[key], _flatten(comp))
+        x = solve(block_mat[key], comp.as_vector())
         if x is None:
             raise QfabError("endomorphism composition left its block")
         return {block_members[key][k]: c for k, c in enumerate(x)
@@ -159,15 +159,6 @@ def endomorphism_algebra(summands, seed=0, validate=True):
         arrows.append(Arrow(f"x{k}", vertex_ids[s], vertex_ids[u]))
     Q = Quiver(vertex_ids, arrows)
 
-    # degree-by-degree relation extraction (evaluation into raw coordinates)
-    elems = []
-    for k, g in enumerate(gen_list):
-        s, u, _ = raw[g]
-        elems.append(((k,), s, u, {g: field.one}))
-    relations = []
-    prev = list(range(len(elems)))
-    degree = 2
-
     def mult_vec_raw(vec_a, vec_b):
         out = {}
         for i, ca in vec_a.items():
@@ -180,41 +171,10 @@ def endomorphism_algebra(summands, seed=0, validate=True):
                         out.pop(k2, None)
         return out
 
-    while prev and degree <= dim + 2:
-        blocks = {}
-        for k, g in enumerate(gen_list):
-            gs, gu, _ = raw[g]
-            for e in prev:
-                word, s, u, ev = elems[e]
-                if u == gs:
-                    blocks.setdefault((s, gu), []).append((k, e))
-        new = []
-        for key in sorted(blocks):
-            cc = sorted(blocks[key], key=lambda ke: elems[ke[1]][0] + (ke[0],))
-            sub = Subspace(dim, field)
-            chosen = []
-            for k, e in cc:
-                val = mult_vec_raw({gen_list[k]: field.one}, elems[e][3])
-                dense = [field.zero] * dim
-                for i, c in val.items():
-                    dense[i] = c
-                if sub.insert(dense):
-                    chosen.append(((k, e), val))
-                else:
-                    mat = from_columns([_densify(v, dim, field) for _, v in chosen],
-                                       dim, field)
-                    x = solve(mat, dense) if chosen else []
-                    terms = [(field.one, PathWord(Q, elems[e][0] + (k,)))]
-                    for pos2, c in enumerate(x):
-                        if c:
-                            (k2, e2), _ = chosen[pos2]
-                            terms.append((-c, PathWord(Q, elems[e2][0] + (k2,))))
-                    relations.append(Relation(terms))
-            for (k, e), val in chosen:
-                new.append(len(elems))
-                elems.append((elems[e][0] + (k,), key[0], key[1], val))
-        prev = new
-        degree += 1
+    # degree-by-degree relation extraction (evaluation into raw coordinates)
+    relations = _extract_relations(
+        Q, [(raw[g][0], raw[g][1], {g: field.one}) for g in gen_list],
+        mult_vec_raw, dim, field)
 
     pres = Presentation(Q, relations, name="endomorphism algebra")
     B = build_algebra(pres, field)
@@ -225,28 +185,13 @@ def endomorphism_algebra(summands, seed=0, validate=True):
     return EndoData(B, pres, list(summands), arrow_maps, idem_of)
 
 
-def _flatten(phi):
-    v = []
-    for m in phi.mats:
-        for r in m.data:
-            v.extend(r)
-    return v
-
-
-def _densify(vec, n, field):
-    d = [field.zero] * n
-    for i, c in vec.items():
-        d[i] = c
-    return d
-
-
 def _echelon_maps(maps, field):
     """Deterministic echelon re-basing of a list of module maps."""
     if not maps:
         return []
-    sub = Subspace(len(_flatten(maps[0])), field)
+    sub = Subspace(len(maps[0].as_vector()), field)
     out = []
     for phi in maps:
-        if sub.insert(_flatten(phi)):
+        if sub.insert(phi.as_vector()):
             out.append(phi)
     return out

@@ -5,7 +5,13 @@ membership (gen_l / cogen_l).
 
 Injective-side computations are dualized: an injective coresolution of M is
 the dual of a minimal projective resolution of D(M) over the opposite
-algebra, so the projective machinery is the single source of truth.
+algebra, so the projective machinery is the single source of truth;
+cogen_l membership is gen_l membership of D(M) over the opposite algebra.
+
+Every free module + Ae_v here (cover terms, Hom(P, A) in the transpose, the
+projectives of the Nakayama functor) is built by ``modules.free_module``, and
+its coordinates are read from ``modules.projective_layout``, the single
+source of free-module coordinates.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import Matrix, Subspace, from_columns, kernel_basis, rank, solve
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
-from .modules import (ModuleMap, Representation, direct_sum, dual_module,
+from .modules import (ModuleMap, Representation, dual_module, free_module,
                       hom_space, injective_module, is_isomorphic,
-                      projective_module, simple_module, zero_module)
+                      projective_layout, projective_module, simple_module,
+                      zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +108,15 @@ def projective_cover(M):
     if not summand_data:
         Z = zero_module(A)
         return Z, ModuleMap.zero(Z, M), []
-    summands = [projective_module(A, A.vertices[v]) for v, _ in summand_data]
-    P, incs, projs = direct_sum(summands)
-    # assemble the cover map: generator of summand s at vertex v maps to x
+    P, pos = free_module(A, [A.vertices[v] for v, _ in summand_data])
+    # the cover map sends element i of summand s to i . x_s
     mats = [ [ [A.field.zero]*P.dims[w] for _ in range(M.dims[w]) ]
              for w in range(A.n_vertices) ]
-    col_off = [0] * A.n_vertices
-    for s, (v, x) in enumerate(summand_data):
-        Pv = summands[s]
-        _, slots = Pv._projective_slots
-        for i, (w, slot) in slots.items():
+    for (v, x), slots in zip(summand_data, pos):
+        for i, (w, k) in slots.items():
             col = M.action(i).apply(x)
             for r in range(M.dims[w]):
-                mats[w][r][col_off[w] + slot] = col[r]
-        for w in range(A.n_vertices):
-            col_off[w] += Pv.dims[w]
+                mats[w][r][k] = col[r]
     cover = ModuleMap(P, M, [Matrix(M.dims[w], P.dims[w], mats[w], A.field)
                              for w in range(A.n_vertices)])
     return P, cover, [A.vertices[v] for v, _ in summand_data]
@@ -266,28 +267,34 @@ def _hom_coords_dim(term_vertices, N):
     return sum(N.dims[A.vertex_pos[v]] for v in term_vertices)
 
 
-def _hom_complex_matrix(P_prev, verts_prev, P_next, verts_next, d, N):
+def _differential_entries(verts_prev, verts_next, d):
+    """d: + Ae_{verts_next} -> + Ae_{verts_prev} as entries of A.
+
+    Yields (r, s, i, c), one per term: the image under d of the generator of
+    summand r of the source is the sum of the terms c * (basis element i of
+    A, in summand s of the target).
+    """
+    A = d.source.algebra
+    _, pos_prev = projective_layout(A, verts_prev)
+    at = {wk: (s, i) for s, slots in enumerate(pos_prev) for i, wk in slots.items()}
+    _, pos_next = projective_layout(A, verts_next)
+    for r, (v_id, slots) in enumerate(zip(verts_next, pos_next)):
+        w, col = slots[A.idempotent_index[A.vertex_pos[v_id]]]
+        m = d.mats[w]
+        for k in range(m.rows):
+            c = m.data[k][col]
+            if c:
+                s, i = at[(w, k)]
+                yield r, s, i, c
+
+
+def _hom_complex_matrix(verts_prev, verts_next, d, N):
     """Matrix of Hom(P_prev, N) -> Hom(P_next, N), phi -> phi . d."""
     A = N.algebra
     rows = _hom_coords_dim(verts_next, N)
     cols = _hom_coords_dim(verts_prev, N)
     out = [[A.field.zero] * cols for _ in range(rows)]
-    # concrete coordinates of P_prev: offsets per summand slot
-    prev_offsets = []   # per summand: dict basis_idx -> (vertex, concrete col)
-    col_off = [0] * A.n_vertices
-    for v_id in verts_prev:
-        vpos = A.vertex_pos[v_id]
-        Pv = projective_module(A, v_id)
-        _, slots = Pv._projective_slots
-        prev_offsets.append({i: (w, col_off[w] + slot) for i, (w, slot) in slots.items()})
-        for w in range(A.n_vertices):
-            col_off[w] += Pv.dims[w]
-    # reverse lookup: concrete coordinate -> (summand s, basis elt i)
-    concrete = {}
-    for s, table in enumerate(prev_offsets):
-        for i, (w, pos) in table.items():
-            concrete[(w, pos)] = (s, i)
-    # Hom coordinate offsets
+    # Hom(+ Ae_v, N) = + e_v N: one block of coordinates per summand
     hoff_prev = []
     acc = 0
     for v_id in verts_prev:
@@ -298,30 +305,12 @@ def _hom_complex_matrix(P_prev, verts_prev, P_next, verts_next, d, N):
     for v_id in verts_next:
         hoff_next.append(acc)
         acc += N.dims[A.vertex_pos[v_id]]
-    # generator positions inside P_next
-    gen_cols = []
-    col_off = [0] * A.n_vertices
-    for v_id in verts_next:
-        vpos = A.vertex_pos[v_id]
-        Pv = projective_module(A, v_id)
-        _, slots = Pv._projective_slots
-        idem = A.idempotent_index[vpos]
-        gen_cols.append((vpos, col_off[vpos] + slots[idem][1]))
-        for w in range(A.n_vertices):
-            col_off[w] += Pv.dims[w]
-    for r, (vpos_r, col_r) in enumerate(gen_cols):
-        img = [d.mats[vpos_r].data[k][col_r] for k in range(d.mats[vpos_r].rows)] \
-            if d.mats[vpos_r].rows else []
-        # img is d(gen_r), a vector in P_prev's vertex-vpos_r component
-        for k, c in enumerate(img):
-            if not c:
-                continue
-            s, i = concrete[(vpos_r, k)]
-            act = N.action(i)   # N_{v_s} -> N_{vpos_r}
-            for a in range(act.rows):
-                for b in range(act.cols):
-                    if act.data[a][b]:
-                        out[hoff_next[r] + a][hoff_prev[s] + b] += c * act.data[a][b]
+    for r, s, i, c in _differential_entries(verts_prev, verts_next, d):
+        act = N.action(i)   # N_{v_s} -> N_{v_r}
+        for a in range(act.rows):
+            for b in range(act.cols):
+                if act.data[a][b]:
+                    out[hoff_next[r] + a][hoff_prev[s] + b] += c * act.data[a][b]
     return Matrix(rows, cols, out, A.field)
 
 
@@ -350,15 +339,13 @@ def _ext_from_resolution(res, N, i):
         return 0
     rank_in = 0
     if i >= 1:
-        m_in = _hom_complex_matrix(terms[i - 1], tverts[i - 1], terms[i],
-                                   tverts[i], diffs[i - 1], N)
+        m_in = _hom_complex_matrix(tverts[i - 1], tverts[i], diffs[i - 1], N)
         rank_in = rank(m_in)
     rank_out = 0
     if i + 1 >= len(terms) and res.status == "periodic":
         extend_resolution(res, i + 2)
     if i + 1 < len(terms):
-        m_out = _hom_complex_matrix(terms[i], tverts[i], terms[i + 1],
-                                    tverts[i + 1], diffs[i], N)
+        m_out = _hom_complex_matrix(tverts[i], tverts[i + 1], diffs[i], N)
         rank_out = rank(m_out)
     elif res.status != "terminated" and res.syzygies[len(terms)].total_dim > 0:
         raise QfabError("resolution too short for requested Ext degree")
@@ -485,99 +472,36 @@ def transpose(M, seed=0):
     op = A.opposite()
     if M.total_dim == 0:
         return zero_module(op)
-    P0, cover, verts0 = projective_cover(M)
+    _, cover, verts0 = projective_cover(M)
     K, inc = md.kernel(cover)
     if K.total_dim == 0:
         return zero_module(op)
-    P1, cover1, verts1 = projective_cover(K)
+    _, cover1, verts1 = projective_cover(K)
     d = inc.compose(cover1)    # P1 -> P0
-    H0, h0_data = _hom_to_regular_projective(P0, verts0)
-    H1, h1_data = _hom_to_regular_projective(P1, verts1)
-    f = _dual_presentation_map(P0, verts0, P1, verts1, d, H0, h0_data, H1, h1_data)
-    C, _ = md.cokernel(f)
+    C, _ = md.cokernel(_dual_presentation_map(verts0, verts1, d))
     return C
 
 
-def _hom_to_regular_projective(P, verts):
-    """Hom(P, A) = + e_v A as a module over the opposite algebra."""
-    A = P.algebra
-    op = A.opposite()
-    summands = [projective_module(op, v) for v in verts]
-    if not summands:
-        return zero_module(op), []
-    H, incs, projs = direct_sum(summands)
-    return H, (summands, incs, projs)
+def _dual_presentation_map(verts0, verts1, d):
+    """Hom(P0, A) -> Hom(P1, A), psi -> psi . d, in op-module coordinates.
 
-
-def _dual_presentation_map(P0, verts0, P1, verts1, d, H0, h0_data, H1, h1_data):
-    """Hom(P0, A) -> Hom(P1, A), psi -> psi . d, in op-module coordinates."""
-    A = P0.algebra
+    Hom(+ Ae_v, A) = + e_v A is the free op-module over the same vertices.
+    """
+    A = d.source.algebra
     op = A.opposite()
-    zero = A.field.zero
-    # concrete coordinates of P0: (summand s, algebra basis elt i)
-    prev_tbl = []
-    col_off = [0] * A.n_vertices
-    for v_id in verts0:
-        Pv = projective_module(A, v_id)
-        _, slots = Pv._projective_slots
-        prev_tbl.append({i: (w, col_off[w] + slot) for i, (w, slot) in slots.items()})
-        for w in range(A.n_vertices):
-            col_off[w] += Pv.dims[w]
-    concrete = {}
-    for s, table in enumerate(prev_tbl):
-        for i, (w, pos) in table.items():
-            concrete[(w, pos)] = (s, i)
-    # generator columns of P1
-    gen_cols = []
-    col_off = [0] * A.n_vertices
-    for v_id in verts1:
-        vpos = A.vertex_pos[v_id]
-        Pv = projective_module(A, v_id)
-        _, slots = Pv._projective_slots
-        idem = A.idempotent_index[vpos]
-        gen_cols.append((vpos, col_off[vpos] + slots[idem][1]))
-        for w in range(A.n_vertices):
-            col_off[w] += Pv.dims[w]
-    # H0 coordinates: summand s at op-vertex w: op basis elts with op source
-    # verts0[s] and op target w (= A elts with target verts0[s], source w)
-    summands0 = h0_data[0] if h0_data else []
-    summands1 = h1_data[0] if h1_data else []
-    off0 = _summand_offsets(summands0, op.n_vertices)
-    off1 = _summand_offsets(summands1, op.n_vertices)
-    mats = [[[zero] * H0.dims[w] for _ in range(H1.dims[w])]
+    H0, pos0 = free_module(op, verts0)
+    H1, pos1 = free_module(op, verts1)
+    mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
             for w in range(op.n_vertices)]
-    for r, (vpos_r, col_r) in enumerate(gen_cols):
-        # d(gen_r) lives in P0's vertex-vpos_r component
-        col = [d.mats[vpos_r].data[k][col_r] for k in range(d.mats[vpos_r].rows)]
-        for k, c in enumerate(col):
-            if not c:
-                continue
-            s, i = concrete[(vpos_r, k)]
-            # contribution: y_s -> c * (i . y_s): left multiplication by i,
-            # mapping e_{verts0[s]} A -> e_{vpos_r} A
-            _, slots_s = summands0[s]._projective_slots
-            _, slots_r = summands1[r]._projective_slots
-            for x, (w_op, slot_x) in slots_s.items():
-                prod = P0.algebra.mult(i, x)
-                for y, cy in prod.items():
-                    w2, slot_y = slots_r[y]
-                    pos_x = off0[s][w_op] + slot_x
-                    pos_y = off1[r][w2] + slot_y
-                    mats[w2][pos_y][pos_x] += c * cy
+    for r, s, i, c in _differential_entries(verts0, verts1, d):
+        # y_s -> c * (i . y_s): left multiplication by i, e_{v_s} A -> e_{v_r} A
+        for x, (_, k_x) in pos0[s].items():
+            for y, cy in A.mult(i, x).items():
+                w, k_y = pos1[r][y]
+                mats[w][k_y][k_x] += c * cy
     f_mats = [Matrix(H1.dims[w], H0.dims[w], mats[w], A.field)
               for w in range(op.n_vertices)]
     return ModuleMap(H0, H1, f_mats)
-
-
-def _summand_offsets(summands, nv):
-    """Per-summand, per-vertex starting offsets inside a direct sum."""
-    out = []
-    acc = [0] * nv
-    for s in summands:
-        out.append(list(acc))
-        for w in range(nv):
-            acc[w] += s.dims[w]
-    return out
 
 
 def ar_translate(M, seed=0):
@@ -596,40 +520,35 @@ def nakayama_functor(M):
     op = A.opposite()
     if M.total_dim == 0:
         return zero_module(A)
-    hom_bases = {v: hom_space(M, projective_module(A, v)) for v in A.vertices}
+    projs = {v: free_module(A, [v]) for v in A.vertices}
+    hom_bases = {v: hom_space(M, P) for v, (P, _) in projs.items()}
     dims = [len(hom_bases[v]) for v in A.vertices]
     # op-module: action of op generator g (A: i -> j) maps component j -> i
     gen_mats = {}
     for g in op.generators:
         bg_op = op.basis[g]
-        j_pos, i_pos = bg_op.source, bg_op.target
-        vj, vi = A.vertices[j_pos], A.vertices[i_pos]
-        Pj = projective_module(A, vj)
-        Pi = projective_module(A, vi)
-        rmul = _right_multiplication_map(A, g, Pj, Pi)
+        vj, vi = A.vertices[bg_op.source], A.vertices[bg_op.target]
         basis_j = hom_bases[vj]
         basis_i = hom_bases[vi]
-        cols = []
-        if basis_j:
-            flat_i = _flatten_basis(basis_i) if basis_i else None
-            for phi in basis_j:
-                comp = rmul.compose(phi)
-                if basis_i:
-                    x = solve(flat_i, _flatten_map(comp))
-                    if x is None:
-                        raise QfabError("right multiplication left the hom space")
-                else:
-                    x = []
-                cols.append(x)
+        cols = [[] for _ in basis_j]
+        if basis_j and basis_i:
+            rmul = _right_multiplication_map(A, g, projs[vj], projs[vi])
+            flat = [h.as_vector() for h in basis_i]
+            flat_i = from_columns(flat, len(flat[0]), A.field)
+            for k, phi in enumerate(basis_j):
+                cols[k] = solve(flat_i, rmul.compose(phi).as_vector())
+                if cols[k] is None:
+                    raise QfabError("right multiplication left the hom space")
         gen_mats[g] = from_columns(cols, len(basis_i), A.field)
     H = Representation(op, dims, gen_mats)
     return dual_module(H)
 
 
-def _right_multiplication_map(A, g, Pj, Pi):
-    """x -> x . g as a left-module map Ae_j -> Ae_i for g: i -> j."""
-    _, slots_j = Pj._projective_slots
-    _, slots_i = Pi._projective_slots
+def _right_multiplication_map(A, g, src, tgt):
+    """x -> x . g as a left-module map Ae_j -> Ae_i for g: i -> j.
+
+    ``src`` and ``tgt`` are the ``free_module`` results for [j] and [i]."""
+    (Pj, (slots_j,)), (Pi, (slots_i,)) = src, tgt
     mats = [[[A.field.zero] * Pj.dims[w] for _ in range(Pi.dims[w])]
             for w in range(A.n_vertices)]
     for x, (w, slot_x) in slots_j.items():
@@ -638,19 +557,6 @@ def _right_multiplication_map(A, g, Pj, Pi):
             mats[w2][slot_y][slot_x] = c
     return ModuleMap(Pj, Pi, [Matrix(Pi.dims[w], Pj.dims[w], mats[w], A.field)
                               for w in range(A.n_vertices)])
-
-
-def _flatten_map(f):
-    v = []
-    for m in f.mats:
-        for r in m.data:
-            v.extend(r)
-    return v
-
-
-def _flatten_basis(basis):
-    rows = [_flatten_map(f) for f in basis]
-    return Matrix(len(rows), len(rows[0]), rows, basis[0].source.field).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -791,57 +697,11 @@ def gen_membership(M, e_vertices, level, cutoff=20, seed=0):
 
 
 def cogen_membership(M, e_vertices, level, cutoff=20, seed=0):
-    """Is M in cogen_level(eA)?  Dual of gen_membership; the Ext method tests
-    Ext^i(A/<e>, M) = 0 for 0 <= i <= level."""
-    from .algebra import quotient_by_idempotent_ideal
+    """Is M in cogen_level(eA)?  By duality: is D(M) in gen_level(A^op e)?
 
-    A = M.algebra
-    eset = set(e_vertices)
-    res = minimal_resolution(M, "injective", cutoff=cutoff, seed=seed)
-    bound = _resolution_closure_bound(res)
-    if level == "inf":
-        if bound is None:
-            raise QfabError(
-                f"coresolution neither terminates nor repeats within {cutoff}")
-        check_upto = bound - 1
-    else:
-        if level >= len(res.terms) and res.status == "truncated":
-            raise QfabError("coresolution truncated below the requested level")
-        check_upto = min(level, len(res.terms) - 1)
-    viol = None
-    for i in range(check_upto + 1):
-        if i >= len(res.terms):
-            break
-        bad = [v for v in res.term_vertices[i] if v not in eset]
-        if bad:
-            viol = (i, bad)
-            break
-    verdict_a = viol is None
-    method_a = {"terms_checked": check_upto + 1, "violation": viol,
-                "status": res.status}
-
-    Abar = quotient_by_idempotent_ideal(A, sorted(eset))
-    quop = []
-    for v in Abar.vertices:
-        X = md.inflate_from_quotient(projective_module(Abar, v), A)
-        quop.append((v, X))
-    ext_upto = check_upto + 1 if level == "inf" else level
-    ext_upto = min(ext_upto, (bound if bound is not None else cutoff))
-    viol_b = None
-    for v, X in quop:
-        resX = minimal_resolution(X, "projective", cutoff=ext_upto + 1, seed=seed)
-        for i in range(0, ext_upto + 1):
-            d = _ext_from_resolution(resX, M, i)
-            if d != 0:
-                viol_b = (v, i, d)
-                break
-        if viol_b:
-            break
-    verdict_b = viol_b is None
-    method_b = {"ext_checked_upto": ext_upto, "violation": viol_b}
-    if verdict_a != verdict_b:
-        raise QfabError(
-            f"cogen-membership methods disagree: resolution {verdict_a} "
-            f"vs ext {verdict_b} ({method_a} / {method_b})")
-    return GenMembershipReport(M, tuple(sorted(eset)), level, verdict_a,
-                               method_a, method_b)
+    The Ext method of that test checks Ext^i(D(M), D(X)) = Ext^i(X, M) = 0
+    for the projective A/<e>-modules X.  The report names M itself."""
+    rep = gen_membership(dual_module(M), e_vertices, level, cutoff=cutoff,
+                         seed=seed)
+    rep.module = M
+    return rep

@@ -165,6 +165,10 @@ class ModuleMap:
     def rank(self):
         return sum(rank(m) for m in self.mats)
 
+    def as_vector(self):
+        """All entries in one list: vertex by vertex, each matrix row by row."""
+        return [x for m in self.mats for r in m.data for x in r]
+
     def is_isomorphism(self):
         return (self.source.dims == self.target.dims and
                 all(rank(m) == m.rows == m.cols for m in self.mats))
@@ -185,29 +189,49 @@ def simple_module(A, vertex_id):
     return Representation(A, dims, {})
 
 
-def projective_module(A, vertex_id):
-    """Ae_v: basis = algebra basis elements with source v."""
-    vpos = A.vertex_pos[vertex_id]
-    elems = A.by_source(vpos)
-    slot = {}
+def projective_layout(A, vertex_ids):
+    """Coordinates of the free module + Ae_{v_s} over the listed vertices.
+
+    Returns ``(dims, pos)``: ``pos[s][i] = (w, k)`` puts basis element i of A
+    (source ``vertex_ids[s]``) of summand s at coordinate k of the vertex-w
+    space.  Coordinates run by vertex w, then summand s, then
+    ``A.by_source`` order, the block order of ``direct_sum``.  A vertex may
+    be listed more than once.
+    """
     dims = [0] * A.n_vertices
-    for i in elems:
-        t = A.basis[i].target
-        slot[i] = dims[t]
-        dims[t] += 1
+    pos = []
+    for v in vertex_ids:
+        slots = {}
+        for i in A.by_source(A.vertex_pos[v]):
+            w = A.basis[i].target
+            slots[i] = (w, dims[w])
+            dims[w] += 1
+        pos.append(slots)
+    return dims, pos
+
+
+def free_module(A, vertex_ids):
+    """The free module + Ae_v over the listed vertices, with its layout.
+
+    Returns ``(P, pos)`` with ``pos`` as in ``projective_layout``."""
+    dims, pos = projective_layout(A, vertex_ids)
+    zero = A.field.zero
     gen_mats = {}
     for g in A.generators:
         bg = A.basis[g]
-        m = [[A.field.zero] * dims[bg.source] for _ in range(dims[bg.target])]
-        for i in elems:
-            if A.basis[i].target != bg.source:
-                continue
-            for k, c in A.mult(g, i).items():
-                m[slot[k]][slot[i]] = c
+        m = [[zero] * dims[bg.source] for _ in range(dims[bg.target])]
+        for slots in pos:
+            for i, (w, k) in slots.items():
+                if w == bg.source:
+                    for j, c in A.mult(g, i).items():
+                        m[slots[j][1]][k] = c
         gen_mats[g] = Matrix(dims[bg.target], dims[bg.source], m, A.field)
-    rep = Representation(A, dims, gen_mats)
-    rep._projective_slots = (vertex_id, {i: (A.basis[i].target, slot[i]) for i in elems})
-    return rep
+    return Representation(A, dims, gen_mats), pos
+
+
+def projective_module(A, vertex_id):
+    """Ae_v: basis = algebra basis elements with source v."""
+    return free_module(A, [vertex_id])[0]
 
 
 def dual_module(M):
@@ -227,8 +251,7 @@ def injective_module(A, vertex_id):
 
 def regular_module(A):
     """The left regular module, as the direct sum of all Ae_v in vertex order."""
-    M, incs, projs = direct_sum([projective_module(A, v) for v in A.vertices])
-    return M
+    return free_module(A, A.vertices)[0]
 
 
 def direct_sum(summands):
@@ -249,21 +272,20 @@ def direct_sum(summands):
         ro = co = 0
         for s in summands:
             sm = s.action(g)
-            for i in range(sm.rows):
-                for j in range(sm.cols):
-                    m[ro + i][co + j] = sm.data[i][j]
+            for i, r in enumerate(sm.data):
+                m[ro + i][co:co + sm.cols] = r
             ro += s.dims[b.target]
             co += s.dims[b.source]
         gen_mats[g] = Matrix(rows, cols, m, A.field)
     M = Representation(A, dims, gen_mats)
     incs, projs = [], []
+    zero = A.field.zero
     ro = [0] * nv
     for s in summands:
         inc, prj = [], []
         for v in range(nv):
-            z = Matrix.zero(dims[v], s.dims[v], A.field)
-            rowsel = [[A.field.zero] * dims[v] for _ in range(s.dims[v])]
-            colsel = [list(r) for r in z.data]
+            rowsel = [[zero] * dims[v] for _ in range(s.dims[v])]
+            colsel = [[zero] * s.dims[v] for _ in range(dims[v])]
             for k in range(s.dims[v]):
                 colsel[ro[v] + k][k] = A.field.one
                 rowsel[k][ro[v] + k] = A.field.one
@@ -548,14 +570,12 @@ def is_isomorphic(M, N, seed=0, trials=2):
         return IsoCertificate(False, reason="Hom space is zero")
     rng = random.Random(seed)
     spread = max(M.total_dim, 1) * (2 ** 64)
-    transcript = []
     for t in range(trials):
         phi = basis[0].scale(M.field.coerce(rng.randrange(spread)))
         for h in basis[1:]:
             phi = phi + h.scale(M.field.coerce(rng.randrange(spread)))
         if phi.is_isomorphism():
             return IsoCertificate(True, witness=phi, trials=t + 1)
-        transcript.append(t)
     return IsoCertificate(False, trials=trials,
                           reason=f"{trials} random combinations singular")
 
@@ -600,23 +620,12 @@ def endo_structure(M):
     """Endomorphism basis plus structure constants (composition)."""
     basis = hom_space(M, M)
     n = len(basis)
-    flat = []
-    for h in basis:
-        v = []
-        for m in h.mats:
-            for r in m.data:
-                v.extend(r)
-        flat.append(v)
-    base_mat = Matrix(n, len(flat[0]) if flat else 0, flat, M.field).transpose()
+    base_mat = from_columns([h.as_vector() for h in basis],
+                            sum(d * d for d in M.dims), M.field)
     table = {}
     for i in range(n):
         for j in range(n):
-            comp = basis[i].compose(basis[j])
-            v = []
-            for m in comp.mats:
-                for r in m.data:
-                    v.extend(r)
-            x = solve(base_mat, v)
+            x = solve(base_mat, basis[i].compose(basis[j]).as_vector())
             if x is None:
                 raise QfabError("composition left the endomorphism space")
             table[(i, j)] = x

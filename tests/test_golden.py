@@ -1,0 +1,30 @@
+"""Byte-for-byte CLI reports, fixed before the code they guard changed.
+
+Each file under ``tests/golden/`` is the standard output of the command next
+to its name.  A refactor that changes any reported value, or its format,
+fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qfab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "analyze-double-triangle.txt": ["analyze", "fixture:double-triangle"],
+    "analyze-two-ag-square.txt": ["analyze", "fixture:two-ag-square"],
+    "analyze-preprojective-a3.txt": ["analyze", "fixture:preprojective-a3"],
+    "analyze-preprojective-a4.txt": ["analyze", "fixture:preprojective-a4"],
+    "fabric-double-triangle.txt": ["fabric", "fixture:double-triangle",
+                                   "--f", "2,3,5", "--h", "1,3,4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("QFAB_DEFAULT_CUTOFF", raising=False)
+    assert cli.main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -226,3 +226,27 @@ def test_dim_shift_identity(double_triangle):
         OM = hm.syzygy(M, 1)
         for i in (2, 3):
             assert hm.ext_dim(M, N, i) == hm.ext_dim(OM, N, i - 1)
+
+
+@pytest.mark.parametrize("name", ["double-triangle", "two-ag-square"])
+def test_cogen_membership_matches_ext_from_quotient_projectives(name):
+    # M in cogen_l(eA) iff Ext^i(X, M) = 0 for 0 <= i <= l and every
+    # projective A/<e>-module X, viewed as an A-module
+    A = build_algebra(fixture(name))
+    mods = [make(A, v) for v in A.vertices
+            for make in (md.simple_module, md.projective_module, md.injective_module)]
+    subsets = [[v] for v in A.vertices] + [
+        [w for w in A.vertices if w != v] for v in A.vertices]
+    for e in subsets:
+        Abar = quotient_by_idempotent_ideal(A, e)
+        quot = [md.inflate_from_quotient(md.projective_module(Abar, v), A)
+                for v in Abar.vertices]
+        resolutions = [hm.minimal_resolution(X, cutoff=4) for X in quot]
+        for M in mods:
+            for level in (0, 1, 2):
+                rep = hm.cogen_membership(M, e, level)
+                want = all(hm.ext_dim(X, M, i, resolution=res) == 0
+                           for X, res in zip(quot, resolutions)
+                           for i in range(level + 1))
+                assert rep.verdict == want
+                assert rep.module is M

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from qfab import modules as md
-from qfab.algebra import corner, quotient_by_idempotent_ideal
+from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
+from qfab.fixtures import fixture
 from qfab.errors import SummandsNotDistinct, SummandDecomposable
 
 
@@ -205,3 +206,51 @@ def test_endomorphism_validation_errors(preproj_a3):
     M, _, _ = md.direct_sum([P1, md.projective_module(A, "2")])
     with pytest.raises(SummandDecomposable):
         endomorphism_algebra([M])
+
+
+FIXTURES = ["beilinson-2", "canonical-2-211", "canonical-2-221", "double-triangle",
+            "two-ag-square"] + [f"preprojective-a{n}" for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_free_module_matches_direct_sum_of_projectives(name):
+    B = build_algebra(fixture(name))
+    for A in (B, B.opposite()):
+        first, last = A.vertices[0], A.vertices[-1]
+        for verts in (list(A.vertices), [last], [first, last, first]):
+            P, _ = md.free_module(A, verts)
+            R, _, _ = md.direct_sum([md.projective_module(A, v) for v in verts])
+            assert P.dims == R.dims
+            for g in A.generators:
+                assert P.action(g) == R.action(g)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_projective_layout_follows_by_source_order(name):
+    A = build_algebra(fixture(name))
+    zero, one = A.field.zero, A.field.one
+    verts = [A.vertices[-1], *A.vertices, A.vertices[-1]]
+    dims, pos = md.projective_layout(A, verts)
+    for w in range(A.n_vertices):
+        # coordinates of vertex w: by summand, then by A.by_source order
+        want = [(s, i) for s, v in enumerate(verts)
+                for i in A.by_source(A.vertex_pos[v]) if A.basis[i].target == w]
+        got = sorted((k, (s, i)) for s, slots in enumerate(pos)
+                     for i, (w2, k) in slots.items() if w2 == w)
+        assert [k for k, _ in got] == list(range(dims[w]))
+        assert [si for _, si in got] == want
+    # the generators act by left multiplication in these coordinates
+    P, pos2 = md.free_module(A, verts)
+    assert pos2 == pos and list(P.dims) == dims
+    for g in A.generators:
+        bg = A.basis[g]
+        for slots in pos:
+            for i, (w, k) in slots.items():
+                if w != bg.source:
+                    continue
+                unit = [zero] * dims[w]
+                unit[k] = one
+                want = [zero] * dims[bg.target]
+                for j, c in A.mult(g, i).items():
+                    want[slots[j][1]] = c
+                assert P.action(g).apply(unit) == want
