@@ -10,7 +10,10 @@ normal-form paths under the length-then-lex order, structure constants = the
 reduction of concatenation modulo the closed ideal.
 
 Derived algebras (opposite, corner eAe, quotient A/<e>) share the same class;
-their multiplication is delegated to the parent algebra.
+their multiplication is delegated to the parent algebra.  An
+``IdempotentReduction`` record, one per (algebra, vertex set), is the single
+owner of the corner and quotient index maps; each child links back to it
+through ``reduction``.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ class FDAlgebra:
             self._by_source[b.source].append(i)
             self._by_target[b.target].append(i)
         self._opposite = None
+        self._reductions = {}
+        self.reduction = None   # the IdempotentReduction that made this algebra
 
     # -- basic views ------------------------------------------------------
 
@@ -198,6 +203,14 @@ class FDAlgebra:
             self._opposite = op
             op._opposite = self
         return self._opposite
+
+    def idempotent_reduction(self, vertex_ids):
+        """The IdempotentReduction for e = the sum of the listed vertex
+        idempotents, one per vertex set for the life of this algebra."""
+        key = frozenset(vertex_ids)
+        if key not in self._reductions:
+            self._reductions[key] = IdempotentReduction(self, key)
+        return self._reductions[key]
 
     # -- validation ---------------------------------------------------------
 
@@ -680,120 +693,131 @@ def _make_opposite(A):
 
 
 def corner(A, vertex_ids):
-    """The corner algebra eAe, e the sum of the listed vertex idempotents.
-
-    The basis is the sub-list of A's basis elements with both endpoints in
-    the chosen set; multiplication is inherited."""
-    vset = set(vertex_ids)
-    unknown = vset - set(A.vertices)
-    if unknown:
-        raise QfabError(f"unknown vertices {sorted(unknown)}")
-    if not vset:
-        raise QfabError("corner needs a nonempty vertex set")
-    keep_vertices = [v for v in A.vertices if v in vset]
-    vpos_keep = {A.vertex_pos[v] for v in keep_vertices}
-    keep = [i for i, b in enumerate(A.basis)
-            if b.source in vpos_keep and b.target in vpos_keep]
-    reindex = {i: k for k, i in enumerate(keep)}
-    new_vpos = {A.vertex_pos[v]: k for k, v in enumerate(keep_vertices)}
-    basis = [BasisElt(A.basis[i].word, new_vpos[A.basis[i].source],
-                      new_vpos[A.basis[i].target], A.basis[i].length) for i in keep]
-    idem = [reindex[A.idempotent_index[A.vertex_pos[v]]] for v in keep_vertices]
-
-    def mult_fn(i, j):
-        return {reindex[k]: c for k, c in A.mult(keep[i], keep[j]).items()}
-
-    C = FDAlgebra(A.field, keep_vertices, basis, idem, mult_fn,
-                  name=f"corner({A.name})" if A.name else "",
-                  max_len=A.max_len)
-    C._corner_parent = A
-    C._corner_keep = keep
-    C._corner_reindex = reindex
-    return C
+    """The corner algebra eAe, e the sum of the listed vertex idempotents."""
+    return A.idempotent_reduction(vertex_ids).corner
 
 
 def quotient_by_idempotent_ideal(A, vertex_ids):
-    """A / <e> for e the sum of the listed vertex idempotents.
+    """A / <e> for e the sum of the listed vertex idempotents."""
+    return A.idempotent_reduction(vertex_ids).quotient
 
-    The two-sided ideal AeA is spanned by all products x . e_v . y of basis
-    elements, so its echelon span is computed directly and the quotient basis
-    is the set of non-pivot basis elements (the normal-form paths avoiding
-    the killed vertices, for every algebra in this package's scope)."""
-    vset = set(vertex_ids)
-    unknown = vset - set(A.vertices)
-    if unknown:
-        raise QfabError(f"unknown vertices {sorted(unknown)}")
-    kill_pos = {A.vertex_pos[v] for v in vset}
-    zero = A.field.zero
 
-    block_order = {}
-    block_pos = {}
-    for i, b in enumerate(A.basis):
-        block_order.setdefault((b.source, b.target), []).append(i)
-    for key, idxs in block_order.items():
-        idxs.sort(key=lambda i: (A.basis[i].length, A.basis[i].word), reverse=True)
-        for k, i in enumerate(idxs):
-            block_pos[i] = k
-    spans = {key: Subspace(len(idxs), A.field) for key, idxs in block_order.items()}
+class IdempotentReduction:
+    """The corner eAe and the quotient A/AeA of ``parent``, e the sum of the
+    idempotents at ``vertices`` (in the parent's vertex order).
 
-    for vpos in sorted(kill_pos):
-        for y in A.by_target(vpos):
-            by = A.basis[y]
-            for x in A.by_source(vpos):
-                bx = A.basis[x]
-                prod = A.mult(x, y)
-                if not prod:
-                    continue
-                key = (by.source, bx.target)
-                dense = [zero] * len(block_order[key])
-                for k, c in prod.items():
-                    dense[block_pos[k]] = c
-                spans[key].insert(dense)
+    Each child is built on first use and links back here through its
+    ``reduction`` attribute.  ``keep[role]`` (role "corner" or "quotient")
+    lists the parent basis indices of that child's basis, and ``reduce``
+    maps a sparse vector over the parent's basis to its class in A/<e>.
+    """
 
-    pivot = set()
-    for key, sub in spans.items():
-        for p in sub.pivots:
-            pivot.add(block_order[key][p])
-    keep_vertices = [v for v in A.vertices
-                     if A.vertex_pos[v] not in kill_pos
-                     and A.idempotent_index[A.vertex_pos[v]] not in pivot]
-    keep_pos = {A.vertex_pos[v] for v in keep_vertices}
-    keep = [i for i in range(A.dim)
-            if i not in pivot
-            and A.basis[i].source in keep_pos and A.basis[i].target in keep_pos]
-    reindex = {i: k for k, i in enumerate(keep)}
-    new_vpos = {A.vertex_pos[v]: k for k, v in enumerate(keep_vertices)}
-    basis = [BasisElt(A.basis[i].word, new_vpos[A.basis[i].source],
-                      new_vpos[A.basis[i].target], A.basis[i].length) for i in keep]
-    idem = [reindex[A.idempotent_index[A.vertex_pos[v]]] for v in keep_vertices]
+    def __init__(self, parent, vertex_ids):
+        unknown = set(vertex_ids) - set(parent.vertices)
+        if unknown:
+            raise QfabError(f"unknown vertices {sorted(unknown)}")
+        self.parent = parent
+        self.vertices = tuple(v for v in parent.vertices if v in vertex_ids)
+        self.keep = {}
+        self._corner = self._quotient = None
 
-    def reduce_vec(vec):
-        out = {}
+    @property
+    def corner(self):
+        """eAe: the parent's basis elements with both endpoints in the
+        vertex set; multiplication is inherited."""
+        if self._corner is None:
+            if not self.vertices:
+                raise QfabError("corner needs a nonempty vertex set")
+            A = self.parent
+            pos = {A.vertex_pos[v] for v in self.vertices}
+            keep = [i for i, b in enumerate(A.basis)
+                    if b.source in pos and b.target in pos]
+            reindex = {i: k for k, i in enumerate(keep)}
+
+            def mult_fn(i, j):
+                return {reindex[k]: c for k, c in A.mult(keep[i], keep[j]).items()}
+
+            self._corner = self._child("corner", list(self.vertices), keep,
+                                       mult_fn, f"corner({A.name})")
+        return self._corner
+
+    @property
+    def quotient(self):
+        """A/<e>.  AeA is spanned by all products x . e_v . y of basis
+        elements, so its echelon span is computed per (source, target) block
+        and the quotient basis is the set of non-pivot basis elements (the
+        normal-form paths avoiding the killed vertices, for every algebra in
+        this package's scope)."""
+        if self._quotient is None:
+            A = self.parent
+            kill_pos = {A.vertex_pos[v] for v in self.vertices}
+            self._blocks = {}
+            for i, b in enumerate(A.basis):
+                self._blocks.setdefault((b.source, b.target), []).append(i)
+            self._block_pos = {}
+            for idxs in self._blocks.values():
+                idxs.sort(key=lambda i: (A.basis[i].length, A.basis[i].word),
+                          reverse=True)
+                for k, i in enumerate(idxs):
+                    self._block_pos[i] = k
+            self._spans = {key: Subspace(len(idxs), A.field)
+                           for key, idxs in self._blocks.items()}
+            for vpos in sorted(kill_pos):
+                for y in A.by_target(vpos):
+                    for x in A.by_source(vpos):
+                        prod = A.mult(x, y)
+                        if prod:
+                            key = (A.basis[y].source, A.basis[x].target)
+                            self._spans[key].insert(self._dense(key, prod))
+            pivot = {self._blocks[key][p] for key, sub in self._spans.items()
+                     for p in sub.pivots}
+            keep_pos = [p for p in range(A.n_vertices) if p not in kill_pos
+                        and A.idempotent_index[p] not in pivot]
+            keep = [i for i, b in enumerate(A.basis) if i not in pivot
+                    and b.source in keep_pos and b.target in keep_pos]
+            self._reindex = {i: k for k, i in enumerate(keep)}
+
+            def mult_fn(i, j):
+                return self.reduce(A.mult(keep[i], keep[j]))
+
+            self._quotient = self._child(
+                "quotient", [A.vertices[p] for p in keep_pos], keep, mult_fn,
+                f"{A.name}/<e>")
+        return self._quotient
+
+    def reduce(self, vec):
+        """The class in A/<e> of a sparse vector over the parent's basis, as
+        a sparse vector over the quotient's basis (once the quotient is
+        built)."""
         grouped = {}
         for k, c in vec.items():
-            b = A.basis[k]
+            b = self.parent.basis[k]
             grouped.setdefault((b.source, b.target), {})[k] = c
-        for key, g in grouped.items():
-            dense = [zero] * len(block_order[key])
-            for k, c in g.items():
-                dense[block_pos[k]] = c
-            for k2, c in enumerate(spans[key].reduce(dense)):
-                if c:
-                    i = block_order[key][k2]
-                    if i in reindex:
-                        out[reindex[i]] = c
+        out = {}
+        for key, part in grouped.items():
+            reduced = self._spans[key].reduce(self._dense(key, part))
+            for i, c in zip(self._blocks[key], reduced):
+                if c and i in self._reindex:
+                    out[self._reindex[i]] = c
         return out
 
-    def mult_fn(i, j):
-        return reduce_vec(A.mult(keep[i], keep[j]))
+    def _dense(self, key, vec):
+        dense = [self.parent.field.zero] * len(self._blocks[key])
+        for k, c in vec.items():
+            dense[self._block_pos[k]] = c
+        return dense
 
-    Abar = FDAlgebra(A.field, keep_vertices, basis, idem, mult_fn,
-                     name=f"{A.name}/<e>" if A.name else "",
-                     max_len=A.max_len)
-    Abar._quotient_parent = A
-    Abar._quotient_keep = keep
-    Abar._quotient_reduce = lambda idx: reduce_vec({idx: A.field.one})
-    return Abar
+    def _child(self, role, vertices, keep, mult_fn, name):
+        A = self.parent
+        new_vpos = {A.vertex_pos[v]: k for k, v in enumerate(vertices)}
+        basis = [BasisElt(A.basis[i].word, new_vpos[A.basis[i].source],
+                          new_vpos[A.basis[i].target], A.basis[i].length) for i in keep]
+        idem = [keep.index(A.idempotent_index[A.vertex_pos[v]]) for v in vertices]
+        child = FDAlgebra(A.field, vertices, basis, idem, mult_fn,
+                          name=name if A.name else "", max_len=A.max_len)
+        child.reduction = self
+        self.keep[role] = keep
+        return child
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +915,12 @@ def check_presentation_isomorphism(pres, B, vertex_map, arrow_images):
     id -> sparse vector over B's basis.  Checks gradings, relation vanishing
     and bijectivity (dimension count plus surjectivity of the induced map).
     """
+    return _is_isomorphism(pres, build_algebra(pres, B.field), B, vertex_map,
+                           arrow_images)
+
+
+def _is_isomorphism(pres, Apres, B, vertex_map, arrow_images):
+    """check_presentation_isomorphism with Apres = build_algebra(pres) given."""
     Q = pres.quiver
     one, zero = B.field.one, B.field.zero
     for a in Q.arrows:
@@ -922,7 +952,6 @@ def check_presentation_isomorphism(pres, B, vertex_map, arrow_images):
         if acc:
             return False
 
-    Apres = build_algebra(pres, B.field)
     if Apres.dim != B.dim:
         return False
     sub = Subspace(B.dim, B.field)
@@ -938,7 +967,11 @@ def check_presentation_isomorphism(pres, B, vertex_map, arrow_images):
     return count == B.dim
 
 
-def find_isomorphism_with_signs(pres, B, vertex_map, max_arrows=14):
+# Beyond this many arrows only the all-plus lift is tried, not every sign mask.
+_MAX_SIGN_ARROWS = 14
+
+
+def find_isomorphism_with_signs(pres, B, vertex_map):
     """Align pres with B using single-generator lifts scaled by +-1.
 
     For each arrow of pres the candidate image is the unique generator of B
@@ -959,12 +992,11 @@ def find_isomorphism_with_signs(pres, B, vertex_map, max_arrows=14):
             return None
         base[a.id] = cands[0]
     ids = [a.id for a in Q.arrows]
-    if len(ids) > max_arrows:
-        imgs = {aid: {base[aid]: one} for aid in ids}
-        return imgs if check_presentation_isomorphism(pres, B, vertex_map, imgs) else None
-    for mask in range(1 << len(ids)):
+    Apres = build_algebra(pres, B.field)
+    masks = range(1 << len(ids)) if len(ids) <= _MAX_SIGN_ARROWS else [0]
+    for mask in masks:
         imgs = {aid: {base[aid]: (-one if (mask >> k) & 1 else one)}
                 for k, aid in enumerate(ids)}
-        if check_presentation_isomorphism(pres, B, vertex_map, imgs):
+        if _is_isomorphism(pres, Apres, B, vertex_map, imgs):
             return imgs
     return None

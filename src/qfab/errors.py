@@ -17,6 +17,10 @@ class AlgebraMismatch(QfabError):
     """Two representations over different algebras were combined."""
 
 
+class NotQuotientModule(QfabError):
+    """A module restricted to A/<e> is not killed by <e>."""
+
+
 class SummandsNotDistinct(QfabError):
     pass
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (ConditionFailed, NoCompanionFound, ProjDimTooBig,
                      QfabError, VerificationFailed,
                      InfiniteQuotientGlobalDimension, CornerProjDimUnbounded)
-from .algebra import corner, quotient_by_idempotent_ideal, quiver_of, build_algebra
+from .algebra import corner, quotient_by_idempotent_ideal
 from . import modules as md
 from . import homology as hm
 from .homology import DimValue
@@ -37,22 +37,10 @@ class FabricReport:
     definitional: dict = dc_field(default_factory=dict)
 
 
-def _quotient_projectives(A, F, inflated=True):
-    """Indecomposable projective A/<f>-modules, keyed by surviving vertex."""
-    Abar = quotient_by_idempotent_ideal(A, sorted(F))
-    out = {}
-    for v in Abar.vertices:
-        P = md.projective_module(Abar, v)
-        out[v] = md.inflate_from_quotient(P, A) if inflated else P
-    return Abar, out
-
-
-def _quotient_injectives(A, E):
-    Abar = quotient_by_idempotent_ideal(A, sorted(E))
-    out = {}
-    for v in Abar.vertices:
-        out[v] = md.inflate_from_quotient(md.injective_module(Abar, v), A)
-    return Abar, out
+def _quotient_modules(A, F, make):
+    """The modules make(A/<f>, v) inflated to A, keyed by surviving vertex v."""
+    Abar = quotient_by_idempotent_ideal(A, F)
+    return {v: md.inflate_from_quotient(make(Abar, v), A) for v in Abar.vertices}
 
 
 def _gabriel_arrows(A):
@@ -95,9 +83,6 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
     (scalar one; proportional matches are recorded as near misses).
     """
     Fset = set(F)
-    unknown = Fset - set(A.vertices)
-    if unknown:
-        raise QfabError(f"unknown vertices {sorted(unknown)}")
     transcript = {"near_misses": [], "conditions": {}}
 
     pd = _quotient_proj_dim(A, F, cutoff=cutoff, seed=seed)
@@ -193,44 +178,30 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
 
 
 def _quotient_proj_dim(A, F, cutoff=12, seed=0):
-    Abar = quotient_by_idempotent_ideal(A, sorted(F))
+    Abar = quotient_by_idempotent_ideal(A, F)
     if Abar.is_zero():
         return DimValue.finite(0)
     Mf = md.inflate_from_quotient(md.regular_module(Abar), A)
     return hm.proj_dim(Mf, cutoff=cutoff, seed=seed)
 
 
-def _is_injective_over_quotient(A, M, E):
-    """Is M (an A-module) an injective A/<e>-module?"""
+def _holds_over_quotient(A, M, E, test):
+    """Is M (an A-module) an A/<e>-module for which ``test`` holds?"""
     if M.total_dim == 0:
         return True
-    for v in E:
-        if M.dims[A.vertex_pos[v]] != 0:
-            return False
-    Abar = quotient_by_idempotent_ideal(A, sorted(E))
-    Mbar = md.restrict_from_quotient(M, Abar)
-    return hm.is_injective_module(Mbar)
-
-
-def _is_projective_over_quotient(A, M, F):
-    if M.total_dim == 0:
-        return True
-    for v in F:
-        if M.dims[A.vertex_pos[v]] != 0:
-            return False
-    Abar = quotient_by_idempotent_ideal(A, sorted(F))
-    Mbar = md.restrict_from_quotient(M, Abar)
-    return hm.is_projective_module(Mbar)
+    Abar = quotient_by_idempotent_ideal(A, E)
+    return (md.is_quotient_module(M, Abar)
+            and test(md.restrict_from_quotient(M, Abar)))
 
 
 def _companion_valid(A, F, E, taus, seed=0):
     for v, tau in taus.items():
-        if not _is_injective_over_quotient(A, tau, E):
+        if not _holds_over_quotient(A, tau, E, hm.is_injective_module):
             return False
-    _, injs = _quotient_injectives(A, E)
+    injs = _quotient_modules(A, E, md.injective_module)
     for w, I in injs.items():
         tinv = hm.ar_translate_inverse(I, seed=seed)
-        if not _is_projective_over_quotient(A, tinv, F):
+        if not _holds_over_quotient(A, tinv, F, hm.is_projective_module):
             return False
     return True
 
@@ -246,35 +217,21 @@ def check_fabric_definitional(A, F, seed=0, cutoff=12, exhaustive_limit=16):
     pd = _quotient_proj_dim(A, F, cutoff=cutoff, seed=seed)
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
-    Abar, projs = _quotient_projectives(A, F)
+    projs = _quotient_modules(A, F, md.projective_module)
     taus = {v: hm.ar_translate(P, seed=seed) for v, P in projs.items()}
     transcript = {"proj_dim_quotient": pd,
                   "tau_dims": {v: t.dims for v, t in taus.items()}}
 
-    candidates = []
     e_c, _ = companion_candidate(A, F)
-    if e_c is not None:
-        candidates.append(tuple(e_c))
+    candidates = [] if e_c is None else [e_c]
     if A.n_vertices <= exhaustive_limit:
-        forbidden = set()
-        for t in taus.values():
-            for vpos, d in enumerate(t.dims):
-                if d:
-                    forbidden.add(A.vertices[vpos])
+        forbidden = {A.vertices[vpos] for t in taus.values()
+                     for vpos, d in enumerate(t.dims) if d}
         allowed = [v for v in A.vertices if v not in forbidden]
         for mask in range(1 << len(allowed)):
-            cand = tuple(v for k, v in enumerate(allowed) if (mask >> k) & 1)
-            if cand not in candidates:
-                candidates.append(cand)
-    seen = set()
-    for cand in candidates:
-        key = tuple(sorted(cand))
-        if key in seen:
-            continue
-        seen.add(key)
-        if set(cand) - set(A.vertices):
-            continue
-        if _companion_valid(A, F, cand, taus, seed=seed):
+            candidates.append([v for k, v in enumerate(allowed) if (mask >> k) & 1])
+    for key in dict.fromkeys(tuple(sorted(cand)) for cand in candidates):
+        if _companion_valid(A, F, key, taus, seed=seed):
             transcript["e"] = key
             return key, transcript
     raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")
@@ -288,7 +245,7 @@ def fabric_dimension(A, F, cutoff=12, seed=0):
     Certified infinite when every injective's syzygy chain terminates or
     cycles without reaching P; otherwise honest ">= cutoff".
     """
-    Abar, projs = _quotient_projectives(A, F)
+    projs = _quotient_modules(A, F, md.projective_module)
     chains = []
     for w in A.vertices:
         I = md.injective_module(A, w)
@@ -369,10 +326,10 @@ def special_tilting_module(A, F, E, cutoff=12, seed=0):
     Returns (T, transcript).  Verification failures raise VerificationFailed
     since the theory guarantees the axioms for a fabric idempotent.
     """
-    Eset, Fset = set(E), set(F)
-    Abar, projs = _quotient_projectives(A, F)
+    Eset = set(E)
+    projs = _quotient_modules(A, F, md.projective_module)
     summands = [md.projective_module(A, v) for v in A.vertices if v in Eset]
-    summands += [projs[v] for v in Abar.vertices]
+    summands += list(projs.values())
     if not summands:
         raise QfabError("empty tilting candidate")
     T, _, _ = md.direct_sum(summands)
@@ -393,16 +350,13 @@ def special_tilting_module(A, F, E, cutoff=12, seed=0):
     # syzygy is P_w; its cover lives in add(Ae).
     pairing = {}
     used = set()
-    kernels = {}
-    for v in Abar.vertices:
-        K = hm.syzygy(projs[v], 1)
-        kernels[v] = K
+    kernels = {v: hm.syzygy(P, 1) for v, P in projs.items()}
     for w in A.vertices:
         if w in Eset:
             continue
         Pw = md.projective_module(A, w)
         found = None
-        for v in Abar.vertices:
+        for v in projs:
             if v in used:
                 continue
             K = kernels[v]
@@ -433,7 +387,7 @@ def singular_reduction(A, F, cutoff=12, seed=0):
 
     Checks gl.dim(A/<f>) < infinity and proj.dim over fAf of fA < infinity;
     returns (corner, certificate)."""
-    Abar = quotient_by_idempotent_ideal(A, sorted(F))
+    Abar = quotient_by_idempotent_ideal(A, F)
     cert = {}
     if Abar.is_zero():
         cert["quotient_gl_dim"] = DimValue.finite(0)
@@ -445,7 +399,7 @@ def singular_reduction(A, F, cutoff=12, seed=0):
                 f"gl.dim(A/<f>) certified infinite: {g.note}")
         if g.kind == "at_least":
             raise QfabError(f"gl.dim(A/<f>) undecided below cutoff {cutoff}")
-    C = corner(A, sorted(F))
+    C = corner(A, F)
     fA = md.restrict_to_corner(md.regular_module(A), C)
     pdim = hm.proj_dim(fA, cutoff=cutoff, seed=seed)
     cert["corner_proj_dim_fA"] = pdim

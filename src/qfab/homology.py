@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import quotient_by_idempotent_ideal
 from .linalg import Matrix, Subspace, from_columns, kernel_basis, rank, solve
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
@@ -640,8 +641,6 @@ def gen_membership(M, e_vertices, level, cutoff=20, seed=0):
     * Ext method: Ext^i(M, F) = 0 for 0 <= i <= level and every
       indecomposable injective module F of A/<e>, viewed as an A-module.
     """
-    from .algebra import quotient_by_idempotent_ideal
-
     A = M.algebra
     eset = set(e_vertices)
     res = minimal_resolution(M, "projective", cutoff=cutoff, seed=seed)
@@ -668,7 +667,7 @@ def gen_membership(M, e_vertices, level, cutoff=20, seed=0):
     method_a = {"terms_checked": check_upto + 1, "violation": viol,
                 "status": res.status}
 
-    Abar = quotient_by_idempotent_ideal(A, sorted(eset))
+    Abar = quotient_by_idempotent_ideal(A, eset)
     injectives = []
     for v in Abar.vertices:
         F = md.inflate_from_quotient(injective_module(Abar, v), A)

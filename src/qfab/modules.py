@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 
-from .linalg import (Matrix, from_columns, kernel_basis, rank, rref, solve,
+from .linalg import (Matrix, from_columns, kernel_basis, rank, solve,
                      solve_matrix, Subspace)
-from .errors import AlgebraMismatch, QfabError, DimensionMismatch
+from .errors import (AlgebraMismatch, QfabError, DimensionMismatch,
+                     NotQuotientModule)
 
 
 class Representation:
@@ -426,60 +427,64 @@ def socle(M):
 
 def restrict_to_corner(M, C):
     """eM as a module over the corner algebra C = eAe."""
-    keep = C._corner_keep
-    parent = C._corner_parent
-    if M.algebra is not parent:
-        raise AlgebraMismatch("module does not live over the corner's parent")
-    old_pos = [parent.vertex_pos[v] for v in C.vertices]
-    dims = [M.dims[p] for p in old_pos]
-    gen_mats = {}
-    for g in C.generators:
-        gen_mats[g] = M.action(keep[g])
-    return Representation(C, dims, gen_mats)
+    return _restrict(M, C, "corner")
+
+
+def restrict_from_quotient(M, Abar):
+    """Restrict an A-module killed by <e> to A/<e>; inverse of inflation.
+    Raises NotQuotientModule when <e> does not kill M."""
+    outside = _support_outside(M, Abar)
+    if outside:
+        raise NotQuotientModule(f"<e> does not kill the module: it is "
+                                f"non-zero at the killed vertices {outside}")
+    return _restrict(M, Abar, "quotient")
+
+
+def _restrict(M, B, role):
+    """M restricted to B, the ``role`` child of M's algebra: the spaces at
+    B's vertices, each generator of B acting as the parent basis element it
+    came from."""
+    keep = _reduction(M.algebra, B, role).keep[role]
+    dims = [M.dims[M.algebra.vertex_pos[v]] for v in B.vertices]
+    return Representation(B, dims, {g: M.action(keep[g]) for g in B.generators})
+
+
+def _reduction(A, B, role):
+    """The IdempotentReduction that made B, checked to be A's ``role`` child."""
+    red = B.reduction
+    if red is None or red.parent is not A or getattr(red, role) is not B:
+        raise AlgebraMismatch(f"algebra is not a {role} of the module's algebra")
+    return red
+
+
+def _support_outside(M, Abar):
+    """The vertices of M's algebra missing from the quotient Abar where M is
+    non-zero."""
+    A = _reduction(M.algebra, Abar, "quotient").parent
+    return [v for v in A.vertices
+            if v not in Abar.vertex_pos and M.dims[A.vertex_pos[v]]]
 
 
 def inflate_from_quotient(M, A):
     """View a module over A/<e> as a module over A (the ideal acts as zero)."""
     Abar = M.algebra
-    parent = Abar._quotient_parent
-    if parent is not A:
-        raise AlgebraMismatch("quotient algebra does not come from this algebra")
-    dims = [0] * A.n_vertices
-    for k, v in enumerate(Abar.vertices):
-        dims[A.vertex_pos[v]] = M.dims[k]
+    red = _reduction(A, Abar, "quotient")
+    dims = [M.dims[Abar.vertex_pos[v]] if v in Abar.vertex_pos else 0
+            for v in A.vertices]
     gen_mats = {}
     for g in A.generators:
         b = A.basis[g]
-        red = Abar._quotient_reduce(g)
+        # a non-zero class in A/<e> keeps g's endpoints, so the shapes agree
         m = Matrix.zero(dims[b.target], dims[b.source], A.field)
-        if red:
-            sbar = Abar.vertex_pos.get(A.vertices[b.source])
-            tbar = Abar.vertex_pos.get(A.vertices[b.target])
-            if sbar is not None and tbar is not None:
-                acc = Matrix.zero(M.dims[tbar], M.dims[sbar], A.field)
-                for k, c in red.items():
-                    acc = acc + M.action(k).scale(c)
-                m = acc
+        for k, c in red.reduce({g: A.field.one}).items():
+            m = m + M.action(k).scale(c)
         gen_mats[g] = m
     return Representation(A, dims, gen_mats)
 
 
-def restrict_from_quotient(M, Abar):
-    """Restrict an A-module killed by <e> to A/<e>; inverse of inflation."""
-    A = Abar._quotient_parent
-    if M.algebra is not A:
-        raise AlgebraMismatch("module does not live over the quotient's parent")
-    dims = [M.dims[A.vertex_pos[v]] for v in Abar.vertices]
-    keep = Abar._quotient_keep
-    gen_mats = {g: M.action(keep[g]) for g in Abar.generators}
-    return Representation(Abar, dims, gen_mats)
-
-
 def is_quotient_module(M, Abar):
     """Does <e> annihilate M (i.e. is M an A/<e>-module)?"""
-    A = M.algebra
-    killed = set(A.vertices) - set(Abar.vertices)
-    return all(M.dims[A.vertex_pos[v]] == 0 for v in killed)
+    return not _support_outside(M, Abar)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from itertools import combinations
 
 from .errors import AxiomViolation, HypothesisViolated, QfabError, StageVerificationFailed
 from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
-from .algebra import (build_algebra, corner, quiver_of,
-                      find_isomorphism_with_signs)
-from . import modules as md
+from .algebra import build_algebra, corner, find_isomorphism_with_signs
 from . import homology as hm
 from . import fabric as fb
 
@@ -162,7 +160,6 @@ def higher_nakayama(n, entries, field=None):
                         name=f"nakayama(n={n}, l={series!r})")
     A = build_algebra(pres, field or QQ)
     A._nak_vertices = {vertex_label(v): v for v in verts}
-    A._nak_params = (n, series)
     return A, pres
 
 
@@ -199,7 +196,6 @@ def _ordinary_nakayama(series, field=None):
     pres = Presentation(Q, relations, name=f"nakayama(n=1, l={series!r})")
     A = build_algebra(pres, field or QQ)
     A._nak_vertices = {labels[i]: (i,) for i in range(k)}
-    A._nak_params = (1, series)
     return A, pres
 
 
@@ -268,11 +264,20 @@ def coordinate_rank_map(k):
     return psi
 
 
+def _vertex_tuples(A):
+    """Vertex label -> coordinate tuple for A, read from the nearest
+    higher Nakayama algebra up A's chain of ``reduction`` links."""
+    B = A
+    while getattr(B, "_nak_vertices", None) is None:
+        if B.reduction is None:
+            raise QfabError("stage algebra carries no vertex tuples")
+        B = B.reduction.parent
+    return {lbl: B._nak_vertices[lbl] for lbl in A.vertices}
+
+
 def contraction_pass(A_stage, j, k):
     """Vertices of the stage algebra whose j-th coordinate is nonzero mod k."""
-    table = getattr(A_stage, "_nak_vertices", None)
-    if table is None:
-        raise QfabError("stage algebra carries no vertex tuples")
+    table = _vertex_tuples(A_stage)
     return [lbl for lbl in A_stage.vertices if table[lbl][j - 1] % k != 0]
 
 
@@ -362,7 +367,6 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
                 cert["singular_reduction"] = rcert
             else:
                 C = corner(stage, fverts)
-            C._nak_vertices = {lbl: stage._nak_vertices[lbl] for lbl in C.vertices}
             trace.stages.append(StageRecord(round_no, j, tuple(fverts), C.dim,
                                             fabric_e, cert))
             stage = C
@@ -381,7 +385,7 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
             return trace
         B, presB = higher_nakayama(n, reduced)
         if cross_check:
-            _cross_check_corner(stage, B, presB, series.k, trace)
+            _cross_check_corner(stage, B, presB, series.k, reduced.k, trace)
         trace.series_history.append(reduced)
         series = reduced
         A = B
@@ -402,7 +406,7 @@ def _rotation_for_hypotheses(series):
     raise HypothesisViolated(f"no rotation of {series} satisfies the hypotheses")
 
 
-def _cross_check_corner(stage, B, presB, old_k, trace):
+def _cross_check_corner(stage, B, presB, old_k, new_k, trace):
     """The corner after all passes must match the rebuilt algebra of the
     reduced series: same dimension and an arrow-lift table alignment."""
     if stage.dim != B.dim:
@@ -410,9 +414,8 @@ def _cross_check_corner(stage, B, presB, old_k, trace):
             f"corner dim {stage.dim} != rebuilt dim {B.dim}")
     psi = coordinate_rank_map(old_k)
     vertex_map = {}
-    for lbl, coords in stage._nak_vertices.items():
+    for lbl, coords in _vertex_tuples(stage).items():
         new_coords = tuple(psi(c) for c in coords)
-        new_k = B._nak_params[1].k
         shift = (new_coords[0] // new_k) * new_k
         new_coords = tuple(c - shift for c in new_coords)
         vertex_map[vertex_label(new_coords)] = lbl

@@ -3,8 +3,9 @@ import pytest
 from qfab.quiver import Quiver, Presentation, path, relation
 from qfab.algebra import (build_algebra, build_algebra_blunt, corner,
                           quotient_by_idempotent_ideal, quiver_of,
-                          check_presentation_isomorphism)
-from qfab.errors import NotAdmissible
+                          check_presentation_isomorphism,
+                          find_isomorphism_with_signs)
+from qfab.errors import NotAdmissible, QfabError
 from qfab.fixtures import fixture
 from qfab.field import PrimeField
 
@@ -197,3 +198,36 @@ def test_mixed_length_relations_blunt_engine():
     # b*a with b*c*a, and c^2 = 0 truncates: dim check against hand count
     # basis: e1,e2,e3, a, b, c, ba=bca, ca, bc: 9
     assert A.dim == 9
+
+
+def test_corner_and_quotient_are_memoised_per_vertex_set(double_triangle):
+    A = double_triangle
+    C = corner(A, ["3", "1"])
+    assert C is corner(A, ["1", "3"])
+    Abar = quotient_by_idempotent_ideal(A, ["3", "1"])
+    assert Abar is quotient_by_idempotent_ideal(A, ("1", "3"))
+    red = A.idempotent_reduction({"1", "3"})
+    assert C.reduction is red and Abar.reduction is red
+    assert red.parent is A and red.vertices == ("1", "3")
+    assert A.reduction is None
+    with pytest.raises(QfabError, match="unknown vertices"):
+        corner(A, ["1", "9"])
+    with pytest.raises(QfabError, match="nonempty"):
+        corner(A, [])
+
+
+def test_sign_search_aligns_commutative_with_anticommutative_square():
+    Q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"),
+                                      ("c", "1", "3"), ("d", "3", "4")])
+    ab, cd = path(Q, "a", "b"), path(Q, "c", "d")
+    commutative = Presentation(Q, [relation((1, ab), (-1, cd))])
+    B = build_algebra(Presentation(Q, [relation((1, ab), (1, cd))]))
+    vm = {v: v for v in B.vertices}
+    imgs = find_isomorphism_with_signs(commutative, B, vm)
+    one = B.field.one
+    # the all-plus lift fails; the first success negates a alone
+    assert {aid: list(vec.values()) for aid, vec in imgs.items()} == {
+        "a": [-one], "b": [one], "c": [one], "d": [one]}
+    assert not check_presentation_isomorphism(
+        commutative, B, vm, {aid: {g: one} for aid, vec in imgs.items()
+                             for g in vec})

@@ -20,6 +20,8 @@ CASES = {
     "analyze-preprojective-a4.txt": ["analyze", "fixture:preprojective-a4"],
     "fabric-double-triangle.txt": ["fabric", "fixture:double-triangle",
                                    "--f", "2,3,5", "--h", "1,3,4"],
+    "nakayama-2-765556-reduce.txt": ["nakayama", "--n", "2", "--kupisch",
+                                     "7,6,5,5,5,6", "--reduce"],
 }
 
 

@@ -5,7 +5,8 @@ import pytest
 from qfab import modules as md
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
 from qfab.fixtures import fixture
-from qfab.errors import SummandsNotDistinct, SummandDecomposable
+from qfab.errors import (NotQuotientModule, SummandsNotDistinct,
+                         SummandDecomposable)
 
 
 def test_simple_modules_have_dimension_one(double_triangle):
@@ -179,6 +180,37 @@ def test_inflate_quotient_roundtrip(double_triangle):
         back = md.restrict_from_quotient(up, Abar)
         assert back.dims == M.dims
         assert up.validate()
+
+
+def test_restrict_from_quotient_rejects_module_not_killed_by_e(double_triangle):
+    A = double_triangle
+    Abar = quotient_by_idempotent_ideal(A, ["2", "5"])
+    P1 = md.projective_module(A, "1")
+    assert P1.dims == (2, 1, 1, 1, 1)
+    assert not md.is_quotient_module(P1, Abar)
+    with pytest.raises(NotQuotientModule, match=r"\['2', '5'\]"):
+        md.restrict_from_quotient(P1, Abar)
+
+
+def _proper_subsets(vertices):
+    return [[v for k, v in enumerate(vertices) if (mask >> k) & 1]
+            for mask in range(1, (1 << len(vertices)) - 1)]
+
+
+@pytest.mark.parametrize("name", [
+    "double-triangle", "two-ag-square", "canonical-2-211", "beilinson-2",
+    "preprojective-a2", "preprojective-a3", "preprojective-a4",
+    "preprojective-a5"])
+def test_restrict_inverts_inflate_on_quotient_projectives(name):
+    A = build_algebra(fixture(name))
+    assert A.n_vertices <= 5
+    for e in _proper_subsets(A.vertices):
+        Abar = quotient_by_idempotent_ideal(A, e)
+        for v in Abar.vertices:
+            M = md.projective_module(Abar, v)
+            back = md.restrict_from_quotient(md.inflate_from_quotient(M, A), Abar)
+            assert back.dims == M.dims
+            assert all(back.action(i) == M.action(i) for i in range(Abar.dim))
 
 
 def test_inflated_simple_is_simple(double_triangle):
