@@ -101,23 +101,19 @@ def projective_cover(M):
                 for col in M.action(g).columns():
                     sub.insert(col)
         pivs = set(sub.pivots)
-        for k in range(M.dims[v]):
-            if k not in pivs:
-                x = [A.field.zero] * M.dims[v]
-                x[k] = A.field.one
-                summand_data.append((v, x))
+        # x_s is the unit vector at each coordinate c outside the radical's pivots
+        summand_data.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
     if not summand_data:
         Z = zero_module(A)
         return Z, ModuleMap.zero(Z, M), []
     P, pos = free_module(A, [A.vertices[v] for v, _ in summand_data])
-    # the cover map sends element i of summand s to i . x_s
+    # the cover map sends element i of summand s to i . x_s, column c of M(i)
     mats = [ [ [A.field.zero]*P.dims[w] for _ in range(M.dims[w]) ]
              for w in range(A.n_vertices) ]
-    for (v, x), slots in zip(summand_data, pos):
+    for (v, c), slots in zip(summand_data, pos):
         for i, (w, k) in slots.items():
-            col = M.action(i).apply(x)
-            for r in range(M.dims[w]):
-                mats[w][r][k] = col[r]
+            for row, act_row in zip(mats[w], M.action(i).data):
+                row[k] = act_row[c]
     cover = ModuleMap(P, M, [Matrix(M.dims[w], P.dims[w], mats[w], A.field)
                              for w in range(A.n_vertices)])
     return P, cover, [A.vertices[v] for v, _ in summand_data]

@@ -9,6 +9,12 @@ Most entries are 0 or +-1, so the kernel relies on the scalar contract of
 ``field``: a scalar is falsy exactly when it is zero.  Entries are tested with
 ``if x``, and products and row operations touch only the non-zero entries of
 the row that is added (``a - f*0 == a`` exactly, so results are unchanged).
+
+``Matrix(rows, cols, data)`` is the one constructor, and it always checks the
+shape: rows are converted to tuples and their lengths compared at C level, and
+a bad shape raises ``DimensionMismatch``.  Rows are immutable tuples, so they
+may be shared: ``Matrix.zero`` uses one zero row for all of its rows, and a
+tuple row passed in is kept as it is.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "field")
 
     def __init__(self, rows, cols, data, field=QQ):
+        data = tuple(map(tuple, data))
+        if len(data) != rows or (rows and set(map(len, data)) != {cols}):
+            raise DimensionMismatch(f"bad shape for {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(r) for r in data)
+        self.data = data
         self.field = field
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
-            raise DimensionMismatch(f"bad shape for {rows}x{cols} matrix")
 
     @staticmethod
     def from_rows(rows, field=QQ, cols=None):
@@ -42,8 +49,7 @@ class Matrix:
 
     @staticmethod
     def zero(rows, cols, field=QQ):
-        z = field.zero
-        return Matrix(rows, cols, [[z] * cols for _ in range(rows)], field)
+        return Matrix(rows, cols, ((field.zero,) * cols,) * rows, field)
 
     @staticmethod
     def identity(n, field=QQ):
@@ -126,12 +132,12 @@ class Matrix:
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         return Matrix(self.rows, self.cols + other.cols,
-                      [list(a) + list(b) for a, b in zip(self.data, other.data)], self.field)
+                      [a + b for a, b in zip(self.data, other.data)], self.field)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatch("vstack col mismatch")
-        return Matrix(self.rows + other.rows, self.cols, list(self.data) + list(other.data), self.field)
+        return Matrix(self.rows + other.rows, self.cols, self.data + other.data, self.field)
 
     def column(self, j):
         return [r[j] for r in self.data]
@@ -226,7 +232,7 @@ def solve_matrix(mat, rhs):
     R, pivots = rref(mat.hstack(rhs))
     if pivots and pivots[-1] >= n:
         return None
-    out = [[mat.field.zero] * k for _ in range(n)]
+    out = [(mat.field.zero,) * k] * n
     for r, pc in enumerate(pivots):
         out[pc] = R.data[r][n:]
     return Matrix(n, k, out, mat.field)
@@ -236,7 +242,7 @@ def from_columns(cols, rows, field=QQ):
     """Matrix whose columns are the given vectors."""
     if not cols:
         return Matrix(rows, 0, [[] for _ in range(rows)], field)
-    return Matrix(rows, len(cols), [list(t) for t in zip(*cols)], field)
+    return Matrix(rows, len(cols), list(zip(*cols)), field)
 
 
 def is_invertible(mat):

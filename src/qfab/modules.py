@@ -26,13 +26,17 @@ class Representation:
             raise DimensionMismatch("dimension vector length mismatch")
         self.gen_mats = dict(gen_mats)
         self._action = {}
+        zeros = {}  # one zero matrix per shape, shared by missing generators
         for g in algebra.generators:
             b = algebra.basis[g]
+            shape = (self.dims[b.target], self.dims[b.source])
             m = self.gen_mats.get(g)
             if m is None:
-                m = Matrix.zero(self.dims[b.target], self.dims[b.source], algebra.field)
+                m = zeros.get(shape)
+                if m is None:
+                    m = zeros[shape] = Matrix.zero(*shape, algebra.field)
                 self.gen_mats[g] = m
-            if (m.rows, m.cols) != (self.dims[b.target], self.dims[b.source]):
+            if (m.rows, m.cols) != shape:
                 raise DimensionMismatch(f"generator matrix shape mismatch at basis {g}")
 
     @property
@@ -51,22 +55,22 @@ class Representation:
 
     def action(self, idx):
         """Matrix of basis element idx, from its source to its target space."""
-        A = self.algebra
-        b = A.basis[idx]
-        if b.length == 0:
-            return Matrix.identity(self.dims[b.source], A.field)
         got = self._action.get(idx)
         if got is not None:
             return got
-        if idx in self.gen_mats:
+        A = self.algebra
+        b = A.basis[idx]
+        if b.length == 0:
+            m = Matrix.identity(self.dims[b.source], A.field)
+        elif idx in self.gen_mats:
             m = self.gen_mats[idx]
         else:
             terms = A.factor(idx)
             if terms is None:
                 raise QfabError(f"no action data for generator basis element {idx}")
-            m = Matrix.zero(self.dims[b.target], self.dims[b.source], A.field)
-            for c, g, u in terms:
-                m = m + (self.action(g) * self.action(u)).scale(c)
+            # a factorization has at least one term
+            m = _combination(((c, self.action(g) * self.action(u))
+                              for c, g, u in terms), A.field)
         self._action[idx] = m
         return m
 
@@ -91,25 +95,33 @@ class Representation:
         for g, u in pairs:
             bg, bu = A.basis[g], A.basis[u]
             lhs = self.action(g) * self.action(u)
-            rhs = Matrix.zero(self.dims[bg.target], self.dims[bu.source], A.field)
-            for k, c in A.mult(g, u).items():
-                rhs = rhs + self.action(k).scale(c)
-            if lhs != rhs:
+            rhs = _combination(((c, self.action(k)) for k, c in A.mult(g, u).items()),
+                               A.field)
+            if not (lhs.is_zero() if rhs is None else lhs == rhs):
                 return False
         return True
 
-    # -- element bookkeeping -------------------------------------------------
-
-    def offsets(self):
-        out = []
-        acc = 0
-        for d in self.dims:
-            out.append(acc)
-            acc += d
-        return out
-
     def dim_vector(self):
         return dict(zip(self.algebra.vertices, self.dims))
+
+
+def _combination(terms, field):
+    """The sum of c * m over the (c, m) pairs, scaling m only when c is not
+    1; None when there are no terms."""
+    out = None
+    for c, m in terms:
+        if c != field.one:
+            m = m.scale(c)
+        out = m if out is None else out + m
+    return out
+
+
+def _units(n, field):
+    """The n unit vectors of length n, as lists."""
+    out = [[field.zero] * n for _ in range(n)]
+    for k, u in enumerate(out):
+        u[k] = field.one
+    return out
 
 
 class ModuleMap:
@@ -217,16 +229,20 @@ def free_module(A, vertex_ids):
     Returns ``(P, pos)`` with ``pos`` as in ``projective_layout``."""
     dims, pos = projective_layout(A, vertex_ids)
     zero = A.field.zero
-    gen_mats = {}
+    leaving = [[] for _ in dims]  # generators by source vertex
+    rows = {}
     for g in A.generators:
         bg = A.basis[g]
-        m = [[zero] * dims[bg.source] for _ in range(dims[bg.target])]
-        for slots in pos:
-            for i, (w, k) in slots.items():
-                if w == bg.source:
-                    for j, c in A.mult(g, i).items():
-                        m[slots[j][1]][k] = c
-        gen_mats[g] = Matrix(dims[bg.target], dims[bg.source], m, A.field)
+        leaving[bg.source].append(g)
+        rows[g] = [[zero] * dims[bg.source] for _ in range(dims[bg.target])]
+    for slots in pos:
+        for i, (w, k) in slots.items():
+            for g in leaving[w]:
+                m = rows[g]
+                for j, c in A.mult(g, i).items():
+                    m[slots[j][1]][k] = c
+    gen_mats = {g: Matrix(len(m), dims[A.basis[g].source], m, A.field)
+                for g, m in rows.items()}
     return Representation(A, dims, gen_mats), pos
 
 
@@ -316,6 +332,8 @@ def _sub_representation(N, col_bases):
     gen_mats = {}
     for g in A.generators:
         b = A.basis[g]
+        if not dims[b.source]:
+            continue  # an empty block: Representation fills in its zero
         img = N.action(g) * mats[b.source]
         x = solve_matrix(mats[b.target], img)
         if x is None:
@@ -364,16 +382,13 @@ def cokernel(f: ModuleMap):
 
     proj_mats = []
     for v in range(A.n_vertices):
-        cols = [project(v, col) for col in Matrix.identity(N.dims[v], A.field).columns()]
+        cols = [project(v, u) for u in _units(N.dims[v], A.field)]
         proj_mats.append(from_columns(cols, dims[v], A.field))
     gen_mats = {}
     for g in A.generators:
         b = A.basis[g]
-        cols = []
-        for k in complements[b.source]:
-            unit = [A.field.zero] * N.dims[b.source]
-            unit[k] = A.field.one
-            cols.append(project(b.target, N.action(g).apply(unit)))
+        act = N.action(g)
+        cols = [project(b.target, act.column(k)) for k in complements[b.source]]
         gen_mats[g] = from_columns(cols, dims[b.target], A.field)
     C = Representation(A, dims, gen_mats)
     return C, ModuleMap(N, C, proj_mats)
@@ -414,7 +429,7 @@ def socle(M):
             if A.basis[g].source == v:
                 stack = M.action(g) if stack is None else stack.vstack(M.action(g))
         if stack is None or stack.rows == 0:
-            bases.append([c for c in Matrix.identity(M.dims[v], A.field).columns()])
+            bases.append(_units(M.dims[v], A.field))
         else:
             bases.append(kernel_basis(stack))
     return _sub_representation(M, bases)
@@ -473,12 +488,12 @@ def inflate_from_quotient(M, A):
             for v in A.vertices]
     gen_mats = {}
     for g in A.generators:
-        b = A.basis[g]
-        # a non-zero class in A/<e> keeps g's endpoints, so the shapes agree
-        m = Matrix.zero(dims[b.target], dims[b.source], A.field)
-        for k, c in red.reduce({g: A.field.one}).items():
-            m = m + M.action(k).scale(c)
-        gen_mats[g] = m
+        # a non-zero class in A/<e> keeps g's endpoints, so the shapes agree;
+        # a generator in <e> is left out and acts as zero
+        m = _combination(((c, M.action(k)) for k, c in
+                          red.reduce({g: A.field.one}).items()), A.field)
+        if m is not None:
+            gen_mats[g] = m
     return Representation(A, dims, gen_mats)
 
 
@@ -525,9 +540,7 @@ def hom_space(M, N):
                 if any(row):
                     rows.append(row)
     if not rows:
-        basis_vecs = [[zero] * total for _ in range(total)]
-        for i in range(total):
-            basis_vecs[i][i] = A.field.one
+        basis_vecs = _units(total, A.field)
     else:
         basis_vecs = kernel_basis(Matrix(len(rows), total, rows, A.field))
     out = []

@@ -323,14 +323,8 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
         if series.entries[0] == 1:
             if A is None:
                 A, _ = higher_nakayama(n, series)
-            g = hm.global_dimension(A, cutoff=cutoff, seed=seed)
-            if not g.is_finite:
-                raise StageVerificationFailed(f"expected finite gl.dim, got {g}")
-            trace.terminal = A
-            trace.terminal_series = series
-            trace.status = "trivial-singularity"
-            trace.certificates["gl_dim"] = g
-            return trace
+            return _end_trivial(trace, A, series, cutoff, seed,
+                                "expected finite gl.dim")
         if series.is_constant():
             if A is None:
                 A, _ = higher_nakayama(n, series)
@@ -355,6 +349,12 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
         stage = A
         for j in range(1, n + 1):
             fverts = contraction_pass(stage, j, k)
+            if not fverts:
+                # e = 0 leaves no corner: the singularity of the stage is
+                # trivial exactly when its gl.dim is finite
+                return _end_trivial(trace, stage, None, cutoff, seed,
+                                    f"empty contraction pass {j}: expected "
+                                    f"finite gl.dim")
             cert = {}
             fabric_e = None
             if verify_fabric:
@@ -374,21 +374,27 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
         trace.rounds.append({"round": round_no, "series": series,
                              "reduced": reduced, "detail": detail})
         if reduced is None:
-            g = hm.global_dimension(stage, cutoff=cutoff, seed=seed)
-            if not g.is_finite:
-                raise StageVerificationFailed(
-                    f"expected acyclic corner with finite gl.dim, got {g}")
-            trace.terminal = stage
-            trace.terminal_series = None
-            trace.status = "trivial-singularity"
-            trace.certificates["gl_dim"] = g
-            return trace
+            return _end_trivial(trace, stage, None, cutoff, seed,
+                                "expected acyclic corner with finite gl.dim")
         B, presB = higher_nakayama(n, reduced)
         if cross_check:
             _cross_check_corner(stage, B, presB, series.k, reduced.k, trace)
         trace.series_history.append(reduced)
         series = reduced
         A = B
+
+
+def _end_trivial(trace, terminal, series, cutoff, seed, expected):
+    """End the reduction at ``terminal`` with a trivial singularity, once its
+    gl.dim is certified finite below the cutoff."""
+    g = hm.global_dimension(terminal, cutoff=cutoff, seed=seed)
+    if not g.is_finite:
+        raise StageVerificationFailed(f"{expected}, got {g}")
+    trace.terminal = terminal
+    trace.terminal_series = series
+    trace.status = "trivial-singularity"
+    trace.certificates["gl_dim"] = g
+    return trace
 
 
 def _rotation_for_hypotheses(series):

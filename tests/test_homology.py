@@ -4,6 +4,8 @@ import pytest
 
 from qfab import modules as md, homology as hm
 from qfab.algebra import build_algebra, quotient_by_idempotent_ideal
+from qfab.field import QQ, PrimeField
+from qfab.linalg import Subspace, rank
 from qfab.quiver import Quiver, Presentation
 from qfab.fixtures import fixture
 from qfab.nakayama import higher_nakayama
@@ -250,3 +252,45 @@ def test_cogen_membership_matches_ext_from_quotient_projectives(name):
                            for i in range(level + 1))
                 assert rep.verdict == want
                 assert rep.module is M
+
+
+SMALL_FIXTURES = ["beilinson-2", "canonical-2-211", "double-triangle", "two-ag-square",
+                  "preprojective-a2", "preprojective-a3", "preprojective-a4",
+                  "preprojective-a5"]
+
+
+def _top_coordinates(M):
+    """(v, c) for every coordinate c of M_v outside the pivots of the
+    radical's span, vertex by vertex: the cover's summand generators."""
+    A = M.algebra
+    out = []
+    for v in range(A.n_vertices):
+        sub = Subspace(M.dims[v], A.field)
+        for g in A.generators:
+            if A.basis[g].target == v:
+                for col in M.action(g).columns():
+                    sub.insert(col)
+        out += [(v, c) for c in range(M.dims[v]) if c not in sub.pivots]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=["Q", "F_2^31-1"])
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_projective_cover_columns_are_actions_on_unit_generators(name, field):
+    A = build_algebra(fixture(name), field)
+    assert A.n_vertices <= 5
+    R = md.regular_module(A)
+    modules = [md.radical_submodule(R)[0], md.random_module(A, random.Random(5)),
+               md.simple_module(A, A.vertices[-1])]
+    for M in modules:
+        P, cover, verts = hm.projective_cover(M)
+        tops = _top_coordinates(M)
+        assert verts == [A.vertices[v] for v, _ in tops]
+        _, pos = md.free_module(A, verts)
+        for (v, c), slots in zip(tops, pos):
+            unit = [field.zero] * M.dims[v]
+            unit[c] = field.one
+            for i, (w, k) in slots.items():
+                assert cover.mats[w].column(k) == M.action(i).apply(unit)
+        assert cover.intertwines()
+        assert all(rank(m) == m.rows for m in cover.mats)  # surjective

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,9 +93,16 @@ def test_report_document_stable():
     assert out1 == doc2.render()
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _run_cli(*args):
+    # the child does not inherit pytest's sys.path: this checkout's src goes
+    # ahead of any PYTHONPATH already set
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "qfab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_build_fixture():

@@ -125,3 +125,41 @@ def test_from_columns_shape():
     assert m.column(1) == [QQ(1), QQ(1)]
     empty = from_columns([], 3)
     assert empty.rows == 3 and empty.cols == 0
+
+
+@pytest.mark.parametrize("rows, cols, data", [
+    (2, 3, [[1, 2, 3], [4, 5]]),        # ragged rows
+    (2, 3, [[1, 2, 3], [4, 5, 6, 7]]),  # one row too long
+    (3, 3, [[1, 2, 3], [4, 5, 6]]),     # too few rows
+    (2, 3, []),
+])
+def test_matrix_rejects_bad_shape(rows, cols, data):
+    with pytest.raises(DimensionMismatch):
+        Matrix(rows, cols, data)
+    with pytest.raises(DimensionMismatch):
+        Matrix(rows, cols, (iter(r) for r in data))
+
+
+def test_matrix_accepts_empty_shapes_and_generator_input():
+    m = Matrix(0, 3, [])
+    assert (m.rows, m.cols, m.data) == (0, 3, ())
+    m = Matrix(2, 0, [[], []])
+    assert (m.rows, m.cols, m.data) == (2, 0, ((), ()))
+    gen = Matrix(2, 3, ((QQ(3 * i + j) for j in range(3)) for i in range(2)))
+    assert gen == mat([[0, 1, 2], [3, 4, 5]])
+    assert gen.data == ((0, 1, 2), (3, 4, 5))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)],
+                         ids=["Q", "F_2^31-1"])
+def test_zero_equals_and_hashes_like_a_list_built_zero(field):
+    some = Matrix(2, 3, [[field(1), field(0), field(-2)],
+                         [field(0), field(5), field(0)]], field)
+    for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3)]:
+        z = Matrix.zero(r, c, field)
+        listed = Matrix(r, c, [[field.zero] * c for _ in range(r)], field)
+        assert z == listed and hash(z) == hash(listed)
+        assert z.is_zero()
+    z = Matrix.zero(2, 3, field)
+    assert z + some == some and some + z == some
+    assert Matrix.zero(4, 2, field) * some == Matrix.zero(4, 3, field)

@@ -4,7 +4,10 @@ import pytest
 
 from qfab import modules as md
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
+from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
+from qfab.linalg import Matrix, rank
+from qfab.quiver import Presentation, Quiver, path, relation
 from qfab.errors import (NotQuotientModule, SummandsNotDistinct,
                          SummandDecomposable)
 
@@ -286,3 +289,73 @@ def test_projective_layout_follows_by_source_order(name):
                 for j, c in A.mult(g, i).items():
                     want[slots[j][1]] = c
                 assert P.action(g).apply(unit) == want
+
+
+SMALL_FIXTURES = ["beilinson-2", "canonical-2-211", "double-triangle", "two-ag-square",
+                  "preprojective-a2", "preprojective-a3", "preprojective-a4",
+                  "preprojective-a5"]
+FIELDS = [QQ, PrimeField(2 ** 31 - 1)]
+FIELD_IDS = ["Q", "F_2^31-1"]
+
+
+def _action_by_definition(M):
+    """The action of every basis element by its definition: the identity on
+    length-0 elements, a generator's own matrix, and otherwise a zero start
+    plus the sum of (action(g) * action(u)).scale(c) over A.factor(i)."""
+    A = M.algebra
+    out = {}
+    for i in sorted(range(A.dim), key=lambda i: A.basis[i].length):
+        b = A.basis[i]
+        if b.length == 0:
+            m = Matrix.identity(M.dims[b.source], A.field)
+        elif i in M.gen_mats:
+            m = M.gen_mats[i]
+        else:
+            m = Matrix.zero(M.dims[b.target], M.dims[b.source], A.field)
+            for c, g, u in A.factor(i):
+                m = m + (out[g] * out[u]).scale(c)
+        out[i] = m
+    return out
+
+
+def _three_paths_opposite(field):
+    """The opposite of x.y + u.v + z.w = 0, three paths from 1 to 5.  Unlike
+    the fixtures, its factor table has a coefficient other than 1."""
+    Q = Quiver(["1", "2", "3", "4", "5"],
+               [("x", "1", "2"), ("y", "2", "5"), ("u", "1", "4"),
+                ("v", "4", "5"), ("z", "1", "3"), ("w", "3", "5")])
+    rel = relation((1, path(Q, "x", "y")), (1, path(Q, "z", "w")), (1, path(Q, "u", "v")))
+    A = build_algebra(Presentation(Q, [rel]), field).opposite()
+    assert any(c != field.one for i in range(A.dim) for c, _, _ in A.factor(i) or ())
+    return A
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", SMALL_FIXTURES + ["three-paths-op"])
+def test_action_matches_its_definition(name, field):
+    if name == "three-paths-op":
+        A = _three_paths_opposite(field)
+    else:
+        A = build_algebra(fixture(name), field)
+    assert A.n_vertices <= 5
+    for M in (md.regular_module(A), md.random_module(A, random.Random(11))):
+        want = _action_by_definition(M)
+        assert all(M.action(i) == want[i] for i in range(A.dim))
+        assert M.validate(full=True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_cokernel_projection_is_onto_and_kills_the_image(name, field):
+    A = build_algebra(fixture(name), field)
+    R = md.regular_module(A)
+    rng = random.Random(3)
+    w = max(range(A.n_vertices), key=lambda v: R.dims[v])
+    seed = [field(rng.randrange(-3, 4)) for _ in range(R.dims[w])]
+    maps = [md.radical_submodule(R)[1], md.submodule_generated_by(R, [(w, seed)])[1]]
+    for f in maps:
+        C, pi = md.cokernel(f)
+        assert pi.intertwines()
+        assert pi.compose(f).is_zero()
+        assert all(rank(m) == m.rows for m in pi.mats)
+        assert list(C.dims) == [R.dims[v] - rank(f.mats[v]) for v in range(A.n_vertices)]

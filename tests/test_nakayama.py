@@ -143,6 +143,18 @@ def test_reduce_n1_chen_ye_style():
     assert trace.status == "trivial-singularity"
 
 
+@pytest.mark.parametrize("series, gl_dim", [((2, 3), 6), ((3, 2), 6), ((5, 5, 4), 18)],
+                         ids=["2,3", "3,2", "5,5,4"])
+def test_reduce_n3_ends_at_an_empty_contraction_pass(series, gl_dim):
+    # a pass that picks no vertex ends the reduction: the singularity is
+    # trivial, and indeed gl.dim of the algebra is finite
+    trace = reduce_to_selfinjective(3, series)
+    assert trace.status == "trivial-singularity"
+    assert trace.certificates["gl_dim"].is_finite
+    A, _ = higher_nakayama(3, series)
+    assert hm.global_dimension(A, cutoff=24) == gl_dim
+
+
 def test_reduce_rotation_handles_misaligned_series():
     # (2,2,3) is a valid Kupisch series whose maximum sits at the end
     trace = reduce_to_selfinjective(1, (2, 2, 3), cutoff=12, seed=0)
