@@ -39,7 +39,10 @@ def _load(args):
         with open(path, "r", encoding="utf-8") as fh:
             pres, field = parse_presentation(fh.read(), name=path)
     if getattr(args, "field", None):
-        field = field_by_name(args.field)
+        try:
+            field = field_by_name(args.field)
+        except ValueError as exc:
+            raise ParseError(1, 1, f"--field: {exc}") from None
     return pres, field
 
 

@@ -163,5 +163,6 @@ def field_by_name(name):
         return QQ
     if name.lower().startswith("f"):
         digits = name[1:].lstrip("p:_ ")
-        return PrimeField(int(digits))
+        if digits.isdigit():
+            return PrimeField(int(digits))
     raise ValueError(f"unknown field {name!r}")

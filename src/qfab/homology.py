@@ -12,6 +12,13 @@ Every free module + Ae_v here (cover terms, Hom(P, A) in the transpose, the
 projectives of the Nakayama functor) is built by ``modules.free_module``, and
 its coordinates are read from ``modules.projective_layout``, the single
 source of free-module coordinates.
+
+A resolution step costs what the module costs, not what the algebra costs.
+Blocks with a zero side are never computed (see ``modules``), and
+``projective_cover`` skips the vertices where M is 0.  Its columns are
+vectors walked along the factor table, i . x_s from u . x_s for the shorter
+u in each factor term, so the action of a non-generator basis element on M
+is never built as a matrix.
 """
 
 from __future__ import annotations
@@ -91,30 +98,62 @@ def dim_max(a, b):
 
 
 def projective_cover(M):
-    """Minimal projective cover (P, surjection, summand vertex list)."""
+    """Minimal projective cover (P, surjection, summand vertex list).
+
+    Summand s is generated by x_s, the unit vector at a coordinate c of M_v
+    outside the radical's pivots.  Column (s, i) of the cover is i . x_s,
+    walked along the factor table by increasing length: x_s itself for the
+    idempotent, column c of M(g) for a generator g, and
+    sum coeff * M(g) (u . x_s) over ``A.factor(i)`` otherwise.  Vertices
+    where M is 0 get no radical pass and no columns.
+    """
     A = M.algebra
+    F = A.field
     summand_data = []
     for v in range(A.n_vertices):
-        sub = Subspace(M.dims[v], A.field)
+        if not M.dims[v]:
+            continue
+        sub = Subspace(M.dims[v], F)
         for g in A.generators:
             if A.basis[g].target == v:
                 for col in M.action(g).columns():
                     sub.insert(col)
         pivs = set(sub.pivots)
-        # x_s is the unit vector at each coordinate c outside the radical's pivots
         summand_data.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
     if not summand_data:
         Z = zero_module(A)
         return Z, ModuleMap.zero(Z, M), []
     P, pos = free_module(A, [A.vertices[v] for v, _ in summand_data])
-    # the cover map sends element i of summand s to i . x_s, column c of M(i)
-    mats = [ [ [A.field.zero]*P.dims[w] for _ in range(M.dims[w]) ]
-             for w in range(A.n_vertices) ]
+    zero_cols = [(F.zero,) * d for d in M.dims]
+    cols = [[z] * n for z, n in zip(zero_cols, P.dims)]
+    walks = {}
     for (v, c), slots in zip(summand_data, pos):
-        for i, (w, k) in slots.items():
-            for row, act_row in zip(mats[w], M.action(i).data):
-                row[k] = act_row[c]
-    cover = ModuleMap(P, M, [Matrix(M.dims[w], P.dims[w], mats[w], A.field)
+        walk = walks.get(v)
+        if walk is None:
+            walk = walks[v] = sorted(slots, key=lambda i: A.basis[i].length)
+        x = {}  # i . x_s, left out where it is zero
+        for i in walk:
+            w, k = slots[i]
+            if not M.dims[w]:
+                continue
+            if A.basis[i].length == 0:
+                y = list(zero_cols[v])
+                y[c] = F.one
+            elif i in M.gen_mats:
+                y = M.action(i).column(c)
+            else:
+                y = None
+                for coeff, g, u in A.factor(i):
+                    xu = x.get(u)
+                    if xu is None:
+                        continue
+                    t = M.action(g).apply(xu)
+                    if coeff != F.one:
+                        t = [coeff * a for a in t]
+                    y = t if y is None else [a + b if b else a for a, b in zip(y, t)]
+            if y is not None and any(y):
+                x[i] = cols[w][k] = y
+    cover = ModuleMap(P, M, [from_columns(cols[w], M.dims[w], F)
                              for w in range(A.n_vertices)])
     return P, cover, [A.vertices[v] for v, _ in summand_data]
 
@@ -427,10 +466,17 @@ def is_injective_module(M):
 
 def dominant_dimension(A, cutoff=12, seed=0):
     """Number of leading projective-injective terms in the minimal injective
-    coresolution of the regular module."""
+    coresolution of the regular module.
+
+    Term i is the sum of I_v over ``term_vertices[i]``, so it is projective
+    exactly when each of those I_v is; each vertex is tested once."""
     res = minimal_resolution(regular_left(A), "injective", cutoff=cutoff, seed=seed)
-    for i, term in enumerate(res.terms):
-        if not is_projective_module(term):
+    projective = {}
+    for i, verts in enumerate(res.term_vertices):
+        for v in verts:
+            if v not in projective:
+                projective[v] = is_projective_module(injective_module(A, v))
+        if not all(projective[v] for v in verts):
             return DimValue.finite(i)
     if res.status == "terminated":
         return DimValue.infinite(note="self-injective")

@@ -15,6 +15,13 @@ shape: rows are converted to tuples and their lengths compared at C level, and
 a bad shape raises ``DimensionMismatch``.  Rows are immutable tuples, so they
 may be shared: ``Matrix.zero`` uses one zero row for all of its rows, and a
 tuple row passed in is kept as it is.
+
+A matrix with 0 rows or 0 columns has no entries, so there is nothing to
+compute for it.  ``Matrix.zero`` returns one shared instance per degenerate
+``(rows, cols, field)``.  Sums, scalings, products, transposes,
+``from_columns``, ``rref`` and ``kernel_basis`` return at once when the
+result, or the inner dimension of a product, is empty; shapes are still
+checked first.
 """
 
 from __future__ import annotations
@@ -23,6 +30,12 @@ from bisect import bisect
 
 from .field import QQ
 from .errors import DimensionMismatch
+
+
+# The one zero matrix of each degenerate (rows, cols, field).  The field is
+# keyed by id, which is cheaper than its hash; the cached matrix holds the
+# field, so no other object can take that id.
+_EMPTY = {}
 
 
 class Matrix:
@@ -49,7 +62,13 @@ class Matrix:
 
     @staticmethod
     def zero(rows, cols, field=QQ):
-        return Matrix(rows, cols, ((field.zero,) * cols,) * rows, field)
+        if rows and cols:
+            return Matrix(rows, cols, ((field.zero,) * cols,) * rows, field)
+        key = (rows, cols, id(field))
+        got = _EMPTY.get(key)
+        if got is None:
+            got = _EMPTY[key] = Matrix(rows, cols, ((),) * rows, field)
+        return got
 
     @staticmethod
     def identity(n, field=QQ):
@@ -75,11 +94,15 @@ class Matrix:
         return not any(any(r) for r in self.data)
 
     def transpose(self):
-        return Matrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)], self.field)
+        if not self.rows or not self.cols:
+            return Matrix.zero(self.cols, self.rows, self.field)
+        return Matrix(self.cols, self.rows, list(zip(*self.data)), self.field)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
+        if not self.rows or not self.cols:
+            return self
         return Matrix(
             self.rows,
             self.cols,
@@ -92,6 +115,8 @@ class Matrix:
         return self + other.scale(-self.field.one)
 
     def scale(self, c):
+        if not self.rows or not self.cols:
+            return self
         return Matrix(self.rows, self.cols,
                       [[c * x if x else x for x in r] for r in self.data], self.field)
 
@@ -99,6 +124,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+            if not self.rows or not self.cols or not other.cols:
+                return Matrix.zero(self.rows, other.cols, self.field)
             z = self.field.zero
             right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
             out = []
@@ -150,6 +177,8 @@ def rref(mat):
     """Reduced row echelon form.  Returns (Matrix, pivot column list).
 
     Each elimination step updates only the pivot row's non-zero columns."""
+    if not mat.rows or not mat.cols:
+        return mat, []
     one = mat.field.one
     rows = [list(r) for r in mat.data]
     n, m = mat.rows, mat.cols
@@ -190,7 +219,10 @@ def kernel_basis(mat):
 
     Vectors come from the reduced echelon form: one per free column, in
     increasing free-column order, with the free coordinate set to one.
+    Without rows, that is the unit vectors.
     """
+    if not mat.rows:
+        return unit_vectors(mat.cols, mat.field)
     R, pivots = rref(mat)
     z, o = mat.field.zero, mat.field.one
     pivot_set = set(pivots)
@@ -203,6 +235,14 @@ def kernel_basis(mat):
             v[pc] = -R.data[r][fc]
         basis.append(v)
     return basis
+
+
+def unit_vectors(n, field=QQ):
+    """The n unit vectors of length n, as lists."""
+    out = [[field.zero] * n for _ in range(n)]
+    for k, u in enumerate(out):
+        u[k] = field.one
+    return out
 
 
 def solve(mat, b):
@@ -228,7 +268,7 @@ def solve_matrix(mat, rhs):
         raise DimensionMismatch("rhs row count mismatch")
     n, k = mat.cols, rhs.cols
     if not k:
-        return Matrix(n, 0, [[] for _ in range(n)], mat.field)
+        return Matrix.zero(n, 0, mat.field)
     R, pivots = rref(mat.hstack(rhs))
     if pivots and pivots[-1] >= n:
         return None
@@ -240,8 +280,9 @@ def solve_matrix(mat, rhs):
 
 def from_columns(cols, rows, field=QQ):
     """Matrix whose columns are the given vectors."""
-    if not cols:
-        return Matrix(rows, 0, [[] for _ in range(rows)], field)
+    # a non-empty column for 0 rows goes on to the shape check
+    if not cols or not (rows or any(cols)):
+        return Matrix.zero(rows, len(cols), field)
     return Matrix(rows, len(cols), list(zip(*cols)), field)
 
 

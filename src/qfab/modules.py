@@ -4,6 +4,12 @@ representations: one space per vertex, one matrix per algebra generator.
 The action of an arbitrary basis element is derived through the algebra's
 factorization table, so module data stays small while every exactness
 computation (kernels, images, homs) remains exact linear algebra.
+
+Modules are small and live on a few vertices, so most blocks have a zero
+side.  Such a block is never computed: ``Representation.action`` returns the
+shared ``Matrix.zero`` for it, ``free_module`` builds no rows for it, and
+``_sub_representation`` only checks that an image with an empty target block
+is zero.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import random
 
 from .linalg import (Matrix, from_columns, kernel_basis, rank, solve,
-                     solve_matrix, Subspace)
+                     solve_matrix, Subspace, unit_vectors)
 from .errors import (AlgebraMismatch, QfabError, DimensionMismatch,
                      NotQuotientModule)
 
@@ -54,12 +60,18 @@ class Representation:
         return f"Representation(dim {list(self.dims)})"
 
     def action(self, idx):
-        """Matrix of basis element idx, from its source to its target space."""
+        """Matrix of basis element idx, from its source to its target space.
+
+        A block with a zero side is the shared ``Matrix.zero``, with no
+        factor products and no cache entry."""
         got = self._action.get(idx)
         if got is not None:
             return got
         A = self.algebra
         b = A.basis[idx]
+        rows, cols = self.dims[b.target], self.dims[b.source]
+        if not rows or not cols:
+            return Matrix.zero(rows, cols, A.field)
         if b.length == 0:
             m = Matrix.identity(self.dims[b.source], A.field)
         elif idx in self.gen_mats:
@@ -113,14 +125,6 @@ def _combination(terms, field):
         if c != field.one:
             m = m.scale(c)
         out = m if out is None else out + m
-    return out
-
-
-def _units(n, field):
-    """The n unit vectors of length n, as lists."""
-    out = [[field.zero] * n for _ in range(n)]
-    for k, u in enumerate(out):
-        u[k] = field.one
     return out
 
 
@@ -233,8 +237,9 @@ def free_module(A, vertex_ids):
     rows = {}
     for g in A.generators:
         bg = A.basis[g]
-        leaving[bg.source].append(g)
-        rows[g] = [[zero] * dims[bg.source] for _ in range(dims[bg.target])]
+        if dims[bg.source] and dims[bg.target]:  # Representation fills in the rest
+            leaving[bg.source].append(g)
+            rows[g] = [[zero] * dims[bg.source] for _ in range(dims[bg.target])]
     for slots in pos:
         for i, (w, k) in slots.items():
             for g in leaving[w]:
@@ -335,6 +340,10 @@ def _sub_representation(N, col_bases):
         if not dims[b.source]:
             continue  # an empty block: Representation fills in its zero
         img = N.action(g) * mats[b.source]
+        if not dims[b.target]:
+            if not img.is_zero():
+                raise QfabError("subspace is not action-stable")
+            continue
         x = solve_matrix(mats[b.target], img)
         if x is None:
             raise QfabError("subspace is not action-stable")
@@ -382,7 +391,7 @@ def cokernel(f: ModuleMap):
 
     proj_mats = []
     for v in range(A.n_vertices):
-        cols = [project(v, u) for u in _units(N.dims[v], A.field)]
+        cols = [project(v, u) for u in unit_vectors(N.dims[v], A.field)]
         proj_mats.append(from_columns(cols, dims[v], A.field))
     gen_mats = {}
     for g in A.generators:
@@ -428,10 +437,8 @@ def socle(M):
         for g in A.generators:
             if A.basis[g].source == v:
                 stack = M.action(g) if stack is None else stack.vstack(M.action(g))
-        if stack is None or stack.rows == 0:
-            bases.append(_units(M.dims[v], A.field))
-        else:
-            bases.append(kernel_basis(stack))
+        bases.append(unit_vectors(M.dims[v], A.field) if stack is None
+                     else kernel_basis(stack))
     return _sub_representation(M, bases)
 
 
@@ -539,10 +546,7 @@ def hom_space(M, N):
                         row[offs[s] + k * M.dims[s] + j] -= ng.data[i][k]
                 if any(row):
                     rows.append(row)
-    if not rows:
-        basis_vecs = _units(total, A.field)
-    else:
-        basis_vecs = kernel_basis(Matrix(len(rows), total, rows, A.field))
+    basis_vecs = kernel_basis(Matrix(len(rows), total, rows, A.field))
     out = []
     for vec in basis_vecs:
         mats = []

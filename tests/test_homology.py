@@ -294,3 +294,64 @@ def test_projective_cover_columns_are_actions_on_unit_generators(name, field):
                 assert cover.mats[w].column(k) == M.action(i).apply(unit)
         assert cover.intertwines()
         assert all(rank(m) == m.rows for m in cover.mats)  # surjective
+
+
+def _assert_cover_columns_are_actions(M):
+    """The oracle above, for any module: column (s, i) of the cover is
+    M.action(i) applied to the unit vector at summand s's top coordinate."""
+    A = M.algebra
+    P, cover, verts = hm.projective_cover(M)
+    tops = _top_coordinates(M)
+    assert verts == [A.vertices[v] for v, _ in tops]
+    _, pos = md.free_module(A, verts)
+    for (v, c), slots in zip(tops, pos):
+        unit = [A.field.zero] * M.dims[v]
+        unit[c] = A.field.one
+        for i, (w, k) in slots.items():
+            assert cover.mats[w].column(k) == M.action(i).apply(unit)
+    assert cover.intertwines()
+    assert all(rank(m) == m.rows for m in cover.mats)  # surjective
+    return cover
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=["Q", "F_2^31-1"])
+@pytest.mark.parametrize("name", ["three-paths-op", "nakayama-3-333"])
+def test_projective_cover_columns_beyond_unit_factor_tables(name, field):
+    # three-paths-op has factor coefficients other than 1; the 18-vertex
+    # higher Nakayama algebra has modules on a few of many vertices
+    if name == "three-paths-op":
+        from test_modules import _three_paths_opposite
+        A = _three_paths_opposite(field)
+    else:
+        A = build_algebra(higher_nakayama(3, (3, 3, 3))[1], field)
+        assert A.n_vertices == 18
+    rng = random.Random(5)
+    R = md.regular_module(A)
+    modules = [md.radical_submodule(R)[0], md.simple_module(A, A.vertices[-1])]
+    modules += [md.random_module(A, rng) for _ in range(4)]
+    for M in modules:
+        cover = _assert_cover_columns_are_actions(M)
+        K, _ = md.kernel(cover)
+        if K.total_dim:
+            _assert_cover_columns_are_actions(K)
+
+
+def _dominant_dimension_per_term(A, cutoff=12):
+    """The oracle: a cover and kernel of each whole coresolution term."""
+    res = hm.minimal_resolution(hm.regular_left(A), "injective", cutoff=cutoff)
+    for i, term in enumerate(res.terms):
+        if not hm.is_projective_module(term):
+            return hm.DimValue.finite(i)
+    if res.status == "terminated":
+        return hm.DimValue.infinite()
+    return hm.DimValue.at_least(len(res.terms))
+
+
+@pytest.mark.parametrize("name", ["beilinson-2", "canonical-2-211", "canonical-2-221",
+                                  "double-triangle", "two-ag-square", "preprojective-a2",
+                                  "preprojective-a3", "preprojective-a4",
+                                  "preprojective-a5", "preprojective-a6"])
+def test_dominant_dimension_per_vertex_matches_per_term(name):
+    A = build_algebra(fixture(name))
+    for B in (A, A.opposite()):
+        assert hm.dominant_dimension(B) == _dominant_dimension_per_term(B)

@@ -172,3 +172,13 @@ def test_cli_resolve(tmp_path):
 def test_cli_input_error_exit_code():
     r = _run_cli("build", "no-such-file.qf")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "build"])
+@pytest.mark.parametrize("spec", ["F4", "X"])
+def test_cli_bad_field_flag_is_an_input_error(spec, command):
+    r = _run_cli(command, "fixture:double-triangle", "--field", spec)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("parse error: line 1, col 1: --field: ")
+    assert ("4 is not prime" if spec == "F4" else "unknown field 'X'") in r.stderr

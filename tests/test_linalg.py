@@ -163,3 +163,25 @@ def test_zero_equals_and_hashes_like_a_list_built_zero(field):
     z = Matrix.zero(2, 3, field)
     assert z + some == some and some + z == some
     assert Matrix.zero(4, 2, field) * some == Matrix.zero(4, 3, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)],
+                         ids=["Q", "F_2^31-1"])
+def test_degenerate_shapes_share_one_zero_and_keep_shape_checks(field):
+    for r, c in [(0, 3), (3, 0), (0, 0)]:
+        z = Matrix.zero(r, c, field)
+        listed = Matrix(r, c, [[field.zero] * c for _ in range(r)], field)
+        assert z == listed and hash(z) == hash(listed)
+        assert Matrix.zero(r, c, field) is z
+    some = Matrix(2, 3, [[field(1), field(0), field(-2)],
+                         [field(0), field(5), field(0)]], field)
+    assert Matrix.zero(2, 0, field) * Matrix.zero(0, 3, field) == Matrix.zero(2, 3, field)
+    assert Matrix.zero(0, 2, field) * some is Matrix.zero(0, 3, field)
+    assert Matrix.zero(3, 0, field).transpose() is Matrix.zero(0, 3, field)
+    assert from_columns([], 3, field) is Matrix.zero(3, 0, field)
+    units = [[field.one if i == j else field.zero for j in range(3)] for i in range(3)]
+    assert kernel_basis(Matrix.zero(0, 3, field)) == units
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(2, 0, field) * Matrix.zero(3, 1, field)
+    with pytest.raises(DimensionMismatch):
+        from_columns([[field.one]], 0, field)

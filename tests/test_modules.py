@@ -6,9 +6,9 @@ from qfab import modules as md
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
-from qfab.linalg import Matrix, rank
+from qfab.linalg import Matrix, kernel_basis, rank
 from qfab.quiver import Presentation, Quiver, path, relation
-from qfab.errors import (NotQuotientModule, SummandsNotDistinct,
+from qfab.errors import (NotQuotientModule, QfabError, SummandsNotDistinct,
                          SummandDecomposable)
 
 
@@ -359,3 +359,31 @@ def test_cokernel_projection_is_onto_and_kills_the_image(name, field):
         assert pi.compose(f).is_zero()
         assert all(rank(m) == m.rows for m in pi.mats)
         assert list(C.dims) == [R.dims[v] - rank(f.mats[v]) for v in range(A.n_vertices)]
+
+
+def test_kernel_of_a_non_homomorphism_is_rejected(double_triangle):
+    A = double_triangle
+    F = A.field
+    P = md.projective_module(A, "1")
+    one, two, three = (A.vertex_pos[v] for v in ("1", "2", "3"))
+    assert P.dims[one] == 2 and P.dims[two] == P.dims[three] == 1
+
+    def almost_identity(at):
+        return md.ModuleMap(P, P, [at.get(v, Matrix.identity(d, F))
+                                   for v, d in enumerate(P.dims)])
+
+    # zero at 1, the source of the arrow 1 -> 2: the kernel block at 2 is
+    # empty, and the arrow does not kill the kernel at 1
+    f = almost_identity({one: Matrix.zero(2, 2, F)})
+    assert not f.intertwines()
+    assert len(kernel_basis(f.mats[two])) == 0
+    with pytest.raises(QfabError, match="not action-stable"):
+        md.kernel(f)
+    # zero at 3 and a projection at 1: the arrow 3 -> 1 sends the kernel at 3
+    # outside the non-empty kernel block at 1
+    f = almost_identity({three: Matrix.zero(1, 1, F),
+                         one: Matrix.from_rows([[0, 0], [0, 1]], F)})
+    assert not f.intertwines()
+    assert len(kernel_basis(f.mats[one])) == 1
+    with pytest.raises(QfabError, match="not action-stable"):
+        md.kernel(f)
