@@ -9,10 +9,9 @@ the bytes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .errors import QfabError, ParseError
+from .errors import InputError, QfabError, ParseError
 from .field import QQ, field_by_name
 from .textio import parse_presentation, print_presentation, export_dot, ReportDocument
 from .algebra import build_algebra
@@ -21,13 +20,6 @@ from . import modules as md
 from . import homology as hm
 from . import fabric as fb
 from . import nakayama as nk
-
-
-def _default_cutoff(args):
-    if getattr(args, "cutoff", None) is not None:
-        return args.cutoff
-    env = os.environ.get("QFAB_DEFAULT_CUTOFF")
-    return int(env) if env else 12
 
 
 def _load(args):
@@ -64,20 +56,21 @@ def cmd_build(args):
 
 def cmd_analyze(args):
     pres, field = _load(args)
-    cutoff = _default_cutoff(args)
     A = build_algebra(pres, field)
     doc = ReportDocument(f"analyze {pres.name or args.file}")
     doc.add("field", field.name)
     doc.add("seed", args.seed)
-    doc.add("cutoff", cutoff)
+    doc.add("cutoff", args.cutoff)
     doc.add("dimension", A.dim)
-    g, idim, pdim = hm.gorenstein_dimension(A, cutoff=cutoff, seed=args.seed)
+    g, idim, pdim = hm.gorenstein_dimension(A, cutoff=args.cutoff,
+                                            seed=args.seed)
     doc.add("inj.dim(A)", idim)
     doc.add("proj.dim(DA)", pdim)
     doc.add("Gorenstein-dimension", g)
-    doc.add("dominant-dimension", hm.dominant_dimension(A, cutoff=cutoff, seed=args.seed))
-    doc.add("self-injective", hm.is_self_injective(A, seed=args.seed))
-    gl = hm.global_dimension(A, cutoff=cutoff, seed=args.seed)
+    doc.add("dominant-dimension",
+            hm.dominant_dimension(A, cutoff=args.cutoff, seed=args.seed))
+    doc.add("self-injective", hm.is_self_injective(A))
+    gl = hm.global_dimension(A, cutoff=args.cutoff, seed=args.seed)
     doc.add("global-dimension", gl)
     sys.stdout.write(doc.render())
     return 0
@@ -85,15 +78,14 @@ def cmd_analyze(args):
 
 def cmd_fabric(args):
     pres, field = _load(args)
-    cutoff = _default_cutoff(args)
     A = build_algebra(pres, field)
-    F = [v.strip() for v in args.f.split(",") if v.strip()]
-    h = [v.strip() for v in args.h.split(",")] if args.h else None
-    report = fb.analyze_fabric(A, F, cutoff=cutoff, seed=args.seed, h=h)
+    F = _vertex_list(A, "--f", args.f)
+    h = _vertex_list(A, "--h", args.h) if args.h else None
+    report = fb.analyze_fabric(A, F, cutoff=args.cutoff, seed=args.seed, h=h)
     doc = ReportDocument(f"fabric {pres.name or args.file}")
     doc.add("field", field.name)
     doc.add("seed", args.seed)
-    doc.add("cutoff", cutoff)
+    doc.add("cutoff", args.cutoff)
     doc.add("f", ",".join(report.f))
     doc.add("combinatorial-verdict", report.combinatorial.get("verdict"))
     if report.combinatorial.get("verdict"):
@@ -108,7 +100,7 @@ def cmd_fabric(args):
         doc.add("fab.dim", report.fab_dim)
         try:
             T, ttr = fb.special_tilting_module(A, F, report.e,
-                                               cutoff=cutoff, seed=args.seed)
+                                               cutoff=args.cutoff, seed=args.seed)
             doc.add("tilting-module", "verified")
             doc.add("tilting-proj-dim", ttr["proj_dim"], indent=1)
             doc.add("tilting-ext1", ttr["ext1"], indent=1)
@@ -121,6 +113,15 @@ def cmd_fabric(args):
     return 0 if report.definitional.get("verdict") else 1
 
 
+def _vertex_list(A, flag, text):
+    """The comma-separated vertex ids of a flag, each a vertex of A."""
+    ids = [v.strip() for v in text.split(",") if v.strip()]
+    unknown = [v for v in ids if v not in A.vertex_pos]
+    if unknown:
+        raise InputError(f"{flag}: unknown vertices {unknown}")
+    return ids
+
+
 def _label_list(labels):
     """Vertex labels joined by spaces: nakayama.vertex_label puts commas
     inside labels with a coordinate of 10 or more."""
@@ -128,8 +129,13 @@ def _label_list(labels):
 
 
 def cmd_nakayama(args):
-    entries = tuple(int(x) for x in args.kupisch.split(","))
-    cutoff = _default_cutoff(args)
+    entries = []
+    for x in args.kupisch.split(","):
+        try:
+            entries.append(int(x))
+        except ValueError:
+            raise InputError(f"--kupisch: entry {x!r} of {args.kupisch!r} "
+                             f"is not an integer") from None
     try:
         series = nk.validate_kupisch(entries)
     except QfabError as exc:
@@ -137,13 +143,13 @@ def cmd_nakayama(args):
         return 2
     doc = ReportDocument(f"nakayama n={args.n} l={series!r}")
     doc.add("seed", args.seed)
-    doc.add("cutoff", cutoff)
+    doc.add("cutoff", args.cutoff)
     A, pres = nk.higher_nakayama(args.n, series)
     doc.add("vertices", _label_list(A.vertices))
     doc.add("dimension", A.dim)
-    doc.add("self-injective", hm.is_self_injective(A, seed=args.seed))
+    doc.add("self-injective", hm.is_self_injective(A))
     if args.reduce:
-        trace = nk.reduce_to_selfinjective(args.n, series, cutoff=cutoff,
+        trace = nk.reduce_to_selfinjective(args.n, series, cutoff=args.cutoff,
                                            seed=args.seed)
         doc.section("reduction")
         doc.add("status", trace.status, indent=1)
@@ -204,7 +210,7 @@ def main(argv=None):
 
     def common(p, field_flag=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cutoff", type=int, default=None)
+        p.add_argument("--cutoff", type=int, default=12)
         if field_flag:
             p.add_argument("--field", default=None, help="Q or F<p>")
 
@@ -250,6 +256,9 @@ def main(argv=None):
         return 2
     except FileNotFoundError as exc:
         sys.stderr.write(f"{exc}\n")
+        return 2
+    except InputError as exc:
+        sys.stderr.write(f"input error: {exc}\n")
         return 2
     except QfabError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")

@@ -44,7 +44,7 @@ class EndoData:
         return f
 
 
-def endomorphism_algebra(summands, seed=0, validate=True):
+def endomorphism_algebra(summands, seed=0):
     """End(M_1 + ... + M_t)^op as a bound quiver algebra.
 
     Raises SummandsNotDistinct / SummandDecomposable when the input is not a
@@ -57,14 +57,13 @@ def endomorphism_algebra(summands, seed=0, validate=True):
         if M.algebra is not A:
             raise QfabError("summands over different algebras")
     t = len(summands)
-    if validate:
-        for i in range(t):
-            if not md.is_indecomposable(summands[i]):
-                raise SummandDecomposable(f"summand {i} is decomposable")
-            for j in range(i + 1, t):
-                if summands[i].dims == summands[j].dims and \
-                        md.is_isomorphic(summands[i], summands[j], seed=seed):
-                    raise SummandsNotDistinct(f"summands {i} and {j} are isomorphic")
+    for i in range(t):
+        if not md.is_indecomposable(summands[i]):
+            raise SummandDecomposable(f"summand {i} is decomposable")
+        for j in range(i + 1, t):
+            if summands[i].dims == summands[j].dims and \
+                    md.is_isomorphic(summands[i], summands[j], seed=seed):
+                raise SummandsNotDistinct(f"summands {i} and {j} are isomorphic")
 
     field = A.field
     # block (s, t): algebra elements s -> t are Hom(M_t, M_s)

@@ -75,11 +75,16 @@ class StageVerificationFailed(QfabError):
     pass
 
 
-class UnknownFixture(QfabError):
+class InputError(QfabError):
+    """A value given to the program that it cannot use, such as an unknown
+    name or an out-of-range parameter."""
+
+
+class UnknownFixture(InputError):
     pass
 
 
-class ParameterOutOfRange(QfabError):
+class ParameterOutOfRange(InputError):
     pass
 
 

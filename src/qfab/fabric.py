@@ -24,6 +24,10 @@ from . import modules as md
 from . import homology as hm
 from .homology import DimValue
 
+# The exhaustive companion search builds 2^|allowed| candidate sets, so it
+# runs only on algebras with at most this many vertices.
+EXHAUSTIVE_COMPANION_LIMIT = 16
+
 
 @dataclass
 class FabricReport:
@@ -206,13 +210,14 @@ def _companion_valid(A, F, E, taus, seed=0):
     return True
 
 
-def check_fabric_definitional(A, F, seed=0, cutoff=12, exhaustive_limit=16):
+def check_fabric_definitional(A, F, seed=0, cutoff=12):
     """Definitional fabric test: compute the AR translates of the projective
     A/<f>-modules and search for a companion e.
 
     The constructive candidate is tried first; on failure every subset of the
-    allowed vertex set is tried (algebras with at most ``exhaustive_limit``
-    vertices), pruned by the supports of the translates.
+    allowed vertex set is tried (algebras with at most
+    ``EXHAUSTIVE_COMPANION_LIMIT`` vertices), pruned by the supports of the
+    translates.
     """
     pd = _quotient_proj_dim(A, F, cutoff=cutoff, seed=seed)
     if not pd.le(1):
@@ -224,7 +229,7 @@ def check_fabric_definitional(A, F, seed=0, cutoff=12, exhaustive_limit=16):
 
     e_c, _ = companion_candidate(A, F)
     candidates = [] if e_c is None else [e_c]
-    if A.n_vertices <= exhaustive_limit:
+    if A.n_vertices <= EXHAUSTIVE_COMPANION_LIMIT:
         forbidden = {A.vertices[vpos] for t in taus.values()
                      for vpos, d in enumerate(t.dims) if d}
         allowed = [v for v in A.vertices if v not in forbidden]

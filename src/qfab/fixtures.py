@@ -154,9 +154,9 @@ def fixture(name):
         try:
             n = int(name[len("preprojective-a"):])
         except ValueError:
-            raise UnknownFixture(name)
+            raise UnknownFixture(f"unknown fixture {name!r}")
         return preprojective_a(n)
-    raise UnknownFixture(name)
+    raise UnknownFixture(f"unknown fixture {name!r}")
 
 
 def fixture_names():

@@ -8,10 +8,19 @@ the dual of a minimal projective resolution of D(M) over the opposite
 algebra, so the projective machinery is the single source of truth;
 cogen_l membership is gen_l membership of D(M) over the opposite algebra.
 
-Every free module + Ae_v here (cover terms, Hom(P, A) in the transpose, the
-projectives of the Nakayama functor) is built by ``modules.free_module``, and
-its coordinates are read from ``modules.projective_layout``, the single
-source of free-module coordinates.
+Each derived object has one construction.  One resolution step (cover the
+last syzygy, take the kernel) grows every projective resolution and syzygy.
+M is projective when its minimal cover has M's dimension: the cover is onto,
+so it is then an isomorphism, and no kernel is taken.  An algebra is
+self-injective when every indecomposable injective is projective.  The
+transpose and the Nakayama functor share one minimal presentation
+P1 -d-> P0 -> M: Tr(M) is the cokernel of Hom(d, A) and, Hom(-, A) being
+left exact, nu(M) = D Hom(M, A) is the dual of its kernel.
+
+Every free module + Ae_v here (cover terms and Hom(P, A) in the
+presentation) is built by ``modules.free_module``, and its coordinates are
+read from ``modules.projective_layout``, the single source of free-module
+coordinates.
 
 A resolution step costs what the module costs, not what the algebra costs.
 Blocks with a zero side are never computed (see ``modules``), and
@@ -23,16 +32,15 @@ is never built as a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra import quotient_by_idempotent_ideal
-from .linalg import Matrix, Subspace, from_columns, kernel_basis, rank, solve
+from .linalg import Matrix, Subspace, from_columns, rank
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
 from .modules import (ModuleMap, Representation, dual_module, free_module,
-                      hom_space, injective_module, is_isomorphic,
-                      projective_layout, projective_module, simple_module,
-                      zero_module)
+                      injective_module, is_isomorphic, projective_layout,
+                      simple_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +168,9 @@ def projective_cover(M):
 
 def syzygy(M, n=1):
     """The n-th syzygy (kernel of iterated minimal covers)."""
-    cur = M
-    for _ in range(n):
-        if cur.total_dim == 0:
-            return cur
-        _, cover, _ = projective_cover(cur)
-        cur, _ = md.kernel(cover)
-    return cur
+    res = _unresolved(M)
+    extend_resolution(res, n)
+    return res.syzygies[-1]
 
 
 def cosyzygy(M, n=1):
@@ -185,91 +189,74 @@ def dual_map(f: ModuleMap):
 class Resolution:
     """A minimal resolution with its bookkeeping.
 
-    ``terms[i]`` is the i-th term, ``diffs[i] : terms[i] -> terms[i-1]``,
-    ``augmentation`` connects terms[0] with the target.  ``syzygies[i]`` is
-    the i-th (co)syzygy (index 0 = the target itself).  ``status`` is one of
-    terminated / truncated / periodic; a periodic resolution records
-    (start, period) and the isomorphism certificate.
+    ``terms[i]`` is the i-th term, ``diffs[i] : terms[i+1] -> terms[i]``
+    (reversed for an injective coresolution).
+    ``syzygies[i]`` is the i-th (co)syzygy (index 0 = the target itself).
+    ``status`` is one of terminated / truncated / periodic; a periodic
+    resolution records (start, period) and the isomorphism certificate.
     """
 
     target: Representation
     direction: str
     terms: list
     diffs: list
-    augmentation: ModuleMap
     term_vertices: list
     syzygies: list
     status: str
-    minimal: bool = True
     period: tuple | None = None
     period_witness: object = None
     kernel_inclusions: list | None = None
 
-    @property
-    def length(self):
-        """Index of the last nonzero term for terminated resolutions."""
-        return len(self.terms) - 1
+
+def _unresolved(M):
+    """A projective resolution of M with no terms yet."""
+    return Resolution(M, "projective", [], [], [], [M], "truncated",
+                      kernel_inclusions=[])
 
 
-def minimal_resolution(M, direction="projective", cutoff=10, seed=0,
-                       detect_periodicity=True):
+def _resolution_step(res):
+    """Append the minimal cover of the last syzygy, as the next term, and
+    its kernel, as the next syzygy."""
+    P, cover, verts = projective_cover(res.syzygies[-1])
+    if res.terms:
+        res.diffs.append(res.kernel_inclusions[-1].compose(cover))
+    res.terms.append(P)
+    res.term_vertices.append(verts)
+    K, inc = md.kernel(cover)
+    res.kernel_inclusions.append(inc)
+    res.syzygies.append(K)
+
+
+def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
     """Minimal projective resolution or injective coresolution up to cutoff.
 
     Stops early on termination (zero syzygy) or certified periodicity (a
     syzygy isomorphic to an earlier one, with stored witness).
     """
     if direction == "injective":
-        res = minimal_resolution(dual_module(M), "projective", cutoff, seed,
-                                 detect_periodicity)
-        terms = [dual_module(t) for t in res.terms]
-        diffs = [dual_map(d) for d in res.diffs]
-        aug = dual_map(res.augmentation)
-        syzygies = [dual_module(s) for s in res.syzygies]
-        return Resolution(M, "injective", terms, diffs, aug, res.term_vertices,
-                          syzygies, res.status, True, res.period,
-                          res.period_witness)
+        res = minimal_resolution(dual_module(M), "projective", cutoff, seed)
+        return Resolution(M, "injective", [dual_module(t) for t in res.terms],
+                          [dual_map(d) for d in res.diffs], res.term_vertices,
+                          [dual_module(s) for s in res.syzygies], res.status,
+                          res.period, res.period_witness)
     if direction != "projective":
         raise QfabError(f"unknown resolution direction {direction!r}")
-    terms, diffs, tverts = [], [], []
-    syzygies = [M]
-    cur = M
-    incs = []
-    status = "truncated"
-    period = None
-    witness = None
-    for i in range(cutoff + 1):
-        if cur.total_dim == 0:
-            status = "terminated"
-            break
-        P, cover, verts = projective_cover(cur)
-        terms.append(P)
-        tverts.append(verts)
-        if i == 0:
-            aug = cover
-        else:
-            diffs.append(incs[-1].compose(cover))
-        K, inc = md.kernel(cover)
-        incs.append(inc)
-        syzygies.append(K)
-        cur = K
-        if detect_periodicity and cur.total_dim > 0:
-            for j in range(1, len(syzygies) - 1):
-                old = syzygies[j]
-                if old.dims == cur.dims and old.total_dim > 0:
-                    cert = is_isomorphic(old, cur, seed=seed)
-                    if cert:
-                        status = "periodic"
-                        period = (j, len(syzygies) - 1 - j)
-                        witness = cert
-                        break
-            if status == "periodic":
-                break
-    else:
-        status = "truncated" if cur.total_dim > 0 else "terminated"
-    if not terms:
-        aug = ModuleMap.zero(zero_module(M.algebra), M)
-    return Resolution(M, "projective", terms, diffs, aug, tverts, syzygies,
-                      status, True, period, witness, incs)
+    res = _unresolved(M)
+    while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
+        _resolution_step(res)
+        cur = res.syzygies[-1]
+        # the earlier syzygies are non-zero, so a zero one matches none
+        for j in range(1, len(res.syzygies) - 1):
+            if res.syzygies[j].dims == cur.dims:
+                cert = is_isomorphic(res.syzygies[j], cur, seed=seed)
+                if cert:
+                    res.status = "periodic"
+                    res.period = (j, len(res.syzygies) - 1 - j)
+                    res.period_witness = cert
+                    return res
+    if res.syzygies[-1].total_dim == 0:
+        res.status = "terminated"
+    return res
 
 
 def extend_resolution(res, n_terms):
@@ -280,17 +267,8 @@ def extend_resolution(res, n_terms):
     """
     if res.direction != "projective" or res.kernel_inclusions is None:
         raise QfabError("only stored projective resolutions can be extended")
-    while len(res.terms) < n_terms:
-        cur = res.syzygies[-1]
-        if cur.total_dim == 0:
-            return
-        P, cover, verts = projective_cover(cur)
-        res.terms.append(P)
-        res.term_vertices.append(verts)
-        res.diffs.append(res.kernel_inclusions[-1].compose(cover))
-        K, inc = md.kernel(cover)
-        res.kernel_inclusions.append(inc)
-        res.syzygies.append(K)
+    while len(res.terms) < n_terms and res.syzygies[-1].total_dim:
+        _resolution_step(res)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +281,13 @@ def _hom_coords_dim(term_vertices, N):
     return sum(N.dims[A.vertex_pos[v]] for v in term_vertices)
 
 
-def _differential_entries(verts_prev, verts_next, d):
+def _differential_entries(A, verts_prev, verts_next, d):
     """d: + Ae_{verts_next} -> + Ae_{verts_prev} as entries of A.
 
     Yields (r, s, i, c), one per term: the image under d of the generator of
     summand r of the source is the sum of the terms c * (basis element i of
-    A, in summand s of the target).
+    A, in summand s of the target).  With no ``verts_next``, d is not read.
     """
-    A = d.source.algebra
     _, pos_prev = projective_layout(A, verts_prev)
     at = {wk: (s, i) for s, slots in enumerate(pos_prev) for i, wk in slots.items()}
     _, pos_next = projective_layout(A, verts_next)
@@ -341,7 +318,7 @@ def _hom_complex_matrix(verts_prev, verts_next, d, N):
     for v_id in verts_next:
         hoff_next.append(acc)
         acc += N.dims[A.vertex_pos[v_id]]
-    for r, s, i, c in _differential_entries(verts_prev, verts_next, d):
+    for r, s, i, c in _differential_entries(A, verts_prev, verts_next, d):
         act = N.action(i)   # N_{v_s} -> N_{v_r}
         for a in range(act.rows):
             for b in range(act.cols):
@@ -453,11 +430,9 @@ def gorenstein_dimension(A, cutoff=12, seed=0):
 
 
 def is_projective_module(M):
-    if M.total_dim == 0:
-        return True
-    _, cover, _ = projective_cover(M)
-    K, _ = md.kernel(cover)
-    return K.total_dim == 0
+    """The minimal cover is onto, so it is an isomorphism, and M projective,
+    exactly when it has M's dimension."""
+    return projective_cover(M)[0].total_dim == M.total_dim
 
 
 def is_injective_module(M):
@@ -483,25 +458,10 @@ def dominant_dimension(A, cutoff=12, seed=0):
     return DimValue.at_least(len(res.terms))
 
 
-def is_self_injective(A, seed=0):
-    """Does the Nakayama functor permute the indecomposable projectives?"""
-    if A.is_zero():
-        return True
-    projs = {v: projective_module(A, v) for v in A.vertices}
-    used = set()
-    for v in A.vertices:
-        I = injective_module(A, v)
-        found = None
-        for w in A.vertices:
-            if w in used:
-                continue
-            if projs[w].dims == I.dims and is_isomorphic(I, projs[w], seed=seed):
-                found = w
-                break
-        if found is None:
-            return False
-        used.add(found)
-    return True
+def is_self_injective(A):
+    """Is every indecomposable injective projective?  For a basic algebra,
+    such as a bound quiver algebra, that is self-injectivity."""
+    return all(is_projective_module(injective_module(A, v)) for v in A.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -509,34 +469,39 @@ def is_self_injective(A, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def transpose(M, seed=0):
-    """Tr(M) over the opposite algebra, from a minimal presentation."""
-    A = M.algebra
-    op = A.opposite()
-    if M.total_dim == 0:
-        return zero_module(op)
+def _presentation(M):
+    """A minimal presentation P1 -d-> P0 -> M -> 0 as (verts0, verts1, d),
+    P_i the free module over verts_i; verts1 is empty and d None when M is
+    projective."""
     _, cover, verts0 = projective_cover(M)
     K, inc = md.kernel(cover)
     if K.total_dim == 0:
-        return zero_module(op)
+        return verts0, [], None
     _, cover1, verts1 = projective_cover(K)
-    d = inc.compose(cover1)    # P1 -> P0
-    C, _ = md.cokernel(_dual_presentation_map(verts0, verts1, d))
+    return verts0, verts1, inc.compose(cover1)
+
+
+def transpose(M, seed=0):
+    """Tr(M) over the opposite algebra: the cokernel of Hom(d, A) for a
+    minimal presentation d of M."""
+    verts0, verts1, d = _presentation(M)
+    if d is None:
+        return zero_module(M.algebra.opposite())
+    C, _ = md.cokernel(_dual_presentation_map(M.algebra, verts0, verts1, d))
     return C
 
 
-def _dual_presentation_map(verts0, verts1, d):
+def _dual_presentation_map(A, verts0, verts1, d):
     """Hom(P0, A) -> Hom(P1, A), psi -> psi . d, in op-module coordinates.
 
     Hom(+ Ae_v, A) = + e_v A is the free op-module over the same vertices.
     """
-    A = d.source.algebra
     op = A.opposite()
     H0, pos0 = free_module(op, verts0)
     H1, pos1 = free_module(op, verts1)
     mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
             for w in range(op.n_vertices)]
-    for r, s, i, c in _differential_entries(verts0, verts1, d):
+    for r, s, i, c in _differential_entries(A, verts0, verts1, d):
         # y_s -> c * (i . y_s): left multiplication by i, e_{v_s} A -> e_{v_r} A
         for x, (_, k_x) in pos0[s].items():
             for y, cy in A.mult(i, x).items():
@@ -558,48 +523,10 @@ def ar_translate_inverse(M, seed=0):
 
 
 def nakayama_functor(M):
-    """nu(M) = D Hom(M, A)."""
-    A = M.algebra
-    op = A.opposite()
-    if M.total_dim == 0:
-        return zero_module(A)
-    projs = {v: free_module(A, [v]) for v in A.vertices}
-    hom_bases = {v: hom_space(M, P) for v, (P, _) in projs.items()}
-    dims = [len(hom_bases[v]) for v in A.vertices]
-    # op-module: action of op generator g (A: i -> j) maps component j -> i
-    gen_mats = {}
-    for g in op.generators:
-        bg_op = op.basis[g]
-        vj, vi = A.vertices[bg_op.source], A.vertices[bg_op.target]
-        basis_j = hom_bases[vj]
-        basis_i = hom_bases[vi]
-        cols = [[] for _ in basis_j]
-        if basis_j and basis_i:
-            rmul = _right_multiplication_map(A, g, projs[vj], projs[vi])
-            flat = [h.as_vector() for h in basis_i]
-            flat_i = from_columns(flat, len(flat[0]), A.field)
-            for k, phi in enumerate(basis_j):
-                cols[k] = solve(flat_i, rmul.compose(phi).as_vector())
-                if cols[k] is None:
-                    raise QfabError("right multiplication left the hom space")
-        gen_mats[g] = from_columns(cols, len(basis_i), A.field)
-    H = Representation(op, dims, gen_mats)
+    """nu(M) = D Hom(M, A).  Hom(-, A) is left exact, so Hom(M, A) is the
+    kernel of Hom(d, A) for a minimal presentation d of M."""
+    H, _ = md.kernel(_dual_presentation_map(M.algebra, *_presentation(M)))
     return dual_module(H)
-
-
-def _right_multiplication_map(A, g, src, tgt):
-    """x -> x . g as a left-module map Ae_j -> Ae_i for g: i -> j.
-
-    ``src`` and ``tgt`` are the ``free_module`` results for [j] and [i]."""
-    (Pj, (slots_j,)), (Pi, (slots_i,)) = src, tgt
-    mats = [[[A.field.zero] * Pj.dims[w] for _ in range(Pi.dims[w])]
-            for w in range(A.n_vertices)]
-    for x, (w, slot_x) in slots_j.items():
-        for y, c in A.mult(x, g).items():
-            w2, slot_y = slots_i[y]
-            mats[w2][slot_y][slot_x] = c
-    return ModuleMap(Pj, Pi, [Matrix(Pi.dims[w], Pj.dims[w], mats[w], A.field)
-                              for w in range(A.n_vertices)])
 
 
 # ---------------------------------------------------------------------------

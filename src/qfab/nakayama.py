@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .errors import AxiomViolation, HypothesisViolated, QfabError, StageVerificationFailed
+from .errors import (AxiomViolation, HypothesisViolated, ParameterOutOfRange,
+                     QfabError, StageVerificationFailed)
 from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
-from .algebra import build_algebra, corner, find_isomorphism_with_signs
+from .algebra import build_algebra, find_isomorphism_with_signs
 from . import homology as hm
 from . import fabric as fb
 
@@ -110,7 +111,7 @@ def higher_nakayama(n, entries, field=None):
     from .field import QQ
     series = entries if isinstance(entries, KupischSeries) else validate_kupisch(entries)
     if n < 1:
-        raise QfabError("n must be at least 1")
+        raise ParameterOutOfRange(f"n must be at least 1, got {n}")
     if n == 1:
         return _ordinary_nakayama(series, field)
     verts = nak_vertices(n, series)
@@ -304,8 +305,7 @@ class ReductionTrace:
     certificates: dict = dc_field(default_factory=dict)
 
 
-def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
-                            verify_reduction=True, cross_check=True):
+def reduce_to_selfinjective(n, entries, cutoff=24, seed=0):
     """Run contraction rounds until the series is constant (self-injective
     terminal) or the singularity is trivial (finite global dimension).
 
@@ -328,7 +328,7 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
         if series.is_constant():
             if A is None:
                 A, _ = higher_nakayama(n, series)
-            if not hm.is_self_injective(A, seed=seed):
+            if not hm.is_self_injective(A):
                 raise StageVerificationFailed(
                     f"constant series {series} did not yield a self-injective algebra")
             trace.terminal = A
@@ -355,18 +355,11 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
                 return _end_trivial(trace, stage, None, cutoff, seed,
                                     f"empty contraction pass {j}: expected "
                                     f"finite gl.dim")
-            cert = {}
-            fabric_e = None
-            if verify_fabric:
-                fabric_e, ftr = fb.check_fabric_definitional(stage, fverts,
-                                                             seed=seed, cutoff=cutoff)
-                cert["fabric"] = {"e": fabric_e}
-            if verify_reduction:
-                C, rcert = fb.singular_reduction(stage, fverts, cutoff=cutoff,
-                                                 seed=seed)
-                cert["singular_reduction"] = rcert
-            else:
-                C = corner(stage, fverts)
+            fabric_e, _ = fb.check_fabric_definitional(stage, fverts,
+                                                       seed=seed, cutoff=cutoff)
+            C, rcert = fb.singular_reduction(stage, fverts, cutoff=cutoff,
+                                             seed=seed)
+            cert = {"fabric": {"e": fabric_e}, "singular_reduction": rcert}
             trace.stages.append(StageRecord(round_no, j, tuple(fverts), C.dim,
                                             fabric_e, cert))
             stage = C
@@ -377,8 +370,7 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0, verify_fabric=True,
             return _end_trivial(trace, stage, None, cutoff, seed,
                                 "expected acyclic corner with finite gl.dim")
         B, presB = higher_nakayama(n, reduced)
-        if cross_check:
-            _cross_check_corner(stage, B, presB, series.k, reduced.k, trace)
+        _cross_check_corner(stage, B, presB, series.k, reduced.k, trace)
         trace.series_history.append(reduced)
         series = reduced
         A = B

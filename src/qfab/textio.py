@@ -183,6 +183,9 @@ def export_dot(obj, name="quiver"):
     return "\n".join(lines) + "\n"
 
 
+_SECTION = object()  # the value of a section header in ReportDocument.items
+
+
 class ReportDocument:
     """An ordered key-value document; rendering is byte-stable."""
 
@@ -194,13 +197,13 @@ class ReportDocument:
         self.items.append((indent, key, value))
 
     def section(self, key):
-        self.items.append((0, key, None))
+        self.items.append((0, key, _SECTION))
 
     def render(self):
         out = [f"== {self.title} =="]
         for indent, key, value in self.items:
             pad = "  " * indent
-            if value is None:
+            if value is _SECTION:
                 out.append(f"{pad}[{key}]")
             else:
                 out.append(f"{pad}{key}: {_stable(value)}")

@@ -22,6 +22,13 @@ CASES = {
                                    "--f", "2,3,5", "--h", "1,3,4"],
     "nakayama-2-765556-reduce.txt": ["nakayama", "--n", "2", "--kupisch",
                                      "7,6,5,5,5,6", "--reduce"],
+    "analyze-beilinson-2.txt": ["analyze", "fixture:beilinson-2"],
+    "analyze-canonical-2-211.txt": ["analyze", "fixture:canonical-2-211"],
+    "resolve-double-triangle-simple-3.txt": ["resolve", "fixture:double-triangle",
+                                             "--module", "simple:3", "--steps", "8"],
+    "resolve-two-ag-square-simple-1-injective.txt": [
+        "resolve", "fixture:two-ag-square", "--module", "simple:1", "--steps", "6",
+        "--injective"],
 }
 
 

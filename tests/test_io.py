@@ -93,6 +93,13 @@ def test_report_document_stable():
     assert out1 == doc2.render()
 
 
+def test_report_document_none_value_is_not_a_section():
+    doc = ReportDocument("t")
+    doc.section("s")
+    doc.add("h-level", None, indent=1)
+    assert doc.render() == "== t ==\n[s]\n  h-level: None\n"
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -182,3 +189,28 @@ def test_cli_bad_field_flag_is_an_input_error(spec, command):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("parse error: line 1, col 1: --field: ")
     assert ("4 is not prime" if spec == "F4" else "unknown field 'X'") in r.stderr
+
+
+@pytest.mark.parametrize("args, bad", [
+    (["nakayama", "--n", "2", "--kupisch", "3,a"], "'a'"),
+    (["nakayama", "--n", "2", "--kupisch", "3,,3"], "'3,,3'"),
+    (["nakayama", "--n", "0", "--kupisch", "3,3"], "got 0"),
+    (["analyze", "fixture:nope"], "'nope'"),
+    (["fabric", "fixture:double-triangle", "--f", "9"], "--f: unknown vertices ['9']"),
+    (["fabric", "fixture:double-triangle", "--f", "2,3,5", "--h", "9"],
+     "--h: unknown vertices ['9']"),
+], ids=["kupisch-letter", "kupisch-empty-entry", "n-zero", "unknown-fixture",
+        "unknown-f-vertex", "unknown-h-vertex"])
+def test_cli_bad_flag_value_is_an_input_error(args, bad):
+    r = _run_cli(*args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("input error: ")
+    assert bad in r.stderr
+    assert r.stdout == ""
+
+
+def test_cli_self_injective_is_exact_over_f2():
+    r = _run_cli("analyze", "fixture:preprojective-a3", "--field", "F2")
+    assert r.returncode == 0
+    assert "self-injective: True" in r.stdout.splitlines()
