@@ -7,7 +7,8 @@ degree by degree in quotient coordinates (never materialising the full path
 space), for mixed-length relations a direct saturation over an enumerated
 path space is used.  Both produce the same canonical object: basis = the
 normal-form paths under the length-then-lex order, structure constants = the
-reduction of concatenation modulo the closed ideal.
+reduction of concatenation modulo the closed ideal.  Arrow k of the
+presentation is ``generators[k]``, the one record of which element it is.
 
 Derived algebras (opposite, corner eAe, quotient A/<e>) share the same class;
 their multiplication is delegated to the parent algebra.  An
@@ -48,7 +49,7 @@ class FDAlgebra:
     """
 
     def __init__(self, field, vertex_ids, basis, idempotent_index, mult_fn, *,
-                 presentation=None, arrow_basis=None, name="", max_len=None):
+                 presentation=None, name="", max_len=None):
         self.field = field
         self.vertices = list(vertex_ids)
         self.vertex_pos = {v: i for i, v in enumerate(self.vertices)}
@@ -57,7 +58,6 @@ class FDAlgebra:
         self._mult_fn = mult_fn
         self._mult_cache = {}
         self.presentation = presentation
-        self.arrow_basis = arrow_basis
         self._generators = None
         self._factor = {}
         self.name = name
@@ -321,10 +321,9 @@ def _build_graded(pres, field):
         return idx
 
     idempotent_index = [add_elt((), v, v, 0) for v in range(nv)]
-    arrow_elt = {}
-    for a_pos, a in enumerate(arrows):
-        arrow_elt[a_pos] = add_elt((a_pos,), Q.vertex_index[a.source],
-                                   Q.vertex_index[a.target], 1)
+    arrow_elt = [add_elt((a_pos,), Q.vertex_index[a.source],
+                         Q.vertex_index[a.target], 1)
+                 for a_pos, a in enumerate(arrows)]
 
     # left_mult[a][u] = expansion of (a . u); entries exist for every valid
     # pairing with u below the top finished degree
@@ -481,7 +480,6 @@ def _build_graded(pres, field):
 
     basis = [BasisElt(words[i], sources[i], targets[i], len(words[i]))
              for i in range(len(words))]
-    arrow_basis = dict(arrow_elt)
 
     def mult_fn(i, j):
         vec = {j: one}
@@ -492,9 +490,9 @@ def _build_graded(pres, field):
         return vec
 
     alg = FDAlgebra(field, [v.id for v in Q.vertices], basis, idempotent_index,
-                    mult_fn, presentation=pres, arrow_basis=arrow_basis,
-                    name=pres.name, max_len=effective_len)
-    alg._generators = [arrow_elt[a] for a in range(len(arrows))]
+                    mult_fn, presentation=pres, name=pres.name,
+                    max_len=effective_len)
+    alg._generators = arrow_elt
     factor = {}
     for i, b in enumerate(basis):
         if b.length >= 2:
@@ -503,12 +501,16 @@ def _build_graded(pres, field):
     return alg
 
 
-def build_algebra_blunt(pres: Presentation, field=QQ, max_paths=250_000):
+# The most paths build_algebra_blunt enumerates before it gives up.
+BLUNT_MAX_PATHS = 250_000
+
+
+def build_algebra_blunt(pres: Presentation, field=QQ):
     """Direct ideal saturation over an enumerated path space.
 
     Reference engine: correct for homogeneous presentations, and for
     mixed-length ones whenever the bound comfortably exceeds the ideal's
-    effective degree.  Exponential path growth is capped by ``max_paths``.
+    effective degree.  ``BLUNT_MAX_PATHS`` caps exponential path growth.
     """
     _validate_presentation(pres)
     Q = pres.quiver
@@ -523,10 +525,10 @@ def build_algebra_blunt(pres: Presentation, field=QQ, max_paths=250_000):
         idx = len(paths)
         paths.append((word, s, t))
         index[(word, s)] = idx
-        if idx > max_paths:
+        if idx > BLUNT_MAX_PATHS:
             raise NotAdmissible(
-                f"path enumeration exceeded {max_paths}; use a homogeneous "
-                f"presentation or raise the cap")
+                f"path enumeration exceeded {BLUNT_MAX_PATHS}; use a "
+                f"homogeneous presentation or raise the cap")
         return idx
 
     for v in range(nv):
@@ -657,21 +659,20 @@ def build_algebra_blunt(pres: Presentation, field=QQ, max_paths=250_000):
     basis = [BasisElt(paths[i][0], paths[i][1], paths[i][2], len(paths[i][0]))
              for i in basis_paths]
     idempotent_index = [new_index[index[((), v)]] for v in range(nv)]
-    arrow_basis = {a_pos: new_index[index[((a_pos,), Q.vertex_index[a.source])]]
-                   for a_pos, a in enumerate(Q.arrows)}
+    arrow_elt = [new_index[index[((a_pos,), Q.vertex_index[a.source])]]
+                 for a_pos, a in enumerate(Q.arrows)]
 
     def mult_fn(i, j):
         return reduce_path(basis[j].word + basis[i].word, basis[j].source)
 
     alg = FDAlgebra(field, [v.id for v in Q.vertices], basis, idempotent_index,
-                    mult_fn, presentation=pres, arrow_basis=arrow_basis,
-                    name=pres.name, max_len=eff)
-    alg._generators = [arrow_basis[a] for a in range(Q.n_arrows)]
+                    mult_fn, presentation=pres, name=pres.name, max_len=eff)
+    alg._generators = arrow_elt
     factor = {}
     for k, b in enumerate(basis):
         if b.length >= 2:
             pre = reduce_path(b.word[:-1], b.source)
-            factor[k] = [(c, arrow_basis[b.word[-1]], u) for u, c in pre.items()]
+            factor[k] = [(c, arrow_elt[b.word[-1]], u) for u, c in pre.items()]
     alg._factor = factor
     return alg
 
@@ -967,36 +968,19 @@ def _is_isomorphism(pres, Apres, B, vertex_map, arrow_images):
     return count == B.dim
 
 
-# Beyond this many arrows only the all-plus lift is tried, not every sign mask.
-_MAX_SIGN_ARROWS = 14
-
-
-def find_isomorphism_with_signs(pres, B, vertex_map):
-    """Align pres with B using single-generator lifts scaled by +-1.
-
-    For each arrow of pres the candidate image is the unique generator of B
-    in the matching block (the common shape after corner and rebuild steps).
-    Returns the successful arrow-image dict, or None.
-    """
-    Q = pres.quiver
-    one = B.field.one
+def generator_lifts(pres, B, vertex_map):
+    """Arrow id of pres -> {g: 1}, g the one generator of B in the arrow's
+    block under ``vertex_map`` (pres vertex id -> B vertex id); None when a
+    block has no generator or more than one."""
     gens_by_block = {}
     for g in B.generators:
         b = B.basis[g]
         gens_by_block.setdefault((b.source, b.target), []).append(g)
-    base = {}
-    for a in Q.arrows:
+    lifts = {}
+    for a in pres.quiver.arrows:
         key = (B.vertex_pos[vertex_map[a.source]], B.vertex_pos[vertex_map[a.target]])
         cands = gens_by_block.get(key, [])
         if len(cands) != 1:
             return None
-        base[a.id] = cands[0]
-    ids = [a.id for a in Q.arrows]
-    Apres = build_algebra(pres, B.field)
-    masks = range(1 << len(ids)) if len(ids) <= _MAX_SIGN_ARROWS else [0]
-    for mask in masks:
-        imgs = {aid: {base[aid]: (-one if (mask >> k) & 1 else one)}
-                for k, aid in enumerate(ids)}
-        if _is_isomorphism(pres, Apres, B, vertex_map, imgs):
-            return imgs
-    return None
+        lifts[a.id] = {cands[0]: B.field.one}
+    return lifts

@@ -13,9 +13,9 @@ import sys
 
 from .errors import InputError, QfabError, ParseError
 from .field import QQ, field_by_name
-from .textio import parse_presentation, print_presentation, export_dot, ReportDocument
+from .textio import parse_presentation, export_dot, ReportDocument
 from .algebra import build_algebra
-from .fixtures import fixture, fixture_names
+from .fixtures import fixture
 from . import modules as md
 from . import homology as hm
 from . import fabric as fb
@@ -69,7 +69,8 @@ def cmd_analyze(args):
     doc.add("Gorenstein-dimension", g)
     doc.add("dominant-dimension",
             hm.dominant_dimension(A, cutoff=args.cutoff, seed=args.seed))
-    doc.add("self-injective", hm.is_self_injective(A))
+    # A is self-injective exactly when inj.dim(A) = 0, for any cutoff >= 0
+    doc.add("self-injective", idim == 0)
     gl = hm.global_dimension(A, cutoff=args.cutoff, seed=args.seed)
     doc.add("global-dimension", gl)
     sys.stdout.write(doc.render())
@@ -250,6 +251,10 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     try:
+        for flag in ("cutoff", "steps"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise InputError(f"--{flag}: must be at least 0, got {value}")
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

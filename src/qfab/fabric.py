@@ -48,19 +48,9 @@ def _quotient_modules(A, F, make):
 
 
 def _gabriel_arrows(A):
-    """(source vertex id, target vertex id, handle) per Gabriel arrow."""
-    if A.presentation is not None:
-        Q = A.presentation.quiver
-        return [(a.source, a.target, ("arrow", pos))
-                for pos, a in enumerate(Q.arrows)]
-    return [(A.vertices[A.basis[g].source], A.vertices[A.basis[g].target],
-             ("gen", g)) for g in A.generators]
-
-
-def _arrow_class(A, handle):
-    if handle[0] == "arrow":
-        return {A.arrow_basis[handle[1]]: A.field.one}
-    return {handle[1]: A.field.one}
+    """(source vertex id, target vertex id, generator) per Gabriel arrow."""
+    return [(A.vertices[A.basis[g].source], A.vertices[A.basis[g].target], g)
+            for g in A.generators]
 
 
 def companion_candidate(A, F):
@@ -110,9 +100,6 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
                                          f"{s} not {j} and not a distinguished target")
     transcript["conditions"][2] = "ok"
 
-    def two_path_class(first_handle, then_handle):
-        return A.mult_vec(_arrow_class(A, then_handle), _arrow_class(A, first_handle))
-
     def classes_relation(c1, c2):
         if c1 == c2:
             return "equal"
@@ -125,22 +112,22 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
         return "different"
 
     # condition (3): factorization of (alpha_j . beta) through alpha_i
-    for j, (jp, aj_handle) in sorted(iprime.items()):
-        for (s, t, beta_handle) in arrows:
+    for j, (jp, alpha_j) in sorted(iprime.items()):
+        for (s, t, beta) in arrows:
             if t != j or s in Fset:
                 continue
             i = s
-            cls = two_path_class(beta_handle, aj_handle)
+            cls = A.mult(alpha_j, beta)
             if not cls:
                 continue
             if i not in iprime:
                 raise ConditionFailed(3, f"nonzero path {i}->{j}->{jp} but no "
                                          f"distinguished arrow at {i}")
-            ip, ai_handle = iprime[i]
+            ip, alpha_i = iprime[i]
             found = False
-            for (s2, t2, delta_handle) in arrows:
+            for (s2, t2, delta) in arrows:
                 if s2 == ip and t2 == jp:
-                    cls2 = two_path_class(ai_handle, delta_handle)
+                    cls2 = A.mult(delta, alpha_i)
                     rel = classes_relation(cls2, cls)
                     if rel == "equal":
                         found = True
@@ -154,18 +141,18 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
 
     # condition (4): paths (delta . alpha_i) between distinguished arrows
     # factor back through the quiver outside F
-    for i, (ip, ai_handle) in sorted(iprime.items()):
-        for j, (jp, aj_handle) in sorted(iprime.items()):
-            for (s2, t2, delta_handle) in arrows:
+    for i, (ip, alpha_i) in sorted(iprime.items()):
+        for j, (jp, alpha_j) in sorted(iprime.items()):
+            for (s2, t2, delta) in arrows:
                 if s2 != ip or t2 != jp:
                     continue
-                cls = two_path_class(ai_handle, delta_handle)
+                cls = A.mult(delta, alpha_i)
                 if not cls:
                     continue
                 found = False
-                for (s3, t3, beta_handle) in arrows:
+                for (s3, t3, beta) in arrows:
                     if s3 == i and t3 == j:
-                        cls2 = two_path_class(beta_handle, aj_handle)
+                        cls2 = A.mult(alpha_j, beta)
                         rel = classes_relation(cls2, cls)
                         if rel == "equal":
                             found = True
@@ -198,13 +185,13 @@ def _holds_over_quotient(A, M, E, test):
             and test(md.restrict_from_quotient(M, Abar)))
 
 
-def _companion_valid(A, F, E, taus, seed=0):
+def _companion_valid(A, F, E, taus):
     for v, tau in taus.items():
         if not _holds_over_quotient(A, tau, E, hm.is_injective_module):
             return False
     injs = _quotient_modules(A, E, md.injective_module)
     for w, I in injs.items():
-        tinv = hm.ar_translate_inverse(I, seed=seed)
+        tinv = hm.ar_translate_inverse(I)
         if not _holds_over_quotient(A, tinv, F, hm.is_projective_module):
             return False
     return True
@@ -223,7 +210,7 @@ def check_fabric_definitional(A, F, seed=0, cutoff=12):
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
     projs = _quotient_modules(A, F, md.projective_module)
-    taus = {v: hm.ar_translate(P, seed=seed) for v, P in projs.items()}
+    taus = {v: hm.ar_translate(P) for v, P in projs.items()}
     transcript = {"proj_dim_quotient": pd,
                   "tau_dims": {v: t.dims for v, t in taus.items()}}
 
@@ -236,7 +223,7 @@ def check_fabric_definitional(A, F, seed=0, cutoff=12):
         for mask in range(1 << len(allowed)):
             candidates.append([v for k, v in enumerate(allowed) if (mask >> k) & 1])
     for key in dict.fromkeys(tuple(sorted(cand)) for cand in candidates):
-        if _companion_valid(A, F, key, taus, seed=seed):
+        if _companion_valid(A, F, key, taus):
             transcript["e"] = key
             return key, transcript
     raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")

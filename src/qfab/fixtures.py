@@ -160,4 +160,5 @@ def fixture(name):
 
 
 def fixture_names():
-    return sorted(_FIXTURES) + ["preprojective-a2 .. preprojective-a6"]
+    """Every name ``fixture`` accepts."""
+    return sorted(_FIXTURES) + [f"preprojective-a{n}" for n in range(2, 7)]

@@ -21,6 +21,13 @@ from .linalg import (Matrix, from_columns, kernel_basis, rank, solve,
 from .errors import (AlgebraMismatch, QfabError, DimensionMismatch,
                      NotQuotientModule)
 
+# Random combinations is_isomorphic tries before it answers no, the largest
+# grid is_isomorphic_exhaustive walks, and the draws random_module makes
+# before it falls back to a simple module.
+ISO_TRIALS = 2
+EXHAUSTIVE_ISO_LIMIT = 10 ** 7
+RANDOM_MODULE_ATTEMPTS = 40
+
 
 class Representation:
     """A left module over an FDAlgebra."""
@@ -573,7 +580,7 @@ class IsoCertificate:
         return self.verdict
 
 
-def is_isomorphic(M, N, seed=0, trials=2):
+def is_isomorphic(M, N, seed=0):
     """Randomized isomorphism test with certificate.
 
     Invertibility of a random combination of a Hom basis certifies yes; the
@@ -592,17 +599,17 @@ def is_isomorphic(M, N, seed=0, trials=2):
         return IsoCertificate(False, reason="Hom space is zero")
     rng = random.Random(seed)
     spread = max(M.total_dim, 1) * (2 ** 64)
-    for t in range(trials):
+    for t in range(ISO_TRIALS):
         phi = basis[0].scale(M.field.coerce(rng.randrange(spread)))
         for h in basis[1:]:
             phi = phi + h.scale(M.field.coerce(rng.randrange(spread)))
         if phi.is_isomorphism():
             return IsoCertificate(True, witness=phi, trials=t + 1)
-    return IsoCertificate(False, trials=trials,
-                          reason=f"{trials} random combinations singular")
+    return IsoCertificate(False, trials=ISO_TRIALS,
+                          reason=f"{ISO_TRIALS} random combinations singular")
 
 
-def is_isomorphic_exhaustive(M, N, limit=10 ** 7):
+def is_isomorphic_exhaustive(M, N):
     """Deterministic complete test for small modules.
 
     Evaluates the determinant of combinations over the grid {0..D}^m with
@@ -618,7 +625,7 @@ def is_isomorphic_exhaustive(M, N, limit=10 ** 7):
         return False
     D = M.total_dim
     m = len(basis)
-    if (D + 1) ** m > limit:
+    if (D + 1) ** m > EXHAUSTIVE_ISO_LIMIT:
         raise QfabError("exhaustive isomorphism grid too large")
     coeffs = [0] * m
     while True:
@@ -728,10 +735,10 @@ def submodule_generated_by(N, seeds):
     return _sub_representation(N, bases)
 
 
-def random_module(A, rng, max_total_dim=8, attempts=40):
+def random_module(A, rng, max_total_dim=8):
     """A pseudo-random module: a submodule of a random projective generated
     by random elements, re-drawn until the size cap is met."""
-    for _ in range(attempts):
+    for _ in range(RANDOM_MODULE_ATTEMPTS):
         v = A.vertices[rng.randrange(A.n_vertices)]
         P = projective_module(A, v)
         if P.total_dim == 0:

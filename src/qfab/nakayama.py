@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import (AxiomViolation, HypothesisViolated, ParameterOutOfRange,
                      QfabError, StageVerificationFailed)
 from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
-from .algebra import build_algebra, find_isomorphism_with_signs
+from .algebra import build_algebra, generator_lifts, _is_isomorphism
 from . import homology as hm
 from . import fabric as fb
 
@@ -405,8 +405,12 @@ def _rotation_for_hypotheses(series):
 
 
 def _cross_check_corner(stage, B, presB, old_k, new_k, trace):
-    """The corner after all passes must match the rebuilt algebra of the
-    reduced series: same dimension and an arrow-lift table alignment."""
+    """The corner after all passes must match B = build_algebra(presB), the
+    rebuilt algebra of the reduced series: same dimension and relabelled
+    vertices, and each arrow of presB sent to the corner's one generator in
+    its block defines an isomorphism.  No signs need choosing: every
+    structure constant of a higher Nakayama corner is 0 or one basis path
+    with coefficient 1."""
     if stage.dim != B.dim:
         raise StageVerificationFailed(
             f"corner dim {stage.dim} != rebuilt dim {B.dim}")
@@ -419,8 +423,8 @@ def _cross_check_corner(stage, B, presB, old_k, new_k, trace):
         vertex_map[vertex_label(new_coords)] = lbl
     if set(vertex_map) != set(B.vertices):
         raise StageVerificationFailed("vertex relabeling mismatch in cross-check")
-    imgs = find_isomorphism_with_signs(presB, stage, vertex_map)
-    if imgs is None:
+    lifts = generator_lifts(presB, stage, vertex_map)
+    if lifts is None or not _is_isomorphism(presB, B, stage, vertex_map, lifts):
         raise StageVerificationFailed("corner does not align with the rebuilt "
                                       "higher Nakayama algebra")
     trace.certificates.setdefault("cross_checks", []).append(

@@ -10,7 +10,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import QfabError
 
@@ -57,9 +57,6 @@ class Quiver:
     @property
     def n_arrows(self):
         return len(self.arrows)
-
-    def arrows_from(self, vid):
-        return [a for a in self.arrows if a.source == vid]
 
     def __repr__(self):
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"

@@ -21,7 +21,7 @@ import re
 
 from .errors import ParseError, UnknownVertex, NonParallelRelation, QfabError
 from .field import QQ, field_by_name
-from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
+from .quiver import Quiver, PathWord, Relation, Presentation
 
 
 def parse_presentation(text, name=""):

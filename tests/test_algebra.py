@@ -3,8 +3,7 @@ import pytest
 from qfab.quiver import Quiver, Presentation, path, relation
 from qfab.algebra import (build_algebra, build_algebra_blunt, corner,
                           quotient_by_idempotent_ideal, quiver_of,
-                          check_presentation_isomorphism,
-                          find_isomorphism_with_signs)
+                          check_presentation_isomorphism, generator_lifts)
 from qfab.errors import NotAdmissible, QfabError
 from qfab.fixtures import fixture
 from qfab.field import PrimeField
@@ -216,6 +215,19 @@ def test_corner_and_quotient_are_memoised_per_vertex_set(double_triangle):
         corner(A, [])
 
 
+def test_generator_lifts_need_one_generator_per_block():
+    line = Presentation(Quiver(["1", "2"], [("a", "1", "2")]), [])
+    kronecker = build_algebra(Presentation(
+        Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), []))
+    A = build_algebra(line)
+    vm = {"1": "1", "2": "2"}
+    lifts = generator_lifts(line, A, vm)
+    assert lifts == {"a": {A.generators[0]: A.field.one}}
+    assert check_presentation_isomorphism(line, A, vm, lifts)
+    assert generator_lifts(line, kronecker, vm) is None
+    assert generator_lifts(line, A, {"1": "2", "2": "1"}) is None
+
+
 def test_sign_search_aligns_commutative_with_anticommutative_square():
     Q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"),
                                       ("c", "1", "3"), ("d", "3", "4")])
@@ -223,11 +235,6 @@ def test_sign_search_aligns_commutative_with_anticommutative_square():
     commutative = Presentation(Q, [relation((1, ab), (-1, cd))])
     B = build_algebra(Presentation(Q, [relation((1, ab), (1, cd))]))
     vm = {v: v for v in B.vertices}
-    imgs = find_isomorphism_with_signs(commutative, B, vm)
-    one = B.field.one
-    # the all-plus lift fails; the first success negates a alone
-    assert {aid: list(vec.values()) for aid, vec in imgs.items()} == {
-        "a": [-one], "b": [one], "c": [one], "d": [one]}
+    # the all-plus lift is rejected
     assert not check_presentation_isomorphism(
-        commutative, B, vm, {aid: {g: one} for aid, vec in imgs.items()
-                             for g in vec})
+        commutative, B, vm, generator_lifts(commutative, B, vm))

@@ -1,5 +1,5 @@
 from qfab import modules as md, homology as hm, fabric as fb
-from qfab.algebra import find_isomorphism_with_signs
+from qfab.algebra import check_presentation_isomorphism, generator_lifts
 from qfab.endo import endomorphism_algebra
 from qfab.fixtures import fixture
 
@@ -11,7 +11,9 @@ def test_end_of_projectives_recovers_algebra(preproj_a3):
     B = data.algebra
     assert B.dim == A.dim
     vm = {"m0": "1", "m1": "2", "m2": "3"}
-    assert find_isomorphism_with_signs(data.presentation, A, vm) is not None
+    lifts = generator_lifts(data.presentation, A, vm)
+    assert lifts is not None
+    assert check_presentation_isomorphism(data.presentation, A, vm, lifts)
 
 
 def test_end_of_single_simple(double_triangle):
@@ -58,4 +60,6 @@ def test_endomorphism_matches_two_ag_fixture(preproj_a3, two_ag):
     B = data.algebra
     pres = fixture("two-ag-square")
     vm = {"1": "m2", "2": "m1", "3": "m3", "4": "m0"}
-    assert find_isomorphism_with_signs(pres, B, vm) is not None
+    lifts = generator_lifts(pres, B, vm)
+    assert lifts is not None
+    assert check_presentation_isomorphism(pres, B, vm, lifts)

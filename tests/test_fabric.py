@@ -166,7 +166,6 @@ def test_canonical_221_observed_behavior():
 
 
 def test_canonical_chain_to_beilinson():
-    from qfab.algebra import find_isomorphism_with_signs
     A221 = build_algebra(fixture("canonical-2-221"))
     C1 = corner(A221, ["1", "2", "4", "6", "8"])
     p211 = fixture("canonical-2-211")

@@ -24,6 +24,7 @@ CASES = {
                                      "7,6,5,5,5,6", "--reduce"],
     "analyze-beilinson-2.txt": ["analyze", "fixture:beilinson-2"],
     "analyze-canonical-2-211.txt": ["analyze", "fixture:canonical-2-211"],
+    "analyze-canonical-2-221.txt": ["analyze", "fixture:canonical-2-221"],
     "resolve-double-triangle-simple-3.txt": ["resolve", "fixture:double-triangle",
                                              "--module", "simple:3", "--steps", "8"],
     "resolve-two-ag-square-simple-1-injective.txt": [

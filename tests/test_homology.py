@@ -380,6 +380,7 @@ def test_self_injective_is_exact_in_every_field(case, want):
         A = _algebra(case, field)
         assert hm.is_self_injective(A) == want, field.name
         assert (hm.gorenstein_dimension(A)[0] == 0) == want, field.name
+        assert (hm.gorenstein_dimension(A)[1] == 0) == want, field.name
 
 
 def _nakayama_functor_by_hom_spaces(M):

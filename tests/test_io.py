@@ -7,7 +7,7 @@ import pytest
 
 from qfab.textio import parse_presentation, print_presentation, export_dot, ReportDocument
 from qfab.errors import ParseError, UnknownVertex, NonParallelRelation
-from qfab.fixtures import fixture
+from qfab.fixtures import fixture, fixture_names
 from qfab.algebra import build_algebra
 from qfab.field import QQ
 
@@ -26,6 +26,13 @@ def test_roundtrip_all_fixtures():
         back, _ = parse_presentation(text)
         assert print_presentation(back) == text
         assert build_algebra(back).dim == build_algebra(pres).dim
+
+
+def test_every_listed_fixture_builds():
+    names = fixture_names()
+    assert len(names) == len(set(names)) == 10
+    for name in names:
+        assert build_algebra(fixture(name)).dim > 0, name
 
 
 def test_parse_field_directive():
@@ -199,8 +206,11 @@ def test_cli_bad_field_flag_is_an_input_error(spec, command):
     (["fabric", "fixture:double-triangle", "--f", "9"], "--f: unknown vertices ['9']"),
     (["fabric", "fixture:double-triangle", "--f", "2,3,5", "--h", "9"],
      "--h: unknown vertices ['9']"),
+    (["analyze", "fixture:double-triangle", "--cutoff", "-1"], "--cutoff: "),
+    (["resolve", "fixture:double-triangle", "--module", "simple:3", "--steps", "-1"],
+     "--steps: "),
 ], ids=["kupisch-letter", "kupisch-empty-entry", "n-zero", "unknown-fixture",
-        "unknown-f-vertex", "unknown-h-vertex"])
+        "unknown-f-vertex", "unknown-h-vertex", "negative-cutoff", "negative-steps"])
 def test_cli_bad_flag_value_is_an_input_error(args, bad):
     r = _run_cli(*args)
     assert r.returncode == 2

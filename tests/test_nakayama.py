@@ -1,12 +1,16 @@
 import pytest
 
 from qfab import modules as md, homology as hm
-from qfab.algebra import corner, quotient_by_idempotent_ideal, quiver_of
-from qfab.errors import AxiomViolation, HypothesisViolated, QfabError
+from qfab.algebra import (build_algebra, corner, quotient_by_idempotent_ideal,
+                          quiver_of)
+from qfab.errors import (AxiomViolation, HypothesisViolated, QfabError,
+                         StageVerificationFailed)
 from qfab.nakayama import (KupischSeries, validate_kupisch, higher_nakayama,
                            kupisch_reduce, contraction_pass,
                            reduce_to_selfinjective, coordinate_rank_map,
-                           nak_vertices, vertex_label)
+                           nak_vertices, vertex_label, ReductionTrace,
+                           _cross_check_corner)
+from qfab.quiver import Presentation, Relation
 
 
 def test_validate_kupisch_accepts_examples():
@@ -175,3 +179,63 @@ def test_selfinjective_sweep_small():
             for k in (2, 3):
                 A, _ = higher_nakayama(n, (l,) * k)
                 assert hm.is_self_injective(A), (n, l, k)
+
+
+def _round_stages(n, series):
+    """The higher Nakayama algebra and the corner after each pass of one
+    contraction round (the series must already satisfy the hypotheses)."""
+    A, _ = higher_nakayama(n, series)
+    stages = [A]
+    for j in range(1, n + 1):
+        stages.append(corner(stages[-1], contraction_pass(stages[-1], j, len(series))))
+    return stages
+
+
+@pytest.mark.parametrize("n, series", [
+    (1, (4, 3, 3, 3)), (2, (4, 3, 3, 3)), (2, (5, 4, 4, 4)),
+    (2, (6, 5, 4, 4, 4, 5)), (2, (7, 6, 5, 5, 5, 6)), (3, (4, 3, 3, 3)),
+    (3, (5, 4, 4, 4, 4))], ids=str)
+def test_stage_structure_constants_are_single_paths(n, series):
+    # the cross-check lifts each arrow to one generator with coefficient 1;
+    # that needs no sign choice because every product of basis elements of
+    # every stage is 0 or one basis element with coefficient 1
+    for C in _round_stages(n, series):
+        one = C.field.one
+        for i in range(C.dim):
+            for j in range(C.dim):
+                p = C.mult(i, j)
+                assert len(p) <= 1 and all(c == one for c in p.values()), (i, j, p)
+
+
+def test_cross_check_rejects_a_mismatched_rebuild():
+    def check(n, series, B, presB, new_k):
+        stage = _round_stages(n, series)[-1]
+        trace = ReductionTrace(n=n, initial=KupischSeries(series))
+        _cross_check_corner(stage, B, presB, len(series), new_k, trace)
+        return trace
+
+    B, presB = higher_nakayama(2, (2, 2, 2))
+    trace = check(2, (4, 3, 3, 3), B, presB, 3)
+    assert trace.certificates["cross_checks"] == [
+        {"dim": 12, "vertices": sorted(B.vertices)}]
+    # another series of the reduced length: different dimension
+    B33, presB33 = higher_nakayama(2, (3, 3, 3))
+    assert B33.dim != 12
+    with pytest.raises(StageVerificationFailed, match="corner dim"):
+        check(2, (4, 3, 3, 3), B33, presB33, 3)
+    # another series with the same dimension but other vertices
+    B123, presB123 = higher_nakayama(2, (1, 2, 3))
+    assert B123.dim == 12
+    with pytest.raises(StageVerificationFailed, match="vertex relabeling"):
+        check(2, (4, 3, 3, 3), B123, presB123, 3)
+    # same quiver and dimension, but every commutator turned into an
+    # anticommutator: the corner's generators do not satisfy the relations
+    B, presB = higher_nakayama(3, (3, 3, 3, 3))
+    anti = Presentation(presB.quiver, [
+        Relation([(c if k == 0 else -c, p) for k, (c, p) in enumerate(r.terms)])
+        for r in presB.relations])
+    B_anti = build_algebra(anti)
+    assert B_anti.dim == B.dim
+    check(3, (5, 4, 4, 4, 4), B, presB, 4)
+    with pytest.raises(StageVerificationFailed, match="does not align"):
+        check(3, (5, 4, 4, 4, 4), B_anti, anti, 4)
