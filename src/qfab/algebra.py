@@ -59,6 +59,7 @@ class FDAlgebra:
         self._mult_cache = {}
         self.presentation = presentation
         self._generators = None
+        self._generators_from = None
         self._factor = {}
         self.name = name
         self.max_len = max_len
@@ -137,6 +138,17 @@ class FDAlgebra:
         if self._generators is None:
             self._compute_generator_data()
         return self._generators
+
+    def generators_from(self, vpos):
+        """The generators with source vertex position vpos, in ``generators``
+        order; the index is built once, at the first call."""
+        if self._generators_from is None:
+            out = [[] for _ in self.vertices]
+            for g in self.generators:
+                out[self.basis[g].source].append(g)
+            # tuples: every caller shares the index, so it is immutable
+            self._generators_from = [tuple(gs) for gs in out]
+        return self._generators_from[vpos]
 
     def factor(self, idx):
         """Terms (coeff, g, u) with basis[idx] = sum coeff * (g . u), where g

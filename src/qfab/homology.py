@@ -17,6 +17,14 @@ transpose and the Nakayama functor share one minimal presentation
 P1 -d-> P0 -> M: Tr(M) is the cokernel of Hom(d, A) and, Hom(-, A) being
 left exact, nu(M) = D Hom(M, A) is the dual of its kernel.
 
+A module has one minimal presentation, computed once.  A resolution records
+its first two terms and differential on the resolved module
+(``Representation.presentation``), so the transpose, tau and nu after a
+resolution take no cover and no kernel; the record holds only the
+resolution's own terms, never the module.  Periodicity is screened by tops:
+a syzygy goes to the randomized ``is_isomorphic`` only when its dimension
+vector and its top (``_top``) match those of an earlier syzygy.
+
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
 read from ``modules.projective_layout``, the single source of free-module
@@ -108,26 +116,16 @@ def dim_max(a, b):
 def projective_cover(M):
     """Minimal projective cover (P, surjection, summand vertex list).
 
-    Summand s is generated by x_s, the unit vector at a coordinate c of M_v
-    outside the radical's pivots.  Column (s, i) of the cover is i . x_s,
+    Summand s is generated by x_s, the unit vector at a top coordinate
+    (v, c) of M (see ``_top``).  Column (s, i) of the cover is i . x_s,
     walked along the factor table by increasing length: x_s itself for the
     idempotent, column c of M(g) for a generator g, and
     sum coeff * M(g) (u . x_s) over ``A.factor(i)`` otherwise.  Vertices
-    where M is 0 get no radical pass and no columns.
+    where M is 0 get no columns.
     """
     A = M.algebra
     F = A.field
-    summand_data = []
-    for v in range(A.n_vertices):
-        if not M.dims[v]:
-            continue
-        sub = Subspace(M.dims[v], F)
-        for g in A.generators:
-            if A.basis[g].target == v:
-                for col in M.action(g).columns():
-                    sub.insert(col)
-        pivs = set(sub.pivots)
-        summand_data.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
+    summand_data = _top(M)
     if not summand_data:
         Z = zero_module(A)
         return Z, ModuleMap.zero(Z, M), []
@@ -164,6 +162,26 @@ def projective_cover(M):
     cover = ModuleMap(P, M, [from_columns(cols[w], M.dims[w], F)
                              for w in range(A.n_vertices)])
     return P, cover, [A.vertices[v] for v, _ in summand_data]
+
+
+def _top(M):
+    """The coordinates (v, c), vertex by vertex, with c outside the pivots of
+    the radical's span in M_v: a basis of M's top.
+
+    rad(M) is spanned by the images of the generators, and the pivots of a
+    reduced echelon form depend only on the span, not on the order of its
+    vectors, so only the blocks in ``M.gen_mats`` are read."""
+    A = M.algebra
+    subs = [Subspace(d, A.field) for d in M.dims]
+    for g, m in M.gen_mats.items():
+        sub = subs[A.basis[g].target]
+        for col in m.columns():
+            sub.insert(col)
+    out = []
+    for v, sub in enumerate(subs):
+        pivs = set(sub.pivots)
+        out.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
+    return out
 
 
 def syzygy(M, n=1):
@@ -216,7 +234,10 @@ def _unresolved(M):
 
 def _resolution_step(res):
     """Append the minimal cover of the last syzygy, as the next term, and
-    its kernel, as the next syzygy."""
+    its kernel, as the next syzygy.
+
+    The step that makes P1 -> P0 records that minimal presentation on the
+    resolved module, as does the step that finds the module projective."""
     P, cover, verts = projective_cover(res.syzygies[-1])
     if res.terms:
         res.diffs.append(res.kernel_inclusions[-1].compose(cover))
@@ -225,13 +246,20 @@ def _resolution_step(res):
     K, inc = md.kernel(cover)
     res.kernel_inclusions.append(inc)
     res.syzygies.append(K)
+    if len(res.terms) == 2:
+        res.syzygies[0].presentation = (res.term_vertices[0], verts, res.diffs[0])
+    elif not K.total_dim and len(res.terms) == 1:
+        res.syzygies[0].presentation = (verts, [], None)
 
 
 def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
     """Minimal projective resolution or injective coresolution up to cutoff.
 
     Stops early on termination (zero syzygy) or certified periodicity (a
-    syzygy isomorphic to an earlier one, with stored witness).
+    syzygy isomorphic to an earlier one, with stored witness).  Isomorphic
+    modules have equal dimension vectors and equal tops, and the top of
+    syzygy j lists the vertices ``term_vertices[j]``; only a syzygy that
+    matches an earlier one in both is tested with ``is_isomorphic``.
     """
     if direction == "injective":
         res = minimal_resolution(dual_module(M), "projective", cutoff, seed)
@@ -245,15 +273,22 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
     while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
         _resolution_step(res)
         cur = res.syzygies[-1]
+        top = None
         # the earlier syzygies are non-zero, so a zero one matches none
         for j in range(1, len(res.syzygies) - 1):
-            if res.syzygies[j].dims == cur.dims:
-                cert = is_isomorphic(res.syzygies[j], cur, seed=seed)
-                if cert:
-                    res.status = "periodic"
-                    res.period = (j, len(res.syzygies) - 1 - j)
-                    res.period_witness = cert
-                    return res
+            if res.syzygies[j].dims != cur.dims:
+                continue
+            if top is None:
+                # in vertex order, as projective_cover lists term vertices
+                top = [M.algebra.vertices[v] for v, _ in _top(cur)]
+            if top != res.term_vertices[j]:
+                continue
+            cert = is_isomorphic(res.syzygies[j], cur, seed=seed)
+            if cert:
+                res.status = "periodic"
+                res.period = (j, len(res.syzygies) - 1 - j)
+                res.period_witness = cert
+                return res
     if res.syzygies[-1].total_dim == 0:
         res.status = "terminated"
     return res
@@ -472,13 +507,17 @@ def is_self_injective(A):
 def _presentation(M):
     """A minimal presentation P1 -d-> P0 -> M -> 0 as (verts0, verts1, d),
     P_i the free module over verts_i; verts1 is empty and d None when M is
-    projective."""
-    _, cover, verts0 = projective_cover(M)
-    K, inc = md.kernel(cover)
-    if K.total_dim == 0:
-        return verts0, [], None
-    _, cover1, verts1 = projective_cover(K)
-    return verts0, verts1, inc.compose(cover1)
+    projective.  Read from ``M.presentation`` when a resolution of M (or an
+    earlier call) recorded it, and recorded there otherwise."""
+    if M.presentation is None:
+        _, cover, verts0 = projective_cover(M)
+        K, inc = md.kernel(cover)
+        if K.total_dim == 0:
+            M.presentation = verts0, [], None
+        else:
+            _, cover1, verts1 = projective_cover(K)
+            M.presentation = verts0, verts1, inc.compose(cover1)
+    return M.presentation
 
 
 def transpose(M):

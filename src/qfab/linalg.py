@@ -286,20 +286,6 @@ def from_columns(cols, rows, field=QQ):
     return Matrix(rows, len(cols), list(zip(*cols)), field)
 
 
-def is_invertible(mat):
-    return mat.rows == mat.cols and rank(mat) == mat.rows
-
-
-def inverse(mat):
-    if mat.rows != mat.cols:
-        raise DimensionMismatch("inverse of non-square matrix")
-    aug = mat.hstack(Matrix.identity(mat.rows, mat.field))
-    R, pivots = rref(aug)
-    if pivots[: mat.rows] != list(range(mat.rows)):
-        return None
-    return Matrix(mat.rows, mat.rows, [r[mat.rows:] for r in R.data], mat.field)
-
-
 class Subspace:
     """A subspace kept in reduced echelon form for membership tests.
 

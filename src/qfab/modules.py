@@ -1,5 +1,6 @@
 """Finite-dimensional modules over an FDAlgebra, given as validated
-representations: one space per vertex, one matrix per algebra generator.
+representations: one space per vertex, one matrix per algebra generator
+between two non-zero spaces.
 
 The action of an arbitrary basis element is derived through the algebra's
 factorization table, so module data stays small while every exactness
@@ -7,9 +8,15 @@ computation (kernels, images, homs) remains exact linear algebra.
 
 Modules are small and live on a few vertices, so most blocks have a zero
 side.  Such a block is never computed: ``Representation.action`` returns the
-shared ``Matrix.zero`` for it, ``free_module`` builds no rows for it, and
-``_sub_representation`` only checks that an image with an empty target block
-is zero.
+shared ``Matrix.zero`` for it, ``free_module``, ``cokernel`` and
+``dual_module`` build nothing for it, and ``_sub_representation`` only
+checks that an image with an empty target block is zero.  A module costs its
+support: ``Representation.gen_mats`` holds exactly the generators whose
+source and target spaces are both non-zero.  The constructor checks the
+shape of every matrix it is given, drops those with a zero side, and fills
+in a shared zero for a supported generator left out.
+``_supported_generators`` lists those generators, through
+``FDAlgebra.generators_from`` at the non-zero vertices.
 """
 
 from __future__ import annotations
@@ -34,23 +41,28 @@ class Representation:
 
     def __init__(self, algebra, dims, gen_mats):
         self.algebra = algebra
-        self.dims = tuple(dims)
-        if len(self.dims) != algebra.n_vertices:
+        self.dims = dims = tuple(dims)
+        if len(dims) != algebra.n_vertices:
             raise DimensionMismatch("dimension vector length mismatch")
-        self.gen_mats = dict(gen_mats)
-        self._action = {}
+        basis = algebra.basis
+        self.gen_mats = {}
+        for g, m in gen_mats.items():
+            b = basis[g]
+            if (m.rows, m.cols) != (dims[b.target], dims[b.source]):
+                raise DimensionMismatch(f"generator matrix shape mismatch at basis {g}")
+            if m.rows and m.cols:
+                self.gen_mats[g] = m
         zeros = {}  # one zero matrix per shape, shared by missing generators
-        for g in algebra.generators:
-            b = algebra.basis[g]
-            shape = (self.dims[b.target], self.dims[b.source])
-            m = self.gen_mats.get(g)
-            if m is None:
+        for g, v, t in _supported_generators(algebra, dims):
+            if g not in self.gen_mats:
+                shape = (dims[t], dims[v])
                 m = zeros.get(shape)
                 if m is None:
                     m = zeros[shape] = Matrix.zero(*shape, algebra.field)
                 self.gen_mats[g] = m
-            if (m.rows, m.cols) != shape:
-                raise DimensionMismatch(f"generator matrix shape mismatch at basis {g}")
+        self._action = {}
+        # a minimal presentation (verts0, verts1, d), recorded by homology
+        self.presentation = None
 
     @property
     def field(self):
@@ -122,6 +134,17 @@ class Representation:
 
     def dim_vector(self):
         return dict(zip(self.algebra.vertices, self.dims))
+
+
+def _supported_generators(A, dims):
+    """(g, source, target) for each generator g of A whose source and target
+    spaces in the dimension vector ``dims`` are both non-zero."""
+    for v, d in enumerate(dims):
+        if d:
+            for g in A.generators_from(v):
+                t = A.basis[g].target
+                if dims[t]:
+                    yield g, v, t
 
 
 def _combination(terms, field):
@@ -240,13 +263,11 @@ def free_module(A, vertex_ids):
     Returns ``(P, pos)`` with ``pos`` as in ``projective_layout``."""
     dims, pos = projective_layout(A, vertex_ids)
     zero = A.field.zero
-    leaving = [[] for _ in dims]  # generators by source vertex
+    leaving = [[] for _ in dims]  # supported generators by source vertex
     rows = {}
-    for g in A.generators:
-        bg = A.basis[g]
-        if dims[bg.source] and dims[bg.target]:  # Representation fills in the rest
-            leaving[bg.source].append(g)
-            rows[g] = [[zero] * dims[bg.source] for _ in range(dims[bg.target])]
+    for g, v, t in _supported_generators(A, dims):
+        leaving[v].append(g)
+        rows[g] = [[zero] * dims[v] for _ in range(dims[t])]
     for slots in pos:
         for i, (w, k) in slots.items():
             for g in leaving[w]:
@@ -267,9 +288,8 @@ def dual_module(M):
     """D(M): a module over the opposite algebra on the dual spaces."""
     A = M.algebra
     op = A.opposite()
-    gen_mats = {}
-    for g in op.generators:
-        gen_mats[g] = M.action(g).transpose()
+    gen_mats = {g: M.action(g).transpose()
+                for g, _, _ in _supported_generators(op, M.dims)}
     return Representation(op, M.dims, gen_mats)
 
 
@@ -342,19 +362,20 @@ def _sub_representation(N, col_bases):
     mats = [from_columns(cols, N.dims[v], A.field) for v, cols in enumerate(col_bases)]
     dims = [m.cols for m in mats]
     gen_mats = {}
-    for g in A.generators:
-        b = A.basis[g]
-        if not dims[b.source]:
-            continue  # an empty block: Representation fills in its zero
-        img = N.action(g) * mats[b.source]
-        if not dims[b.target]:
-            if not img.is_zero():
+    for v, d in enumerate(dims):
+        if not d:
+            continue  # empty blocks: Representation leaves them out
+        for g in A.generators_from(v):
+            t = A.basis[g].target
+            img = N.action(g) * mats[v]
+            if not dims[t]:
+                if not img.is_zero():
+                    raise QfabError("subspace is not action-stable")
+                continue
+            x = solve_matrix(mats[t], img)
+            if x is None:
                 raise QfabError("subspace is not action-stable")
-            continue
-        x = solve_matrix(mats[b.target], img)
-        if x is None:
-            raise QfabError("subspace is not action-stable")
-        gen_mats[g] = x
+            gen_mats[g] = x
     S = Representation(A, dims, gen_mats)
     return S, ModuleMap(S, N, mats)
 
@@ -401,11 +422,10 @@ def cokernel(f: ModuleMap):
         cols = [project(v, u) for u in unit_vectors(N.dims[v], A.field)]
         proj_mats.append(from_columns(cols, dims[v], A.field))
     gen_mats = {}
-    for g in A.generators:
-        b = A.basis[g]
+    for g, v, t in _supported_generators(A, dims):
         act = N.action(g)
-        cols = [project(b.target, act.column(k)) for k in complements[b.source]]
-        gen_mats[g] = from_columns(cols, dims[b.target], A.field)
+        cols = [project(t, act.column(k)) for k in complements[v]]
+        gen_mats[g] = from_columns(cols, dims[t], A.field)
     C = Representation(A, dims, gen_mats)
     return C, ModuleMap(N, C, proj_mats)
 

@@ -450,3 +450,87 @@ def test_projective_by_dimension_matches_zero_cover_kernel(name, field):
         for M in mods + sums:
             _, cover, _ = hm.projective_cover(M)
             assert hm.is_projective_module(M) == (md.kernel(cover)[0].total_dim == 0)
+
+
+def _fresh(M):
+    """A copy of M with no recorded presentation."""
+    return md.Representation(M.algebra, M.dims, M.gen_mats)
+
+
+def _same_module(X, Y):
+    return X.algebra is Y.algebra and X.dims == Y.dims and X.gen_mats == Y.gen_mats
+
+
+PRESENTATION_FUNCTORS = [hm.transpose, hm.ar_translate, hm.nakayama_functor]
+
+
+@EXACT_FIELDS
+@pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
+def test_recorded_presentation_changes_no_functor(name, field):
+    A0 = build_algebra(fixture(name), field)
+    for A in (A0, A0.opposite()):
+        for M in _test_modules(A):
+            want = [f(_fresh(M)) for f in PRESENTATION_FUNCTORS]
+            projective = hm.is_projective_module(M)
+            for cutoff in (0, 1, 4):
+                X = _fresh(M)
+                res = hm.minimal_resolution(X, cutoff=cutoff)
+                if projective:
+                    verts0, verts1, d = X.presentation
+                    assert verts0 is res.term_vertices[0] and verts1 == [] and d is None
+                elif cutoff == 0:
+                    assert X.presentation is None
+                else:
+                    verts0, verts1, d = X.presentation
+                    assert verts0 is res.term_vertices[0]
+                    assert verts1 is res.term_vertices[1] and d is res.diffs[0]
+                assert all(_same_module(f(X), w)
+                           for f, w in zip(PRESENTATION_FUNCTORS, want))
+            X = _fresh(M)
+            hm.syzygy(X)
+            assert (X.presentation is not None) == projective
+            assert all(_same_module(f(X), w) for f, w in zip(PRESENTATION_FUNCTORS, want))
+
+
+def _resolution_by_every_dims_match(M, cutoff, seed=0):
+    """The oracle: (status, period, term vertices) with ``is_isomorphic`` run
+    on every earlier syzygy of the same dimension vector, and the number of
+    those pairs whose tops differ."""
+    res = hm._unresolved(M)
+    screened = 0
+    while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
+        hm._resolution_step(res)
+        cur = res.syzygies[-1]
+        for j in range(1, len(res.syzygies) - 1):
+            if res.syzygies[j].dims != cur.dims:
+                continue
+            top = sorted(M.algebra.vertices[v] for v, _ in _top_coordinates(cur))
+            screened += top != sorted(res.term_vertices[j])
+            if md.is_isomorphic(res.syzygies[j], cur, seed=seed):
+                return "periodic", (j, len(res.syzygies) - 1 - j), res.term_vertices, screened
+    status = "truncated" if res.syzygies[-1].total_dim else "terminated"
+    return status, None, res.term_vertices, screened
+
+
+# no two syzygies resolved here share a dimension vector but not a top
+TOP_SCREEN_UNUSED = {"beilinson-2", "canonical-2-211", "preprojective-a2"}
+
+
+@EXACT_FIELDS
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_top_screen_changes_no_resolution(name, field):
+    A = build_algebra(fixture(name), field)
+    assert A.n_vertices <= 5
+    rng = random.Random(7)
+    mods = [md.standard_module(A, kind, v) for kind in ("simple", "inj")
+            for v in A.vertices]
+    mods += [md.random_module(A, rng) for _ in range(4)]
+    screened = 0
+    for M in mods:
+        res = hm.minimal_resolution(M, cutoff=6)
+        status, period, verts, n = _resolution_by_every_dims_match(_fresh(M), 6)
+        assert (res.status, res.period, res.term_vertices) == (status, period, verts)
+        screened += n
+        for X in res.syzygies:
+            assert hm._top(X) == _top_coordinates(X)
+    assert (screened > 0) == (name not in TOP_SCREEN_UNUSED)

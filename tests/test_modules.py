@@ -8,8 +8,8 @@ from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
 from qfab.linalg import Matrix, kernel_basis, rank
 from qfab.quiver import Presentation, Quiver, path, relation
-from qfab.errors import (NotQuotientModule, QfabError, SummandsNotDistinct,
-                         SummandDecomposable)
+from qfab.errors import (DimensionMismatch, NotQuotientModule, QfabError,
+                         SummandsNotDistinct, SummandDecomposable)
 
 
 def test_simple_modules_have_dimension_one(double_triangle):
@@ -300,16 +300,20 @@ FIELD_IDS = ["Q", "F_2^31-1"]
 
 def _action_by_definition(M):
     """The action of every basis element by its definition: the identity on
-    length-0 elements, a generator's own matrix, and otherwise a zero start
-    plus the sum of (action(g) * action(u)).scale(c) over A.factor(i)."""
+    length-0 elements, a generator's own matrix (zero when ``gen_mats``
+    leaves it out), and otherwise a zero start plus the sum of
+    (action(g) * action(u)).scale(c) over A.factor(i)."""
     A = M.algebra
+    gens = set(A.generators)
     out = {}
     for i in sorted(range(A.dim), key=lambda i: A.basis[i].length):
         b = A.basis[i]
         if b.length == 0:
             m = Matrix.identity(M.dims[b.source], A.field)
-        elif i in M.gen_mats:
-            m = M.gen_mats[i]
+        elif i in gens:
+            m = M.gen_mats.get(i)
+            if m is None:
+                m = Matrix.zero(M.dims[b.target], M.dims[b.source], A.field)
         else:
             m = Matrix.zero(M.dims[b.target], M.dims[b.source], A.field)
             for c, g, u in A.factor(i):
@@ -387,3 +391,44 @@ def test_kernel_of_a_non_homomorphism_is_rejected(double_triangle):
     assert len(kernel_basis(f.mats[one])) == 1
     with pytest.raises(QfabError, match="not action-stable"):
         md.kernel(f)
+
+
+def test_representation_checks_every_given_shape(double_triangle):
+    A = double_triangle
+    one = Matrix.from_rows([[1]], A.field)
+    g = next(g for g in A.generators if A.basis[g].source == A.vertex_pos["1"])
+    # a simple has a zero target side at every arrow leaving its vertex
+    with pytest.raises(DimensionMismatch):
+        md.Representation(A, md.simple_module(A, "1").dims, {g: one})
+    dims = [1] * A.n_vertices
+    with pytest.raises(DimensionMismatch):
+        md.Representation(A, dims, {g: Matrix.zero(2, 1, A.field)})
+    # a right-shaped block with a zero side is dropped
+    S = md.Representation(A, md.simple_module(A, "1").dims,
+                          {g: Matrix.zero(0, 1, A.field)})
+    assert S.gen_mats == {}
+
+
+def test_generator_left_out_between_supported_vertices_acts_as_zero(double_triangle):
+    A = double_triangle
+    M = md.Representation(A, [1] * A.n_vertices, {})
+    assert set(M.gen_mats) == set(A.generators)
+    for g in A.generators:
+        assert M.action(g) == Matrix.zero(1, 1, A.field)
+    assert M.validate(full=True)
+    assert md.top(M)[0].dims == M.dims
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_gen_mats_hold_exactly_the_supported_generators(name, field):
+    A = build_algebra(fixture(name), field)
+    rng = random.Random(13)
+    mods = [md.standard_module(A, kind, v) for kind in ("simple", "proj", "inj")
+            for v in A.vertices]
+    mods += [md.random_module(A, rng) for _ in range(4)]
+    mods += [md.radical_submodule(M)[0] for M in mods] + [md.top(M)[0] for M in mods]
+    for M in mods:
+        assert set(M.gen_mats) == {g for g in A.generators if
+                                   M.dims[A.basis[g].source] and M.dims[A.basis[g].target]}
+        assert all(m.rows and m.cols for m in M.gen_mats.values())
