@@ -78,7 +78,7 @@ def endomorphism_algebra(summands, seed=0):
         for m in phi.mats:
             for r in range(m.rows):
                 tr = tr + m.data[r][r]
-        return tr / field.coerce(M.total_dim)
+        return field.div(tr, field.coerce(M.total_dim))
 
     raw = []      # (s, u, ModuleMap), s -> u in the algebra
     idem_idx = {}

@@ -68,6 +68,20 @@ def companion_candidate(A, F):
     return e, iprime
 
 
+def _classes_relation(c1, c2, field):
+    """How two path classes (dicts basis index -> coefficient) compare:
+    "equal", ("proportional", lam) with c1 = lam * c2, or "different"."""
+    if c1 == c2:
+        return "equal"
+    if c1 and c2 and set(c1) == set(c2):
+        keys = sorted(c1)
+        k0 = keys[0]
+        lam = field.div(c1[k0], c2[k0])
+        if all(c1[k] == lam * c2[k] for k in keys):
+            return ("proportional", lam)
+    return "different"
+
+
 def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
     """Quiver-level fabric test.  Returns (e, transcript) on success.
 
@@ -100,17 +114,6 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
                                          f"{s} not {j} and not a distinguished target")
     transcript["conditions"][2] = "ok"
 
-    def classes_relation(c1, c2):
-        if c1 == c2:
-            return "equal"
-        if c1 and c2 and set(c1) == set(c2):
-            keys = sorted(c1)
-            k0 = keys[0]
-            lam = c1[k0] / c2[k0]
-            if all(c1[k] == lam * c2[k] for k in keys):
-                return ("proportional", lam)
-        return "different"
-
     # condition (3): factorization of (alpha_j . beta) through alpha_i
     for j, (jp, alpha_j) in sorted(iprime.items()):
         for (s, t, beta) in arrows:
@@ -128,7 +131,7 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
             for (s2, t2, delta) in arrows:
                 if s2 == ip and t2 == jp:
                     cls2 = A.mult(delta, alpha_i)
-                    rel = classes_relation(cls2, cls)
+                    rel = _classes_relation(cls2, cls, A.field)
                     if rel == "equal":
                         found = True
                         break
@@ -153,7 +156,7 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
                 for (s3, t3, beta) in arrows:
                     if s3 == i and t3 == j:
                         cls2 = A.mult(alpha_j, beta)
-                        rel = classes_relation(cls2, cls)
+                        rel = _classes_relation(cls2, cls, A.field)
                         if rel == "equal":
                             found = True
                             break

@@ -1,9 +1,23 @@
 """Exact scalar fields: the rationals (arbitrary precision) and prime fields.
 
-Scalars are plain values supporting +, -, *, /, ==, hash.  Rationals are
-fractions.Fraction, or gmpy2.mpq when the optional ``gmpy2`` extra is
-installed; both keep values in lowest terms with a positive denominator.
-Prime-field elements are small wrapper objects around a residue.
+Scalars are plain values supporting +, -, *, ==, hash.  A rational is a
+Python ``int`` whenever it is integral, and a ``fractions.Fraction`` (or a
+``gmpy2.mpq`` when the optional ``gmpy2`` extra is installed) only when a
+division leaves a remainder.  Most entries in this package are 0 or +-1, and
+an ``int`` operation costs a small fraction of a ``Fraction`` one.  ``int``
+and ``Fraction`` mix freely under +, -, * and ==, and a ``Fraction`` is in
+lowest terms with a positive denominator.  Prime-field elements are small
+wrapper objects around a residue.
+
+Scalars are never divided with ``/`` outside this module, because
+``int / int`` is a float.  Each field has one method ``div(a, b)``, the only
+place ``/`` is applied to scalars.  Over Q it returns ``a * b`` when b is
++-1, and otherwise divides as a ``Fraction`` and returns an integral
+quotient as an ``int``.  ``QQ(n, d)`` and ``QQ.coerce`` likewise return an
+``int`` for an integral value, so the values they and ``div`` make are
+canonical: an ``int`` exactly when integral.  Sums and products of a
+``Fraction`` are not brought back to ``int``, so an integral ``Fraction``
+can still occur; it equals and hashes like the ``int``.
 
 Every scalar is falsy exactly when it is zero, so the rest of the package
 tests ``if x`` instead of comparing with ``field.zero`` (an ``__eq__`` call on
@@ -18,24 +32,37 @@ except ImportError:  # gmpy2 is an optional extra
     from fractions import Fraction as _rational
 
 
+def _canonical(q):
+    """A rational value as an ``int`` when it is integral."""
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 class RationalField:
     """The field Q."""
 
     name = "Q"
     characteristic = 0
-    zero = _rational(0)
-    one = _rational(1)
+    zero = 0
+    one = 1
 
     def __call__(self, num, den=1):
-        return _rational(num, den)
+        return _canonical(_rational(num, den))
 
     def coerce(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, str):
             if "/" in x:
                 n, d = x.split("/")
-                return _rational(int(n), int(d))
-            return _rational(int(x))
-        return _rational(x)
+                return self(int(n), int(d))
+            return int(x)
+        return _canonical(_rational(x))
+
+    def div(self, a, b):
+        """a / b; canonical when a and b are."""
+        if b == 1 or b == -1:
+            return a * b
+        return _canonical(_rational(a, b))
 
     def __repr__(self):
         return "QQ"
@@ -142,6 +169,10 @@ class PrimeField:
         if hasattr(x, "numerator") and hasattr(x, "denominator"):
             return self(int(x.numerator), int(x.denominator))
         return FpElement(int(x), self.p)
+
+    def div(self, a, b):
+        """a / b."""
+        return a / b
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -23,7 +23,8 @@ its first two terms and differential on the resolved module
 resolution take no cover and no kernel; the record holds only the
 resolution's own terms, never the module.  Periodicity is screened by tops:
 a syzygy goes to the randomized ``is_isomorphic`` only when its dimension
-vector and its top (``_top``) match those of an earlier syzygy.
+vector and its top (``_top``) match those of an earlier syzygy, and the
+next cover reuses the top the screen computed.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import quotient_by_idempotent_ideal
-from .linalg import Matrix, Subspace, from_columns, rank
+from .linalg import Matrix, from_columns, rank
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
 from .modules import (ModuleMap, Representation, dual_module, free_module,
@@ -113,7 +114,7 @@ def dim_max(a, b):
 # ---------------------------------------------------------------------------
 
 
-def projective_cover(M):
+def projective_cover(M, top=None):
     """Minimal projective cover (P, surjection, summand vertex list).
 
     Summand s is generated by x_s, the unit vector at a top coordinate
@@ -121,11 +122,12 @@ def projective_cover(M):
     walked along the factor table by increasing length: x_s itself for the
     idempotent, column c of M(g) for a generator g, and
     sum coeff * M(g) (u . x_s) over ``A.factor(i)`` otherwise.  Vertices
-    where M is 0 get no columns.
+    where M is 0 get no columns.  A caller that has ``_top(M)`` already
+    passes it as ``top``.
     """
     A = M.algebra
     F = A.field
-    summand_data = _top(M)
+    summand_data = _top(M) if top is None else top
     if not summand_data:
         Z = zero_module(A)
         return Z, ModuleMap.zero(Z, M), []
@@ -166,19 +168,10 @@ def projective_cover(M):
 
 def _top(M):
     """The coordinates (v, c), vertex by vertex, with c outside the pivots of
-    the radical's span in M_v: a basis of M's top.
-
-    rad(M) is spanned by the images of the generators, and the pivots of a
-    reduced echelon form depend only on the span, not on the order of its
-    vectors, so only the blocks in ``M.gen_mats`` are read."""
-    A = M.algebra
-    subs = [Subspace(d, A.field) for d in M.dims]
-    for g, m in M.gen_mats.items():
-        sub = subs[A.basis[g].target]
-        for col in m.columns():
-            sub.insert(col)
+    the radical's span in M_v (``modules.radical_spaces``): a basis of M's
+    top."""
     out = []
-    for v, sub in enumerate(subs):
+    for v, sub in enumerate(md.radical_spaces(M)):
         pivs = set(sub.pivots)
         out.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
     return out
@@ -232,13 +225,14 @@ def _unresolved(M):
                       kernel_inclusions=[])
 
 
-def _resolution_step(res):
+def _resolution_step(res, top=None):
     """Append the minimal cover of the last syzygy, as the next term, and
-    its kernel, as the next syzygy.
+    its kernel, as the next syzygy.  ``top`` is the last syzygy's ``_top``
+    when the caller has it already.
 
     The step that makes P1 -> P0 records that minimal presentation on the
     resolved module, as does the step that finds the module projective."""
-    P, cover, verts = projective_cover(res.syzygies[-1])
+    P, cover, verts = projective_cover(res.syzygies[-1], top)
     if res.terms:
         res.diffs.append(res.kernel_inclusions[-1].compose(cover))
     res.terms.append(P)
@@ -270,8 +264,9 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
     if direction != "projective":
         raise QfabError(f"unknown resolution direction {direction!r}")
     res = _unresolved(M)
+    top = None  # the last syzygy's _top, once the screen has computed it
     while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
-        _resolution_step(res)
+        _resolution_step(res, top)
         cur = res.syzygies[-1]
         top = None
         # the earlier syzygies are non-zero, so a zero one matches none
@@ -279,9 +274,10 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
             if res.syzygies[j].dims != cur.dims:
                 continue
             if top is None:
+                top = _top(cur)
                 # in vertex order, as projective_cover lists term vertices
-                top = [M.algebra.vertices[v] for v, _ in _top(cur)]
-            if top != res.term_vertices[j]:
+                top_verts = [M.algebra.vertices[v] for v, _ in top]
+            if top_verts != res.term_vertices[j]:
                 continue
             cert = is_isomorphic(res.syzygies[j], cur, seed=seed)
             if cert:

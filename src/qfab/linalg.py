@@ -9,6 +9,10 @@ Most entries are 0 or +-1, so the kernel relies on the scalar contract of
 ``field``: a scalar is falsy exactly when it is zero.  Entries are tested with
 ``if x``, and products and row operations touch only the non-zero entries of
 the row that is added (``a - f*0 == a`` exactly, so results are unchanged).
+Over Q an entry is an ``int`` until a division leaves a remainder, and only
+then a ``Fraction``; it is never a float.  The only division here, by a
+pivot in ``rref`` and ``Subspace.insert``, goes through ``field.div``, and a
+pivot of +-1 (the common case) keeps every entry an ``int``.
 
 ``Matrix(rows, cols, data)`` is the one constructor, and it always checks the
 shape: rows are converted to tuples and their lengths compared at C level, and
@@ -179,7 +183,8 @@ def rref(mat):
     Each elimination step updates only the pivot row's non-zero columns."""
     if not mat.rows or not mat.cols:
         return mat, []
-    one = mat.field.one
+    F = mat.field
+    one = F.one
     rows = [list(r) for r in mat.data]
     n, m = mat.rows, mat.cols
     pivots = []
@@ -196,7 +201,7 @@ def rref(mat):
         support = [j for j in range(c, m) if prow[j]]
         pv = prow[c]
         if pv != one:
-            inv = one / pv
+            inv = F.div(one, pv)
             for j in support:
                 prow[j] = inv * prow[j]
         for i in range(n):
@@ -207,7 +212,7 @@ def rref(mat):
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
-    return Matrix(n, m, rows, mat.field), pivots
+    return Matrix(n, m, rows, F), pivots
 
 
 def rank(mat):
@@ -328,7 +333,7 @@ class Subspace:
         if p is None:
             return False
         support = [j for j in range(p, self.dim) if v[j]]
-        inv = self.field.one / v[p]
+        inv = self.field.div(self.field.one, v[p])
         for j in support:
             v[j] = inv * v[j]
         for i, (row, rsupp) in enumerate(zip(self.rows, self._support)):

@@ -8,9 +8,12 @@ computation (kernels, images, homs) remains exact linear algebra.
 
 Modules are small and live on a few vertices, so most blocks have a zero
 side.  Such a block is never computed: ``Representation.action`` returns the
-shared ``Matrix.zero`` for it, ``free_module``, ``cokernel`` and
-``dual_module`` build nothing for it, and ``_sub_representation`` only
-checks that an image with an empty target block is zero.  A module costs its
+shared ``Matrix.zero`` for it, ``free_module``, ``cokernel``,
+``direct_sum`` and ``dual_module`` build nothing for it, and
+``_sub_representation`` only checks that an image with an empty target
+block is zero.  ``radical_spaces`` reads only ``gen_mats``, and ``socle``
+and ``submodule_generated_by`` read the generators leaving a vertex
+through ``FDAlgebra.generators_from``.  A module costs its
 support: ``Representation.gen_mats`` holds exactly the generators whose
 source and target spaces are both non-zero.  The constructor checks the
 shape of every matrix it is given, drops those with a zero side, and fills
@@ -314,18 +317,16 @@ def direct_sum(summands):
     nv = A.n_vertices
     dims = [sum(s.dims[v] for s in summands) for v in range(nv)]
     gen_mats = {}
-    for g in A.generators:
-        b = A.basis[g]
-        rows, cols = dims[b.target], dims[b.source]
-        m = [[A.field.zero] * cols for _ in range(rows)]
+    for g, v, t in _supported_generators(A, dims):
+        m = [[A.field.zero] * dims[v] for _ in range(dims[t])]
         ro = co = 0
         for s in summands:
             sm = s.action(g)
             for i, r in enumerate(sm.data):
                 m[ro + i][co:co + sm.cols] = r
-            ro += s.dims[b.target]
-            co += s.dims[b.source]
-        gen_mats[g] = Matrix(rows, cols, m, A.field)
+            ro += s.dims[t]
+            co += s.dims[v]
+        gen_mats[g] = Matrix(dims[t], dims[v], m, A.field)
     M = Representation(A, dims, gen_mats)
     incs, projs = [], []
     zero = A.field.zero
@@ -435,18 +436,25 @@ def cokernel(f: ModuleMap):
 # ---------------------------------------------------------------------------
 
 
+def radical_spaces(M):
+    """rad(M) vertex by vertex, as one ``Subspace`` of M_v per vertex v.
+
+    rad(M) is spanned by the images of the generators, and a reduced echelon
+    form depends only on the span, not on the order of its vectors, so only
+    the blocks in ``M.gen_mats`` are read."""
+    A = M.algebra
+    subs = [Subspace(d, A.field) for d in M.dims]
+    for g, m in M.gen_mats.items():
+        sub = subs[A.basis[g].target]
+        for col in m.columns():
+            sub.insert(col)
+    return subs
+
+
 def radical_submodule(M):
     """rad(M) = rad(A).M with its inclusion."""
-    A = M.algebra
-    bases = []
-    for v in range(A.n_vertices):
-        sub = Subspace(M.dims[v], A.field)
-        for g in A.generators:
-            if A.basis[g].target == v:
-                for col in M.action(g).columns():
-                    sub.insert(col)
-        bases.append([list(r) for r in sub.rows])
-    return _sub_representation(M, bases)
+    return _sub_representation(M, [[list(r) for r in sub.rows]
+                                   for sub in radical_spaces(M)])
 
 
 def top(M):
@@ -461,9 +469,8 @@ def socle(M):
     bases = []
     for v in range(A.n_vertices):
         stack = None
-        for g in A.generators:
-            if A.basis[g].source == v:
-                stack = M.action(g) if stack is None else stack.vstack(M.action(g))
+        for g in A.generators_from(v):
+            stack = M.action(g) if stack is None else stack.vstack(M.action(g))
         bases.append(unit_vectors(M.dims[v], A.field) if stack is None
                      else kernel_basis(stack))
     return _sub_representation(M, bases)
@@ -745,12 +752,11 @@ def submodule_generated_by(N, seeds):
             work.append((v, list(vec)))
     while work:
         v, vec = work.pop()
-        for g in A.generators:
-            b = A.basis[g]
-            if b.source == v:
-                img = N.action(g).apply(vec)
-                if any(img) and subs[b.target].insert(img):
-                    work.append((b.target, img))
+        for g in A.generators_from(v):
+            t = A.basis[g].target
+            img = N.action(g).apply(vec)
+            if any(img) and subs[t].insert(img):
+                work.append((t, img))
     bases = [[list(r) for r in sub.rows] for sub in subs]
     return _sub_representation(N, bases)
 

@@ -518,7 +518,7 @@ TOP_SCREEN_UNUSED = {"beilinson-2", "canonical-2-211", "preprojective-a2"}
 
 @EXACT_FIELDS
 @pytest.mark.parametrize("name", SMALL_FIXTURES)
-def test_top_screen_changes_no_resolution(name, field):
+def test_top_screen_changes_no_resolution(name, field, monkeypatch):
     A = build_algebra(fixture(name), field)
     assert A.n_vertices <= 5
     rng = random.Random(7)
@@ -526,8 +526,19 @@ def test_top_screen_changes_no_resolution(name, field):
             for v in A.vertices]
     mods += [md.random_module(A, rng) for _ in range(4)]
     screened = 0
+    real_top, topped = hm._top, []
+
+    def counting_top(X):
+        topped.append(X)
+        return real_top(X)
+
     for M in mods:
-        res = hm.minimal_resolution(M, cutoff=6)
+        topped.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(hm, "_top", counting_top)
+            res = hm.minimal_resolution(M, cutoff=6)
+        # the next cover reuses the screen's top: no module's top is taken twice
+        assert len({id(X) for X in topped}) == len(topped)
         status, period, verts, n = _resolution_by_every_dims_match(_fresh(M), 6)
         assert (res.status, res.period, res.term_vertices) == (status, period, verts)
         screened += n

@@ -2,7 +2,9 @@
 
 Matrices are small, mostly zero and drawn over Q, F_2 and F_(2^31-1).  The
 kernel tests scalars for zero by truthiness, so the scalar contract is
-checked here too.
+checked here too: over Q a scalar is an ``int`` or a ``Fraction``, never a
+float, and the field's constructors and division give an ``int`` exactly
+when the value is integral.
 """
 
 from fractions import Fraction
@@ -156,3 +158,87 @@ def test_scalars_are_falsy_exactly_at_zero(F, k):
     nonzero = k != 0 if F.characteristic == 0 else k % F.p != 0
     assert bool(F(k)) == nonzero
     assert bool(F.coerce(str(k))) == nonzero
+
+
+# -- the scalar type over Q -------------------------------------------------
+
+
+@st.composite
+def nonunit_matrices(draw, rows=None):
+    """Matrices over Q with every row scaled by an integer other than +-1, so
+    most pivots are not units of Z."""
+    M = draw(matrices(QQ, rows=rows))
+    ks = draw(st.lists(st.sampled_from([2, -2, 3, -4, 6]),
+                       min_size=M.rows, max_size=M.rows))
+    return Matrix(M.rows, M.cols, [[k * x for x in r] for k, r in zip(ks, M.data)], QQ)
+
+
+def rationals():
+    """Canonical rationals (ints when integral), +-1 included."""
+    return st.one_of(st.sampled_from([1, -1]), st.integers(-6, 6),
+                     st.fractions(-6, 6, max_denominator=6)).map(QQ.coerce)
+
+
+def assert_int_or_fraction(vectors):
+    for v in vectors:
+        for x in v:
+            assert type(x) in (int, Fraction), (type(x), x)
+
+
+@given(st.data())
+def test_rational_results_are_ints_or_fractions(data):
+    M = data.draw(nonunit_matrices())
+    R, pivots = rref(M)
+    SR, spivots = to_sympy(M).rref()
+    assert plain(R) == from_sympy(SR, QQ) and tuple(pivots) == tuple(spivots)
+    assert_int_or_fraction(R.data)
+    assert_int_or_fraction(kernel_basis(M))
+    x = solve(M, data.draw(vectors(QQ, M.rows)))
+    assert_int_or_fraction([x or []])
+    X = solve_matrix(M, data.draw(nonunit_matrices(rows=M.rows)))
+    assert_int_or_fraction(X.data if X is not None else [])
+    sub = Subspace(M.cols, QQ)
+    for r in M.data:
+        sub.insert(r)
+    assert sub.rows == [list(r) for r in R.data[:len(pivots)]]
+    assert_int_or_fraction(sub.rows)
+    for r in M.data:
+        assert_int_or_fraction([sub.coordinates(r)])
+
+
+def test_unit_pivots_keep_integer_matrices_integral():
+    M = Matrix.from_rows([[1, 2, 0, 3], [-1, -1, 1, 1], [0, 1, 1, 4]], QQ)
+    R, pivots = rref(M)
+    assert R.data == ((1, 0, -2, -5), (0, 1, 1, 4), (0, 0, 0, 0))
+    assert all(type(x) is int for r in R.data for x in r)
+    assert all(type(x) is int for v in kernel_basis(M) for x in v)
+    # a pivot of 2 leaves a remainder, and only then is there a Fraction
+    R, _ = rref(Matrix.from_rows([[2, 1], [0, 1]], QQ))
+    assert R.data == ((1, 0), (0, 1))
+    R, _ = rref(Matrix.from_rows([[2, 1]], QQ))
+    assert R.data == ((1, Fraction(1, 2)),) and type(R.data[0][1]) is Fraction
+
+
+@given(st.integers(-40, 40), st.integers(-12, 12).filter(bool))
+def test_rational_constructors_give_ints_exactly_when_integral(n, d):
+    integral = n % d == 0
+    for x in (QQ(n, d), QQ.coerce(f"{n}/{d}"), QQ.coerce(Fraction(n, d))):
+        assert x == Fraction(n, d)
+        assert type(x) is (int if integral else Fraction)
+    assert type(QQ.coerce(n)) is int and type(QQ.coerce(str(n))) is int
+    assert type(QQ.zero) is int and type(QQ.one) is int
+
+
+@given(rationals(), rationals().filter(bool))
+def test_rational_division_is_exact_and_int_exactly_when_integral(a, b):
+    q = QQ.div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is (int if q.denominator == 1 else Fraction)
+
+
+@given(st.sampled_from(FIELDS[1:]), st.integers(-50, 50), st.integers(1, 50))
+def test_prime_field_division_inverts_multiplication(F, a, b):
+    a, b = F(a), F(b)
+    if not b:
+        b = F.one
+    assert F.div(a * b, b) == a

@@ -432,3 +432,69 @@ def test_gen_mats_hold_exactly_the_supported_generators(name, field):
         assert set(M.gen_mats) == {g for g in A.generators if
                                    M.dims[A.basis[g].source] and M.dims[A.basis[g].target]}
         assert all(m.rows and m.cols for m in M.gen_mats.values())
+
+
+def _block_sum_by_definition(summands, g):
+    """The block-diagonal matrix of generator g on the direct sum, built
+    entry by entry from every summand's action."""
+    A = summands[0].algebra
+    b = A.basis[g]
+    rows = sum(s.dims[b.target] for s in summands)
+    cols = sum(s.dims[b.source] for s in summands)
+    out = [[A.field.zero] * cols for _ in range(rows)]
+    ro = co = 0
+    for s in summands:
+        m = s.action(g)
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[ro + i][co + j] = m.data[i][j]
+        ro, co = ro + m.rows, co + m.cols
+    return Matrix(rows, cols, out, A.field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_direct_sum_blocks_inclusions_and_projections(name, field):
+    A = build_algebra(fixture(name), field)
+    rng = random.Random(17)
+    first, last = A.vertices[0], A.vertices[-1]
+    lists = [[md.simple_module(A, first)],
+             [md.simple_module(A, first), md.simple_module(A, last)],
+             [md.projective_module(A, last), md.injective_module(A, first),
+              md.simple_module(A, last)],
+             [md.random_module(A, rng), md.zero_module(A), md.random_module(A, rng)]]
+    for summands in lists:
+        M, incs, projs = md.direct_sum(summands)
+        assert M.dims == tuple(map(sum, zip(*(s.dims for s in summands))))
+        assert set(M.gen_mats) == {g for g in A.generators if
+                                   M.dims[A.basis[g].source] and M.dims[A.basis[g].target]}
+        for g in A.generators:
+            assert M.action(g) == _block_sum_by_definition(summands, g)
+        assert M.validate(full=True)
+        offset = [0] * A.n_vertices
+        for s, inc, prj in zip(summands, incs, projs):
+            assert inc.source is s and inc.target is M
+            assert prj.source is M and prj.target is s
+            for v in range(A.n_vertices):
+                want = [[field.one if i == offset[v] + k else field.zero
+                         for k in range(s.dims[v])] for i in range(M.dims[v])]
+                assert inc.mats[v] == Matrix(M.dims[v], s.dims[v], want, field)
+                assert prj.mats[v] == inc.mats[v].transpose()
+                offset[v] += s.dims[v]
+            assert inc.intertwines() and prj.intertwines()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_socle_is_the_common_kernel_of_the_arrows(name, field):
+    A = build_algebra(fixture(name), field)
+    rng = random.Random(19)
+    for M in (md.regular_module(A), md.random_module(A, rng), md.random_module(A, rng)):
+        S, inc = md.socle(M)
+        assert inc.intertwines() and inc.rank() == S.total_dim
+        for v in range(A.n_vertices):
+            leaving = [g for g in A.generators if A.basis[g].source == v]
+            rows = [r for g in leaving for r in M.action(g).data]
+            assert S.dims[v] == M.dims[v] - rank(Matrix(len(rows), M.dims[v], rows, field))
+            for g in leaving:
+                assert (M.action(g) * inc.mats[v]).is_zero()
