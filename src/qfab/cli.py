@@ -1,9 +1,9 @@
 """The qfab command line.
 
 Commands: build, analyze, fabric, nakayama, resolve.  Exit codes: 0 success,
-1 verification failure, 2 input error.  Every report records the seed,
-cutoff and field that produced it, so re-running with those knobs reproduces
-the bytes.
+1 verification failure, 2 input error.  Every report records the cutoff and
+field that produced it.  No answer depends on anything else, so re-running
+with those knobs reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -59,19 +59,16 @@ def cmd_analyze(args):
     A = build_algebra(pres, field)
     doc = ReportDocument(f"analyze {pres.name or args.file}")
     doc.add("field", field.name)
-    doc.add("seed", args.seed)
     doc.add("cutoff", args.cutoff)
     doc.add("dimension", A.dim)
-    g, idim, pdim = hm.gorenstein_dimension(A, cutoff=args.cutoff,
-                                            seed=args.seed)
+    g, idim, pdim = hm.gorenstein_dimension(A, cutoff=args.cutoff)
     doc.add("inj.dim(A)", idim)
     doc.add("proj.dim(DA)", pdim)
     doc.add("Gorenstein-dimension", g)
-    doc.add("dominant-dimension",
-            hm.dominant_dimension(A, cutoff=args.cutoff, seed=args.seed))
+    doc.add("dominant-dimension", hm.dominant_dimension(A, cutoff=args.cutoff))
     # A is self-injective exactly when inj.dim(A) = 0, for any cutoff >= 0
     doc.add("self-injective", idim == 0)
-    gl = hm.global_dimension(A, cutoff=args.cutoff, seed=args.seed)
+    gl = hm.global_dimension(A, cutoff=args.cutoff)
     doc.add("global-dimension", gl)
     sys.stdout.write(doc.render())
     return 0
@@ -82,10 +79,9 @@ def cmd_fabric(args):
     A = build_algebra(pres, field)
     F = _vertex_list(A, "--f", args.f)
     h = _vertex_list(A, "--h", args.h) if args.h else None
-    report = fb.analyze_fabric(A, F, cutoff=args.cutoff, seed=args.seed, h=h)
+    report = fb.analyze_fabric(A, F, cutoff=args.cutoff, h=h)
     doc = ReportDocument(f"fabric {pres.name or args.file}")
     doc.add("field", field.name)
-    doc.add("seed", args.seed)
     doc.add("cutoff", args.cutoff)
     doc.add("f", ",".join(report.f))
     doc.add("combinatorial-verdict", report.combinatorial.get("verdict"))
@@ -100,8 +96,7 @@ def cmd_fabric(args):
             doc.add(f"fab.dim P_{v}", d, indent=1)
         doc.add("fab.dim", report.fab_dim)
         try:
-            T, ttr = fb.special_tilting_module(A, F, report.e,
-                                               cutoff=args.cutoff, seed=args.seed)
+            T, ttr = fb.special_tilting_module(A, F, report.e, cutoff=args.cutoff)
             doc.add("tilting-module", "verified")
             doc.add("tilting-proj-dim", ttr["proj_dim"], indent=1)
             doc.add("tilting-ext1", ttr["ext1"], indent=1)
@@ -143,15 +138,13 @@ def cmd_nakayama(args):
         sys.stderr.write(f"invalid Kupisch series: {exc}\n")
         return 2
     doc = ReportDocument(f"nakayama n={args.n} l={series!r}")
-    doc.add("seed", args.seed)
     doc.add("cutoff", args.cutoff)
     A, pres = nk.higher_nakayama(args.n, series)
     doc.add("vertices", _label_list(A.vertices))
     doc.add("dimension", A.dim)
     doc.add("self-injective", hm.is_self_injective(A))
     if args.reduce:
-        trace = nk.reduce_to_selfinjective(args.n, series, cutoff=args.cutoff,
-                                           seed=args.seed)
+        trace = nk.reduce_to_selfinjective(args.n, series, cutoff=args.cutoff)
         doc.section("reduction")
         doc.add("status", trace.status, indent=1)
         doc.add("series-history", [str(s) for s in trace.series_history], indent=1)
@@ -181,10 +174,9 @@ def cmd_resolve(args):
         sys.stderr.write(f"{exc}\n")
         return 2
     direction = "injective" if args.injective else "projective"
-    res = hm.minimal_resolution(M, direction, cutoff=args.steps, seed=args.seed)
+    res = hm.minimal_resolution(M, direction, cutoff=args.steps)
     doc = ReportDocument(f"resolve {kind}:{v} over {pres.name or args.file}")
     doc.add("field", field.name)
-    doc.add("seed", args.seed)
     doc.add("direction", direction)
     doc.add("steps", args.steps)
     doc.add("status", res.status)
@@ -210,7 +202,6 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, field_flag=True):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cutoff", type=int, default=12)
         if field_flag:
             p.add_argument("--field", default=None, help="Q or F<p>")

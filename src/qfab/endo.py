@@ -44,7 +44,7 @@ class EndoData:
         return f
 
 
-def endomorphism_algebra(summands, seed=0):
+def endomorphism_algebra(summands):
     """End(M_1 + ... + M_t)^op as a bound quiver algebra.
 
     Raises SummandsNotDistinct / SummandDecomposable when the input is not a
@@ -61,8 +61,7 @@ def endomorphism_algebra(summands, seed=0):
         if not md.is_indecomposable(summands[i]):
             raise SummandDecomposable(f"summand {i} is decomposable")
         for j in range(i + 1, t):
-            if summands[i].dims == summands[j].dims and \
-                    md.is_isomorphic(summands[i], summands[j], seed=seed):
+            if md.is_isomorphic(summands[i], summands[j]):
                 raise SummandsNotDistinct(f"summands {i} and {j} are isomorphic")
 
     field = A.field

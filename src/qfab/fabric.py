@@ -14,6 +14,7 @@ companion directly.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (ConditionFailed, NoCompanionFound, ProjDimTooBig,
@@ -82,7 +83,7 @@ def _classes_relation(c1, c2, field):
     return "different"
 
 
-def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
+def check_fabric_combinatorial(A, F, cutoff=12):
     """Quiver-level fabric test.  Returns (e, transcript) on success.
 
     Precondition: proj.dim of A/<f> over A is at most 1 (ProjDimTooBig
@@ -93,7 +94,7 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
     Fset = set(F)
     transcript = {"near_misses": [], "conditions": {}}
 
-    pd = _quotient_proj_dim(A, F, cutoff=cutoff, seed=seed)
+    pd = _quotient_proj_dim(A, F, cutoff=cutoff)
     transcript["proj_dim_quotient"] = pd
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
@@ -171,12 +172,12 @@ def check_fabric_combinatorial(A, F, cutoff=12, seed=0):
     return e, transcript
 
 
-def _quotient_proj_dim(A, F, cutoff=12, seed=0):
+def _quotient_proj_dim(A, F, cutoff=12):
     Abar = quotient_by_idempotent_ideal(A, F)
     if Abar.is_zero():
         return DimValue.finite(0)
     Mf = md.inflate_from_quotient(md.regular_module(Abar), A)
-    return hm.proj_dim(Mf, cutoff=cutoff, seed=seed)
+    return hm.proj_dim(Mf, cutoff=cutoff)
 
 
 def _holds_over_quotient(A, M, E, test):
@@ -200,7 +201,7 @@ def _companion_valid(A, F, E, taus):
     return True
 
 
-def check_fabric_definitional(A, F, seed=0, cutoff=12):
+def check_fabric_definitional(A, F, cutoff=12):
     """Definitional fabric test: compute the AR translates of the projective
     A/<f>-modules and search for a companion e.
 
@@ -209,7 +210,7 @@ def check_fabric_definitional(A, F, seed=0, cutoff=12):
     ``EXHAUSTIVE_COMPANION_LIMIT`` vertices), pruned by the supports of the
     translates.
     """
-    pd = _quotient_proj_dim(A, F, cutoff=cutoff, seed=seed)
+    pd = _quotient_proj_dim(A, F, cutoff=cutoff)
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
     projs = _quotient_modules(A, F, md.projective_module)
@@ -232,7 +233,7 @@ def check_fabric_definitional(A, F, seed=0, cutoff=12):
     raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")
 
 
-def fabric_dimension(A, F, cutoff=12, seed=0):
+def fabric_dimension(A, F, cutoff=12):
     """Per-projective fabric dimensions and their supremum.
 
     For each indecomposable projective P of A/<f>: the least n >= 1 with
@@ -244,7 +245,7 @@ def fabric_dimension(A, F, cutoff=12, seed=0):
     chains = []
     for w in A.vertices:
         I = md.injective_module(A, w)
-        res = hm.minimal_resolution(I, "projective", cutoff=cutoff, seed=seed)
+        res = hm.minimal_resolution(I, "projective", cutoff=cutoff)
         chains.append((w, res))
     per = {}
     for v, P in projs.items():
@@ -254,7 +255,7 @@ def fabric_dimension(A, F, cutoff=12, seed=0):
             limit = len(res.syzygies)
             for n in range(1, limit):
                 S = res.syzygies[n]
-                if S.dims == P.dims and md.is_isomorphic(S, P, seed=seed):
+                if S.dims == P.dims and md.is_isomorphic(S, P):
                     if best is None or n < best:
                         best = n
                     break
@@ -273,18 +274,18 @@ def fabric_dimension(A, F, cutoff=12, seed=0):
     return per, sup
 
 
-def analyze_fabric(A, F, cutoff=12, seed=0, h=None):
+def analyze_fabric(A, F, cutoff=12, h=None):
     """Full fabric analysis: both detectors, companion, fabric dimensions."""
     report = FabricReport(f=tuple(sorted(F)), e=None)
     comb_e = None
     try:
-        comb_e, tr = check_fabric_combinatorial(A, F, cutoff=cutoff, seed=seed)
+        comb_e, tr = check_fabric_combinatorial(A, F, cutoff=cutoff)
         report.combinatorial = {"verdict": True, "e": tuple(sorted(comb_e)),
                                 "transcript": tr}
     except (ProjDimTooBig, ConditionFailed) as exc:
         report.combinatorial = {"verdict": False, "reason": str(exc)}
     try:
-        def_e, tr = check_fabric_definitional(A, F, seed=seed, cutoff=cutoff)
+        def_e, tr = check_fabric_definitional(A, F, cutoff=cutoff)
         report.definitional = {"verdict": True, "e": tuple(sorted(def_e)),
                                "transcript": {k: v for k, v in tr.items()
                                               if k != "tau_dims"}}
@@ -292,22 +293,22 @@ def analyze_fabric(A, F, cutoff=12, seed=0, h=None):
     except (ProjDimTooBig, NoCompanionFound) as exc:
         report.definitional = {"verdict": False, "reason": str(exc)}
     if report.e is not None:
-        per, sup = fabric_dimension(A, F, cutoff=cutoff, seed=seed)
+        per, sup = fabric_dimension(A, F, cutoff=cutoff)
         report.per_projective = per
         report.fab_dim = sup
         if h is not None:
             report.h = tuple(sorted(h))
-            report.h_level = minimal_gen_level(A, h, cutoff=cutoff, seed=seed)
+            report.h_level = minimal_gen_level(A, h, cutoff=cutoff)
     return report
 
 
-def cofabric_check(A, F, seed=0, cutoff=12):
+def cofabric_check(A, F, cutoff=12):
     """f is cofabric for A iff it is fabric for the opposite algebra."""
-    return check_fabric_definitional(A.opposite(), F, seed=seed, cutoff=cutoff)
+    return check_fabric_definitional(A.opposite(), F, cutoff=cutoff)
 
 
-def cofabric_dimension(A, F, cutoff=12, seed=0):
-    return fabric_dimension(A.opposite(), F, cutoff=cutoff, seed=seed)
+def cofabric_dimension(A, F, cutoff=12):
+    return fabric_dimension(A.opposite(), F, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ def cofabric_dimension(A, F, cutoff=12, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def special_tilting_module(A, F, E, cutoff=12, seed=0):
+def special_tilting_module(A, F, E, cutoff=12):
     """T = Ae + A/<f>, with the three tilting axioms verified.
 
     Returns (T, transcript).  Verification failures raise VerificationFailed
@@ -330,12 +331,12 @@ def special_tilting_module(A, F, E, cutoff=12, seed=0):
     T, _, _ = md.direct_sum(summands)
     transcript = {}
 
-    pd = hm.proj_dim(T, cutoff=cutoff, seed=seed)
+    pd = hm.proj_dim(T, cutoff=cutoff)
     transcript["proj_dim"] = pd
     if not pd.le(1):
         raise VerificationFailed(f"proj.dim(T) = {pd}")
 
-    ext1 = hm.ext_dim(T, T, 1, seed=seed)
+    ext1 = hm.ext_dim(T, T, 1)
     transcript["ext1"] = ext1
     if ext1 != 0:
         raise VerificationFailed(f"Ext^1(T, T) = {ext1} != 0")
@@ -355,7 +356,7 @@ def special_tilting_module(A, F, E, cutoff=12, seed=0):
             if v in used:
                 continue
             K = kernels[v]
-            if K.dims == Pw.dims and md.is_isomorphic(K, Pw, seed=seed):
+            if K.dims == Pw.dims and md.is_isomorphic(K, Pw):
                 found = v
                 break
         if found is None:
@@ -377,7 +378,7 @@ def special_tilting_module(A, F, E, cutoff=12, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def singular_reduction(A, F, cutoff=12, seed=0):
+def singular_reduction(A, F, cutoff=12):
     """Corner fAf with the two finiteness certificates.
 
     Checks gl.dim(A/<f>) < infinity and proj.dim over fAf of fA < infinity;
@@ -387,7 +388,7 @@ def singular_reduction(A, F, cutoff=12, seed=0):
     if Abar.is_zero():
         cert["quotient_gl_dim"] = DimValue.finite(0)
     else:
-        g = hm.global_dimension(Abar, cutoff=cutoff, seed=seed)
+        g = hm.global_dimension(Abar, cutoff=cutoff)
         cert["quotient_gl_dim"] = g
         if g.kind == "infinite":
             raise InfiniteQuotientGlobalDimension(
@@ -396,7 +397,7 @@ def singular_reduction(A, F, cutoff=12, seed=0):
             raise QfabError(f"gl.dim(A/<f>) undecided below cutoff {cutoff}")
     C = corner(A, F)
     fA = md.restrict_to_corner(md.regular_module(A), C)
-    pdim = hm.proj_dim(fA, cutoff=cutoff, seed=seed)
+    pdim = hm.proj_dim(fA, cutoff=cutoff)
     cert["corner_proj_dim_fA"] = pdim
     if pdim.kind == "infinite":
         raise CornerProjDimUnbounded(f"proj.dim_fAf(fA) certified infinite")
@@ -411,10 +412,10 @@ def singular_reduction(A, F, cutoff=12, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def minimal_gen_level(A, H, cutoff=12, seed=0):
+def minimal_gen_level(A, H, cutoff=12):
     """Least m with DA in gen_m(Ah), or None."""
     DA = hm.dual_regular(A)
-    res = hm.minimal_resolution(DA, "projective", cutoff=cutoff, seed=seed)
+    res = hm.minimal_resolution(DA, "projective", cutoff=cutoff)
     Hset = set(H)
     best = None
     for i, verts in enumerate(res.term_vertices):
@@ -431,11 +432,10 @@ def minimal_gen_level(A, H, cutoff=12, seed=0):
     return best
 
 
-def sample_gorenstein_injectives(A, gor_n, budget=20, seed=0):
+def sample_gorenstein_injectives(A, gor_n, budget=20):
     """Deterministic GI sample: injectives, n-th cosyzygies of simples, then
-    n-th cosyzygies of seeded random modules."""
-    import random as _random
-    rng = _random.Random(seed)
+    n-th cosyzygies of random modules drawn from the fixed stream 0."""
+    rng = random.Random(0)
     out = []
     for v in A.vertices:
         out.append((f"I_{v}", md.injective_module(A, v)))
@@ -449,36 +449,35 @@ def sample_gorenstein_injectives(A, gor_n, budget=20, seed=0):
     return out[:budget]
 
 
-def verify_generator_switching(A, F, E, H=None, sample_budget=20, seed=0,
-                               cutoff=24, gor_n=None):
+def verify_generator_switching(A, F, E, H=None, sample_budget=20, cutoff=24,
+                               gor_n=None):
     """Check the two resolution-generator memberships on a GI sample.
 
     For every sampled Gorenstein injective M: M lies in gen_m(Ah) where m is
     the least level with DA in gen_m(Ah); and for every simple and sampled
-    module X: the gor_n-th syzygy of X lies in gen_inf(Af).
+    module X (random ones from stream 1): its gor_n-th syzygy is in gen_inf(Af).
     """
-    import random as _random
     if gor_n is None:
-        gor_n = hm.certify_gorenstein(A, cutoff=cutoff, seed=seed)
+        gor_n = hm.certify_gorenstein(A, cutoff=cutoff)
     H = tuple(sorted(H)) if H is not None else tuple(sorted(E))
     report = {"gor_dim": gor_n, "h": H, "samples": [], "syzygy_samples": [],
               "violations": []}
-    m = minimal_gen_level(A, H, cutoff=cutoff, seed=seed)
+    m = minimal_gen_level(A, H, cutoff=cutoff)
     report["h_level"] = m
     if gor_n == 0:
         report["note"] = "self-injective: memberships are vacuous"
         return report
     if m is not None and m != "inf":
-        for name, M in sample_gorenstein_injectives(A, gor_n, sample_budget, seed):
-            ok = hm.is_gorenstein_injective(M, gor_n, seed=seed)
+        for name, M in sample_gorenstein_injectives(A, gor_n, sample_budget):
+            ok = hm.is_gorenstein_injective(M, gor_n)
             if M.total_dim == 0:
                 report["samples"].append((name, True, "zero"))
                 continue
-            rep = hm.gen_membership(M, H, m, cutoff=cutoff, seed=seed)
+            rep = hm.gen_membership(M, H, m, cutoff=cutoff)
             report["samples"].append((name, rep.verdict, "GI" if ok else "not-GI"))
             if ok and not rep.verdict:
                 report["violations"].append((name, "gen_m(Ah)"))
-    rng = _random.Random(seed + 1)
+    rng = random.Random(1)
     xs = [(f"S_{v}", md.simple_module(A, v)) for v in A.vertices]
     while len(xs) < sample_budget:
         xs.append((f"rand{len(xs)}", md.random_module(A, rng, max_total_dim=8)))
@@ -487,7 +486,7 @@ def verify_generator_switching(A, F, E, H=None, sample_budget=20, seed=0,
         if W.total_dim == 0:
             report["syzygy_samples"].append((name, True, "zero"))
             continue
-        rep = hm.gen_membership(W, F, "inf", cutoff=cutoff, seed=seed)
+        rep = hm.gen_membership(W, F, "inf", cutoff=cutoff)
         report["syzygy_samples"].append((name, rep.verdict, ""))
         if not rep.verdict:
             report["violations"].append((name, "gen_inf(Af)"))

@@ -22,9 +22,9 @@ its first two terms and differential on the resolved module
 (``Representation.presentation``), so the transpose, tau and nu after a
 resolution take no cover and no kernel; the record holds only the
 resolution's own terms, never the module.  Periodicity is screened by tops:
-a syzygy goes to the randomized ``is_isomorphic`` only when its dimension
-vector and its top (``_top``) match those of an earlier syzygy, and the
-next cover reuses the top the screen computed.
+a syzygy goes to ``is_isomorphic`` only when its dimension vector and its
+top (``_top``) match those of an earlier syzygy, and the next cover reuses
+the top the screen computed.  A period it misses leaves ``>=cutoff``.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
@@ -246,7 +246,7 @@ def _resolution_step(res, top=None):
         res.syzygies[0].presentation = (verts, [], None)
 
 
-def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
+def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
     """Minimal projective resolution or injective coresolution up to cutoff.
 
     Stops early on termination (zero syzygy) or certified periodicity (a
@@ -254,9 +254,10 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
     modules have equal dimension vectors and equal tops, and the top of
     syzygy j lists the vertices ``term_vertices[j]``; only a syzygy that
     matches an earlier one in both is tested with ``is_isomorphic``.
+    ``seed`` is not read: the benchmark's ``queries`` workload passes it.
     """
     if direction == "injective":
-        res = minimal_resolution(dual_module(M), "projective", cutoff, seed)
+        res = minimal_resolution(dual_module(M), "projective", cutoff)
         return Resolution(M, "injective", [dual_module(t) for t in res.terms],
                           [dual_map(d) for d in res.diffs], res.term_vertices,
                           [dual_module(s) for s in res.syzygies], res.status,
@@ -279,7 +280,7 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=0):
                 top_verts = [M.algebra.vertices[v] for v, _ in top]
             if top_verts != res.term_vertices[j]:
                 continue
-            cert = is_isomorphic(res.syzygies[j], cur, seed=seed)
+            cert = is_isomorphic(res.syzygies[j], cur)
             if cert:
                 res.status = "periodic"
                 res.period = (j, len(res.syzygies) - 1 - j)
@@ -358,11 +359,12 @@ def _hom_complex_matrix(verts_prev, verts_next, d, N):
     return Matrix(rows, cols, out, A.field)
 
 
-def ext_dim(M, N, i, resolution=None, seed=0):
-    """dim Ext^i(M, N) from a minimal projective resolution of M."""
+def ext_dim(M, N, i, resolution=None, seed=None):
+    """dim Ext^i(M, N) from a minimal projective resolution of M.  ``seed``
+    is not read: the benchmark's ``queries`` workload passes it."""
     if i < 0:
         raise QfabError("ext degree must be >= 0")
-    res = resolution or minimal_resolution(M, "projective", cutoff=i + 1, seed=seed)
+    res = resolution or minimal_resolution(M, "projective", cutoff=i + 1)
     return _ext_from_resolution(res, N, i)
 
 
@@ -396,8 +398,8 @@ def _ext_from_resolution(res, N, i):
     return dim_i - rank_in - rank_out
 
 
-def ext_vanishes_upto(M, N, n, resolution=None, seed=0):
-    res = resolution or minimal_resolution(M, "projective", cutoff=n + 1, seed=seed)
+def ext_vanishes_upto(M, N, n, resolution=None):
+    res = resolution or minimal_resolution(M, "projective", cutoff=n + 1)
     for i in range(1, n + 1):
         if _ext_from_resolution(res, N, i) != 0:
             return False
@@ -409,8 +411,8 @@ def ext_vanishes_upto(M, N, n, resolution=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def proj_dim(M, cutoff=12, seed=0):
-    res = minimal_resolution(M, "projective", cutoff=cutoff, seed=seed)
+def proj_dim(M, cutoff=12):
+    res = minimal_resolution(M, "projective", cutoff=cutoff)
     if res.status == "terminated":
         return DimValue.finite(max(len(res.terms) - 1, 0))
     if res.status == "periodic":
@@ -418,15 +420,15 @@ def proj_dim(M, cutoff=12, seed=0):
     return DimValue.at_least(cutoff)
 
 
-def inj_dim(M, cutoff=12, seed=0):
-    return proj_dim(dual_module(M), cutoff=cutoff, seed=seed)
+def inj_dim(M, cutoff=12):
+    return proj_dim(dual_module(M), cutoff=cutoff)
 
 
-def global_dimension(A, cutoff=12, seed=0):
+def global_dimension(A, cutoff=12):
     """gl.dim via proj.dim of all simples."""
     out = DimValue.finite(0)
     for v in A.vertices:
-        out = dim_max(out, proj_dim(simple_module(A, v), cutoff=cutoff, seed=seed))
+        out = dim_max(out, proj_dim(simple_module(A, v), cutoff=cutoff))
         if out.kind == "infinite":
             return out
     return out
@@ -453,10 +455,10 @@ def _cache(A):
     return A._homology_cache
 
 
-def gorenstein_dimension(A, cutoff=12, seed=0):
+def gorenstein_dimension(A, cutoff=12):
     """(Gor.dim, inj.dim _AA, proj.dim DA); 0 iff self-injective."""
-    idim = inj_dim(regular_left(A), cutoff=cutoff, seed=seed)
-    pdim = proj_dim(dual_regular(A), cutoff=cutoff, seed=seed)
+    idim = inj_dim(regular_left(A), cutoff=cutoff)
+    pdim = proj_dim(dual_regular(A), cutoff=cutoff)
     return dim_max(idim, pdim), idim, pdim
 
 
@@ -470,13 +472,13 @@ def is_injective_module(M):
     return is_projective_module(dual_module(M))
 
 
-def dominant_dimension(A, cutoff=12, seed=0):
+def dominant_dimension(A, cutoff=12):
     """Number of leading projective-injective terms in the minimal injective
     coresolution of the regular module.
 
     Term i is the sum of I_v over ``term_vertices[i]``, so it is projective
     exactly when each of those I_v is; each vertex is tested once."""
-    res = minimal_resolution(regular_left(A), "injective", cutoff=cutoff, seed=seed)
+    res = minimal_resolution(regular_left(A), "injective", cutoff=cutoff)
     projective = {}
     for i, verts in enumerate(res.term_vertices):
         for v in verts:
@@ -547,7 +549,7 @@ def _dual_presentation_map(A, verts0, verts1, d):
     return ModuleMap(H0, H1, f_mats)
 
 
-def ar_translate(M, seed=0):
+def ar_translate(M, seed=None):
     """tau = D Tr from a minimal presentation; zero on projectives.
 
     The transpose is deterministic, so ``seed`` is not read; it stays because
@@ -572,9 +574,9 @@ def nakayama_functor(M):
 # ---------------------------------------------------------------------------
 
 
-def certify_gorenstein(A, cutoff=12, seed=0):
+def certify_gorenstein(A, cutoff=12):
     """Return Gor.dim as an int, or raise NotGorensteinCertified."""
-    g, idim, pdim = gorenstein_dimension(A, cutoff=cutoff, seed=seed)
+    g, idim, pdim = gorenstein_dimension(A, cutoff=cutoff)
     if not g.is_finite:
         raise NotGorensteinCertified(
             f"Gorenstein dimension not certified below {cutoff}: "
@@ -582,30 +584,30 @@ def certify_gorenstein(A, cutoff=12, seed=0):
     return g.value
 
 
-def is_gorenstein_projective(M, gor_n, seed=0, cross_check=False):
+def is_gorenstein_projective(M, gor_n, cross_check=False):
     """Ext^i(M, A) = 0 for 1 <= i <= Gor.dim; optional syzygy cross-check."""
     A = M.algebra
-    ok = ext_vanishes_upto(M, regular_left(A), gor_n, seed=seed) if gor_n else True
+    ok = ext_vanishes_upto(M, regular_left(A), gor_n) if gor_n else True
     if not cross_check:
         return ok
     corro = None
     if ok and gor_n:
         X = cosyzygy(M, gor_n)
         Y = syzygy(X, gor_n)
-        corro = bool(is_isomorphic(Y, M, seed=seed))
+        corro = bool(is_isomorphic(Y, M))
     return ok, corro
 
 
-def is_gorenstein_injective(M, gor_n, seed=0):
+def is_gorenstein_injective(M, gor_n):
     """Ext^i(DA, M) = 0 for 1 <= i <= Gor.dim."""
     A = M.algebra
     if gor_n == 0:
         return True
     cache = _cache(A)
-    key = ("DA-res", gor_n + 1, seed)
+    key = ("DA-res", gor_n + 1)
     if key not in cache:
         cache[key] = minimal_resolution(dual_regular(A), "projective",
-                                        cutoff=gor_n + 1, seed=seed)
+                                        cutoff=gor_n + 1)
     res = cache[key]
     for i in range(1, gor_n + 1):
         if _ext_from_resolution(res, M, i) != 0:
@@ -640,7 +642,7 @@ def _resolution_closure_bound(res):
     return None
 
 
-def gen_membership(M, e_vertices, level, cutoff=20, seed=0):
+def gen_membership(M, e_vertices, level, cutoff=20):
     """Is M in gen_level(Ae)?  Runs both characterisations and cross-checks:
 
     * resolution method: the first level+1 minimal-resolution terms lie in
@@ -650,7 +652,7 @@ def gen_membership(M, e_vertices, level, cutoff=20, seed=0):
     """
     A = M.algebra
     eset = set(e_vertices)
-    res = minimal_resolution(M, "projective", cutoff=cutoff, seed=seed)
+    res = minimal_resolution(M, "projective", cutoff=cutoff)
     bound = _resolution_closure_bound(res)
     if level == "inf":
         if bound is None:
@@ -702,12 +704,11 @@ def gen_membership(M, e_vertices, level, cutoff=20, seed=0):
                                method_a, method_b)
 
 
-def cogen_membership(M, e_vertices, level, cutoff=20, seed=0):
+def cogen_membership(M, e_vertices, level, cutoff=20):
     """Is M in cogen_level(eA)?  By duality: is D(M) in gen_level(A^op e)?
 
     The Ext method of that test checks Ext^i(D(M), D(X)) = Ext^i(X, M) = 0
     for the projective A/<e>-modules X.  The report names M itself."""
-    rep = gen_membership(dual_module(M), e_vertices, level, cutoff=cutoff,
-                         seed=seed)
+    rep = gen_membership(dual_module(M), e_vertices, level, cutoff=cutoff)
     rep.module = M
     return rep

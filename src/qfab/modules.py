@@ -11,9 +11,10 @@ side.  Such a block is never computed: ``Representation.action`` returns the
 shared ``Matrix.zero`` for it, ``free_module``, ``cokernel``,
 ``direct_sum`` and ``dual_module`` build nothing for it, and
 ``_sub_representation`` only checks that an image with an empty target
-block is zero.  ``radical_spaces`` reads only ``gen_mats``, and ``socle``
-and ``submodule_generated_by`` read the generators leaving a vertex
-through ``FDAlgebra.generators_from``.  A module costs its
+block is zero.  ``radical_spaces`` reads only ``gen_mats``, and ``socle``,
+``submodule_generated_by``, ``hom_space``, ``restrict_to_corner`` and
+``inflate_from_quotient`` read only the generators leaving a non-zero
+vertex, through ``FDAlgebra.generators_from``.  A module costs its
 support: ``Representation.gen_mats`` holds exactly the generators whose
 source and target spaces are both non-zero.  The constructor checks the
 shape of every matrix it is given, drops those with a zero side, and fills
@@ -24,6 +25,7 @@ in a shared zero for a supported generator left out.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .linalg import (Matrix, from_columns, kernel_basis, rank, solve,
@@ -31,11 +33,11 @@ from .linalg import (Matrix, from_columns, kernel_basis, rank, solve,
 from .errors import (AlgebraMismatch, QfabError, DimensionMismatch,
                      NotQuotientModule)
 
-# Random combinations is_isomorphic tries before it answers no, the largest
-# grid is_isomorphic_exhaustive walks, and the draws random_module makes
-# before it falls back to a simple module.
+# Random combinations is_isomorphic draws when no exact step decides, the
+# largest grid of Hom coefficients it or is_isomorphic_exhaustive walks, and
+# the draws random_module makes before it falls back to a simple module.
 ISO_TRIALS = 2
-EXHAUSTIVE_ISO_LIMIT = 10 ** 7
+ISO_GRID_LIMIT = 2 ** 12
 RANDOM_MODULE_ATTEMPTS = 40
 
 
@@ -502,7 +504,8 @@ def _restrict(M, B, role):
     came from."""
     keep = _reduction(M.algebra, B, role).keep[role]
     dims = [M.dims[M.algebra.vertex_pos[v]] for v in B.vertices]
-    return Representation(B, dims, {g: M.action(keep[g]) for g in B.generators})
+    return Representation(B, dims, {g: M.action(keep[g])
+                                    for g, _, _ in _supported_generators(B, dims)})
 
 
 def _reduction(A, B, role):
@@ -528,7 +531,7 @@ def inflate_from_quotient(M, A):
     dims = [M.dims[Abar.vertex_pos[v]] if v in Abar.vertex_pos else 0
             for v in A.vertices]
     gen_mats = {}
-    for g in A.generators:
+    for g, _, _ in _supported_generators(A, dims):
         # a non-zero class in A/<e> keeps g's endpoints, so the shapes agree;
         # a generator in <e> is left out and acts as zero
         m = _combination(((c, M.action(k)) for k, c in
@@ -553,38 +556,37 @@ def hom_space(M, N):
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     A = M.algebra
-    nv = A.n_vertices
-    offs = []
-    total = 0
-    for v in range(nv):
-        offs.append(total)
-        total += N.dims[v] * M.dims[v]
+    # phi is a vector: vertex by vertex, each N.dims[v] x M.dims[v] block by rows
+    offs = list(itertools.accumulate((n * m for n, m in zip(N.dims, M.dims)), initial=0))
+    total = offs.pop()
     if total == 0:
         return []
     rows = []
     zero = A.field.zero
-    for g in A.generators:
-        b = A.basis[g]
-        s, t = b.source, b.target
-        mg = M.action(g)
-        ng = N.action(g)
-        # phi_t * M(g) - N(g) * phi_s = 0, entry (i, j): i < N.dims[t], j < M.dims[s]
-        for i in range(N.dims[t]):
-            for j in range(M.dims[s]):
-                row = [zero] * total
-                for k in range(M.dims[t]):
-                    if mg.data[k][j]:
-                        row[offs[t] + i * M.dims[t] + k] += mg.data[k][j]
-                for k in range(N.dims[s]):
-                    if ng.data[i][k]:
-                        row[offs[s] + k * M.dims[s] + j] -= ng.data[i][k]
-                if any(row):
-                    rows.append(row)
+    # phi_t M(g) = N(g) phi_s for g: s -> t, entry (i, j): i < N.dims[t], j < M.dims[s]
+    for s, d in enumerate(M.dims):
+        if not d:
+            continue
+        for g in A.generators_from(s):
+            t = A.basis[g].target
+            mg = M.action(g)
+            ng = N.action(g)
+            for i in range(N.dims[t]):
+                for j in range(M.dims[s]):
+                    row = [zero] * total
+                    for k in range(M.dims[t]):
+                        if mg.data[k][j]:
+                            row[offs[t] + i * M.dims[t] + k] += mg.data[k][j]
+                    for k in range(N.dims[s]):
+                        if ng.data[i][k]:
+                            row[offs[s] + k * M.dims[s] + j] -= ng.data[i][k]
+                    if any(row):
+                        rows.append(row)
     basis_vecs = kernel_basis(Matrix(len(rows), total, rows, A.field))
     out = []
     for vec in basis_vecs:
         mats = []
-        for v in range(nv):
+        for v in range(A.n_vertices):
             m = [[vec[offs[v] + i * M.dims[v] + j] for j in range(M.dims[v])]
                  for i in range(N.dims[v])]
             mats.append(Matrix(N.dims[v], M.dims[v], m, A.field))
@@ -597,23 +599,29 @@ def hom_dim(M, N):
 
 
 class IsoCertificate:
-    def __init__(self, verdict, witness=None, trials=None, reason=""):
+    def __init__(self, verdict, witness=None, reason=""):
         self.verdict = verdict
         self.witness = witness
-        self.trials = trials
         self.reason = reason
 
     def __bool__(self):
         return self.verdict
 
 
-def is_isomorphic(M, N, seed=0):
-    """Randomized isomorphism test with certificate.
+def is_isomorphic(M, N):
+    """Is M isomorphic to N?  A yes has an isomorphism as ``witness``, a no
+    a ``reason`` naming the step that decided it.  In order:
 
-    Invertibility of a random combination of a Hom basis certifies yes; the
-    determinant of the generic combination vanishes identically iff no
-    isomorphism exists, so each failed trial is wrong with probability at
-    most total_dim / range, with range >= total_dim * 2**64.
+    1. unequal dimension vectors or Hom = 0 say no, a zero module yes;
+    2. an invertible Hom basis map says yes;
+    3. if M or N has a simple top, End is local, so the non-isomorphisms
+       form a subspace of Hom(M, N): no invertible basis map means no
+       ("local-basis");
+    4. over F_p with p ** dim Hom <= ``ISO_GRID_LIMIT``, the grid of
+       ``is_isomorphic_exhaustive`` decides ("exhaustive");
+    5. else ``ISO_TRIALS`` combinations from a fixed stream are tried.  Their
+       no, "randomized-no", is the only inexact answer: a trial errs with
+       probability at most 2**-64 over Q and total_dim / p over F_p.
     """
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("isomorphism test across algebras")
@@ -624,52 +632,57 @@ def is_isomorphic(M, N, seed=0):
     basis = hom_space(M, N)
     if not basis:
         return IsoCertificate(False, reason="Hom space is zero")
-    rng = random.Random(seed)
-    spread = max(M.total_dim, 1) * (2 ** 64)
-    for t in range(ISO_TRIALS):
-        phi = basis[0].scale(M.field.coerce(rng.randrange(spread)))
-        for h in basis[1:]:
-            phi = phi + h.scale(M.field.coerce(rng.randrange(spread)))
+    for phi in basis:
         if phi.is_isomorphism():
-            return IsoCertificate(True, witness=phi, trials=t + 1)
-    return IsoCertificate(False, trials=ISO_TRIALS,
-                          reason=f"{ISO_TRIALS} random combinations singular")
+            return IsoCertificate(True, witness=phi)
+    if _has_simple_top(M) or _has_simple_top(N):
+        return IsoCertificate(False, reason="local-basis")
+    p = M.field.characteristic
+    if p and p ** len(basis) <= ISO_GRID_LIMIT:
+        points, reason = _grid(M, len(basis))[1], "exhaustive"
+    else:
+        rng, spread = random.Random(0), M.total_dim * 2 ** 64
+        points = ([rng.randrange(spread) for _ in basis] for _ in range(ISO_TRIALS))
+        reason = "randomized-no"
+    phi = _first_invertible(basis, points, M.field)
+    return IsoCertificate(phi is not None, witness=phi, reason="" if phi else reason)
 
 
 def is_isomorphic_exhaustive(M, N):
-    """Deterministic complete test for small modules.
-
-    Evaluates the determinant of combinations over the grid {0..D}^m with
-    D = total dimension; some grid point is invertible iff an isomorphism
-    exists (Schwartz-Zippel on the degree-D determinant polynomial).
-    """
+    """Deterministic complete test for small modules: some point of ``_grid``
+    is invertible iff an isomorphism exists.  With p <= D the grid is all of
+    Hom(M, N); else D + 1 values per coefficient suffice (Schwartz-Zippel)."""
     if M.dims != N.dims:
         return False
-    if M.total_dim == 0:
-        return True
     basis = hom_space(M, N)
-    if not basis:
-        return False
-    D = M.total_dim
-    m = len(basis)
-    if (D + 1) ** m > EXHAUSTIVE_ISO_LIMIT:
+    size, points = _grid(M, len(basis))
+    if size > ISO_GRID_LIMIT:
         raise QfabError("exhaustive isomorphism grid too large")
-    coeffs = [0] * m
-    while True:
-        phi = basis[0].scale(M.field.coerce(coeffs[0]))
-        for k in range(1, m):
-            phi = phi + basis[k].scale(M.field.coerce(coeffs[k]))
-        if phi.is_isomorphism():
-            return True
-        k = 0
-        while k < m:
-            coeffs[k] += 1
-            if coeffs[k] <= D:
-                break
-            coeffs[k] = 0
-            k += 1
-        if k == m:
-            return False
+    return M.total_dim == 0 or _first_invertible(basis, points, M.field) is not None
+
+
+def _grid(M, m):
+    """(size, points) of range(min(D + 1, p)) ** m, D = M.total_dim and p the
+    characteristic (unbounded over Q)."""
+    p = M.field.characteristic
+    side = M.total_dim + 1 if not p else min(M.total_dim + 1, p)
+    return side ** m, itertools.product(range(side), repeat=m)
+
+
+def _first_invertible(basis, points, field):
+    """The first combination sum c_k * basis[k], over the integer coefficient
+    lists ``points``, that is an isomorphism; None when there is none."""
+    for coeffs in points:
+        phi = _combination(((field.coerce(c), h) for c, h in zip(coeffs, basis) if c),
+                           field)
+        if phi is not None and phi.is_isomorphism():
+            return phi
+    return None
+
+
+def _has_simple_top(M):
+    """Is M/rad(M) one-dimensional?  Then M is local, and so is End(M)."""
+    return M.total_dim - sum(len(sub.pivots) for sub in radical_spaces(M)) == 1
 
 
 def endo_structure(M):

@@ -305,7 +305,7 @@ class ReductionTrace:
     certificates: dict = dc_field(default_factory=dict)
 
 
-def reduce_to_selfinjective(n, entries, cutoff=24, seed=0):
+def reduce_to_selfinjective(n, entries, cutoff=24):
     """Run contraction rounds until the series is constant (self-injective
     terminal) or the singularity is trivial (finite global dimension).
 
@@ -323,8 +323,7 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0):
         if series.entries[0] == 1:
             if A is None:
                 A, _ = higher_nakayama(n, series)
-            return _end_trivial(trace, A, series, cutoff, seed,
-                                "expected finite gl.dim")
+            return _end_trivial(trace, A, series, cutoff, "expected finite gl.dim")
         if series.is_constant():
             if A is None:
                 A, _ = higher_nakayama(n, series)
@@ -352,13 +351,10 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0):
             if not fverts:
                 # e = 0 leaves no corner: the singularity of the stage is
                 # trivial exactly when its gl.dim is finite
-                return _end_trivial(trace, stage, None, cutoff, seed,
-                                    f"empty contraction pass {j}: expected "
-                                    f"finite gl.dim")
-            fabric_e, _ = fb.check_fabric_definitional(stage, fverts,
-                                                       seed=seed, cutoff=cutoff)
-            C, rcert = fb.singular_reduction(stage, fverts, cutoff=cutoff,
-                                             seed=seed)
+                return _end_trivial(trace, stage, None, cutoff, f"empty contraction "
+                                    f"pass {j}: expected finite gl.dim")
+            fabric_e, _ = fb.check_fabric_definitional(stage, fverts, cutoff=cutoff)
+            C, rcert = fb.singular_reduction(stage, fverts, cutoff=cutoff)
             cert = {"fabric": {"e": fabric_e}, "singular_reduction": rcert}
             trace.stages.append(StageRecord(round_no, j, tuple(fverts), C.dim,
                                             fabric_e, cert))
@@ -367,7 +363,7 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0):
         trace.rounds.append({"round": round_no, "series": series,
                              "reduced": reduced, "detail": detail})
         if reduced is None:
-            return _end_trivial(trace, stage, None, cutoff, seed,
+            return _end_trivial(trace, stage, None, cutoff,
                                 "expected acyclic corner with finite gl.dim")
         B, presB = higher_nakayama(n, reduced)
         _cross_check_corner(stage, B, presB, series.k, reduced.k, trace)
@@ -376,10 +372,10 @@ def reduce_to_selfinjective(n, entries, cutoff=24, seed=0):
         A = B
 
 
-def _end_trivial(trace, terminal, series, cutoff, seed, expected):
+def _end_trivial(trace, terminal, series, cutoff, expected):
     """End the reduction at ``terminal`` with a trivial singularity, once its
     gl.dim is certified finite below the cutoff."""
-    g = hm.global_dimension(terminal, cutoff=cutoff, seed=seed)
+    g = hm.global_dimension(terminal, cutoff=cutoff)
     if not g.is_finite:
         raise StageVerificationFailed(f"{expected}, got {g}")
     trace.terminal = terminal

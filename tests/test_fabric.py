@@ -50,14 +50,6 @@ def test_fabric_dimension_double_triangle(double_triangle):
     assert sup == 1
 
 
-def test_fabric_dimension_stable_under_seed(double_triangle):
-    per1, sup1 = fb.fabric_dimension(double_triangle, ["2", "3", "5"], seed=1)
-    per2, sup2 = fb.fabric_dimension(double_triangle, ["2", "3", "5"], seed=99)
-    assert {v: repr(d) for v, d in per1.items()} == \
-        {v: repr(d) for v, d in per2.items()}
-    assert repr(sup1) == repr(sup2)
-
-
 def test_exact_sequence_reconstruction(double_triangle):
     A = double_triangle
     _, tr = fb.check_fabric_combinatorial(A, ["2", "3", "5"])
@@ -65,7 +57,7 @@ def test_exact_sequence_reconstruction(double_triangle):
     for i, ip in tr["iprime"].items():
         P = md.inflate_from_quotient(md.projective_module(Abar, i), A)
         K = hm.syzygy(P, 1)
-        assert bool(md.is_isomorphic(K, md.projective_module(A, ip), seed=1))
+        assert bool(md.is_isomorphic(K, md.projective_module(A, ip)))
 
 
 def test_special_tilting_double_triangle(double_triangle):
@@ -132,8 +124,7 @@ def test_cofabric_dimension_runs_on_opposite(double_triangle):
 
 def test_generator_switching_double_triangle(double_triangle):
     rep = fb.verify_generator_switching(double_triangle, ["2", "3", "5"],
-                                        ["1", "3", "4"], sample_budget=12,
-                                        seed=0)
+                                        ["1", "3", "4"], sample_budget=12)
     assert rep["violations"] == []
     assert rep["gor_dim"] == 2
     assert rep["h_level"] == 1
@@ -162,7 +153,7 @@ def test_canonical_221_observed_behavior():
     F = ["1", "2", "4", "6", "8"]
     with pytest.raises(ConditionFailed):
         fb.check_fabric_combinatorial(A, F)
-    e, _ = fb.check_fabric_definitional(A, F, seed=0)
+    e, _ = fb.check_fabric_definitional(A, F)
     assert sorted(e) == ["3", "5", "7"]
     C, cert = fb.singular_reduction(A, F)
     assert C.dim == build_algebra(fixture("canonical-2-211")).dim == 30
@@ -182,7 +173,7 @@ def test_canonical_chain_to_beilinson():
     assert C1.dim == A211.dim
     # second contraction: F' = {1,4,8}
     F2 = ["1", "4", "8"]
-    e2, _ = fb.check_fabric_definitional(A211, F2, seed=0)
+    e2, _ = fb.check_fabric_definitional(A211, F2)
     assert e2 is not None
     C2 = corner(A211, F2)
     B2 = build_algebra(fixture("beilinson-2"))

@@ -134,8 +134,8 @@ def test_cli_build_file_roundtrip(tmp_path):
 
 
 def test_cli_reports_reproducible(tmp_path):
-    r1 = _run_cli("analyze", "fixture:two-ag-square", "--seed", "7")
-    r2 = _run_cli("analyze", "fixture:two-ag-square", "--seed", "7")
+    r1 = _run_cli("analyze", "fixture:two-ag-square")
+    r2 = _run_cli("analyze", "fixture:two-ag-square")
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
 

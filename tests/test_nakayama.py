@@ -120,7 +120,7 @@ def test_quotient_by_pass1_has_global_dimension_n_minus_1(nak_4333):
 
 
 def test_reduce_4333_full_pipeline():
-    trace = reduce_to_selfinjective(2, (4, 3, 3, 3), cutoff=20, seed=0)
+    trace = reduce_to_selfinjective(2, (4, 3, 3, 3), cutoff=20)
     assert trace.status == "self-injective"
     assert trace.terminal.dim == 12
     assert len(trace.terminal.vertices) == 6
@@ -130,20 +130,20 @@ def test_reduce_4333_full_pipeline():
 
 
 def test_reduce_constant_series_is_terminal():
-    trace = reduce_to_selfinjective(2, (3, 3), cutoff=12, seed=0)
+    trace = reduce_to_selfinjective(2, (3, 3), cutoff=12)
     assert trace.status == "self-injective"
     assert not trace.stages
     assert trace.terminal.dim == 20
 
 
 def test_reduce_l0_one_trivial_singularity():
-    trace = reduce_to_selfinjective(1, (1, 2, 2), cutoff=12, seed=0)
+    trace = reduce_to_selfinjective(1, (1, 2, 2), cutoff=12)
     assert trace.status == "trivial-singularity"
     assert trace.certificates["gl_dim"].is_finite
 
 
 def test_reduce_n1_chen_ye_style():
-    trace = reduce_to_selfinjective(1, (3, 2, 2), cutoff=12, seed=0)
+    trace = reduce_to_selfinjective(1, (3, 2, 2), cutoff=12)
     assert trace.status == "trivial-singularity"
 
 
@@ -161,7 +161,7 @@ def test_reduce_n3_ends_at_an_empty_contraction_pass(series, gl_dim):
 
 def test_reduce_rotation_handles_misaligned_series():
     # (2,2,3) is a valid Kupisch series whose maximum sits at the end
-    trace = reduce_to_selfinjective(1, (2, 2, 3), cutoff=12, seed=0)
+    trace = reduce_to_selfinjective(1, (2, 2, 3), cutoff=12)
     assert trace.status in ("self-injective", "trivial-singularity")
     assert trace.certificates.get("rotations")
 
