@@ -10,6 +10,11 @@ normal-form paths under the length-then-lex order, structure constants = the
 reduction of concatenation modulo the closed ideal.  Arrow k of the
 presentation is ``generators[k]``, the one record of which element it is.
 
+``_EchelonIdeal`` is the one normal-form routine modulo an ideal: an echelon
+span per (source, target) block, whose non-pivot keys are the normal forms.
+Both builders, the quotient A/<e> and ``endo``'s arrow choice reduce
+through it.
+
 Derived algebras (opposite, corner eAe, quotient A/<e>) share the same class;
 their multiplication is delegated to the parent algebra.  An
 ``IdempotentReduction`` record, one per (algebra, vertex set), is the single
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from .field import QQ
 from .linalg import Subspace, from_columns, solve
 from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
-from .errors import NotAdmissible, QfabError
+from .errors import InputError, NotAdmissible, QfabError
 
 
 @dataclass(frozen=True)
@@ -116,20 +121,7 @@ class FDAlgebra:
 
     def mult_vec(self, vec_a, vec_b):
         """Product of two sparse basis-coordinate vectors (a after b)."""
-        out = {}
-        zero = self.field.zero
-        for i, ca in vec_a.items():
-            for j, cb in vec_b.items():
-                c = ca * cb
-                if not c:
-                    continue
-                for k, ck in self.mult(i, j).items():
-                    s = out.get(k, zero) + c * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+        return _sparse_product(vec_a, vec_b, self.mult)
 
     # -- generators and factorization --------------------------------------
 
@@ -168,17 +160,17 @@ class FDAlgebra:
         factor = {}
         for (m, s, t) in sorted(by_len_block):
             idxs = by_len_block[(m, s, t)]
-            block_pos = {b: k for k, b in enumerate(idxs)}
+            row_of = {b: k for k, b in enumerate(idxs)}
             cols, keys = [], []
 
             def add_col(g, u):
                 prod = self.mult(g, u)
                 col = [zero] * len(idxs)
                 for k, c in prod.items():
-                    if k not in block_pos:
+                    if k not in row_of:
                         raise QfabError("algebra is not length-graded; "
                                         "generator factorization unsupported")
-                    col[block_pos[k]] = c
+                    col[row_of[k]] = c
                 cols.append(col)
                 keys.append((g, u))
 
@@ -193,7 +185,7 @@ class FDAlgebra:
                         add_col(g, u)
             for b in idxs:
                 unit = [zero] * len(idxs)
-                unit[block_pos[b]] = one
+                unit[row_of[b]] = one
                 x = solve(from_columns(cols, len(idxs), self.field), unit) if cols else None
                 if x is None:
                     gens.append(b)
@@ -249,16 +241,8 @@ class FDAlgebra:
             for j in range(self.dim):
                 pij = self.mult(i, j)
                 for k in range(self.dim):
-                    left = {}
-                    for x, c in pij.items():
-                        for y, d in self.mult(x, k).items():
-                            left[y] = left.get(y, self.field.zero) + c * d
-                    right = {}
-                    for x, c in self.mult(j, k).items():
-                        for y, d in self.mult(i, x).items():
-                            right[y] = right.get(y, self.field.zero) + c * d
-                    left = {y: c for y, c in left.items() if c}
-                    right = {y: c for y, c in right.items() if c}
+                    left = self.mult_vec(pij, {k: one})
+                    right = self.mult_vec({i: one}, self.mult(j, k))
                     assert left == right, f"associativity fails at ({i},{j},{k})"
         rad = [{i: one} for i in self.radical_indices]
         power = rad
@@ -283,6 +267,96 @@ def _dense(vec, n, zero):
     return d
 
 
+def _add_scaled(out, c, vec):
+    """out += c * vec for sparse vectors, dropping the entries that cancel."""
+    for k, x in vec.items():
+        s = out[k] + c * x if k in out else c * x
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+
+
+def _sparse_product(vec_a, vec_b, mult):
+    """The product of two sparse vectors (a after b), ``mult(i, j)`` being
+    the sparse product of coordinates i and j."""
+    out = {}
+    for i, ca in vec_a.items():
+        for j, cb in vec_b.items():
+            c = ca * cb
+            if c:
+                _add_scaled(out, c, mult(i, j))
+    return out
+
+
+class _EchelonIdeal:
+    """A subspace of a path space in reduced echelon form, one ``Subspace``
+    per (source, target) block: the one normal form modulo an ideal.
+
+    ``keys`` are the coordinates, ``block(key)`` names a key's block and
+    ``order(key)`` ranks it.  Within a block the keys run in descending
+    order, so the pivots are the leading paths and ``reduce`` leaves only
+    non-pivot keys.  Vectors are sparse ``{key: coeff}`` dicts without zero
+    entries; one given to ``insert`` lies in a single block.
+    """
+
+    def __init__(self, keys, block, order, field):
+        self.field = field
+        groups = {}
+        for k in sorted(keys, key=order, reverse=True):
+            groups.setdefault(block(k), []).append(k)
+        # block -> its keys in descending order, blocks sorted
+        self._keys = {b: groups[b] for b in sorted(groups)}
+        self._pos = {k: (b, p) for b, ks in self._keys.items()
+                     for p, k in enumerate(ks)}
+        # block -> its span, made at the block's first insert: most blocks
+        # of a large algebra hold one path and never receive a vector
+        self._subspaces = {}
+
+    def _dense(self, b, vec):
+        dense = [self.field.zero] * len(self._keys[b])
+        pos = self._pos
+        for k, c in vec.items():
+            dense[pos[k][1]] = c
+        return dense
+
+    def insert(self, vec):
+        """Add a vector; True when it enlarged the span."""
+        if not vec:
+            return False
+        b = self._pos[next(iter(vec))][0]
+        sub = self._subspaces.get(b)
+        if sub is None:
+            sub = self._subspaces[b] = Subspace(len(self._keys[b]), self.field)
+        return sub.insert(self._dense(b, vec))
+
+    def reduce(self, vec):
+        """The normal form of vec: its residue, over non-pivot keys."""
+        parts = {}
+        for k, c in vec.items():
+            parts.setdefault(self._pos[k][0], {})[k] = c
+        out = {}
+        for b, part in parts.items():
+            sub = self._subspaces.get(b)
+            if sub is None:     # no pivots in this block
+                out.update(part)
+                continue
+            res = sub.reduce(self._dense(b, part))
+            out.update((k, c) for k, c in zip(self._keys[b], res) if c)
+        return out
+
+    def pivots(self):
+        """The set of pivot keys: the leading paths of the ideal."""
+        return {self._keys[b][p] for b, sub in self._subspaces.items()
+                for p in sub.pivots}
+
+    def rows(self):
+        """The echelon basis as sparse vectors, block by block."""
+        return [{k: c for k, c in zip(self._keys[b], r) if c}
+                for b in self._keys if b in self._subspaces
+                for r in self._subspaces[b].rows]
+
+
 # ---------------------------------------------------------------------------
 # construction from a presentation
 # ---------------------------------------------------------------------------
@@ -294,17 +368,24 @@ def build_algebra(pres: Presentation, field=QQ):
     Homogeneous presentations use the degree-by-degree engine; mixed-length
     relations fall back to saturation over an enumerated path space.
     """
-    _validate_presentation(pres)
+    _validate_presentation(pres, field)
     if pres.is_homogeneous():
         return _build_graded(pres, field)
     return build_algebra_blunt(pres, field)
 
 
-def _validate_presentation(pres):
-    for rel in pres.relations:
-        for _, p in rel.terms:
+def _validate_presentation(pres, field):
+    """Every relation path lies in pres's quiver and every coefficient is
+    defined over field (1/5 is not in F_5)."""
+    for k, rel in enumerate(pres.relations, start=1):
+        for coeff, p in rel.terms:
             if p.quiver is not pres.quiver:
                 raise QfabError("relation path belongs to a different quiver")
+            try:
+                field.coerce(coeff)
+            except ZeroDivisionError:
+                raise InputError(f"relation {k} ({rel!r}): coefficient {coeff} "
+                                 f"is not defined over {field.name}") from None
 
 
 def _build_graded(pres, field):
@@ -348,6 +429,7 @@ def _build_graded(pres, field):
     for b_pos, b in enumerate(arrows):
         rho[b_pos][idempotent_index[Q.vertex_index[b.target]]] = {arrow_elt[b_pos]: one}
 
+    # apply_left, carried-row images and rho sum inline: a call per (mostly empty) row costs more
     def apply_left(a_pos, vec):
         lm = left_mult[a_pos]
         nxt = {}
@@ -371,6 +453,8 @@ def _build_graded(pres, field):
         return vec
 
     max_rel_len = max(rel_by_len, default=0)
+    arrow_source = [Q.vertex_index[a.source] for a in arrows]
+    arrow_target = [Q.vertex_index[a.target] for a in arrows]
     carried = []
     effective_len = None
     if not arrows:
@@ -378,39 +462,20 @@ def _build_graded(pres, field):
     m = 2
     while effective_len is None and m <= bound:
         prev = deg_index.get(m - 1, [])
-        coords = []
-        for a_pos, a in enumerate(arrows):
-            asrc = Q.vertex_index[a.source]
-            atgt = Q.vertex_index[a.target]
-            for u in prev:
-                if targets[u] == asrc:
-                    coords.append((a_pos, u, sources[u], atgt))
-        blocks = {}
-        for a_pos, u, s, t in coords:
-            blocks.setdefault((s, t), []).append((a_pos, u))
-        coord_pos = {}
-        for key in blocks:
-            blocks[key].sort(key=lambda au: words[au[1]] + (au[0],), reverse=True)
-            for k, au in enumerate(blocks[key]):
-                coord_pos[au] = (key, k)
-
-        images = {key: [] for key in blocks}
+        # coordinate (a, u) of degree m is the path u followed by arrow a
+        coords = [(a_pos, u) for a_pos in range(len(arrows)) for u in prev
+                  if targets[u] == arrow_source[a_pos]]
+        ideal = _EchelonIdeal(coords,
+                              lambda au: (sources[au[1]], arrow_target[au[0]]),
+                              lambda au: words[au[1]] + (au[0],), field)
         for rel in rel_by_len.get(m, []):
             vec = {}
             for coeff, pw in rel.terms:
                 w = pw.arrows
                 pre = path_class(w[:-1], Q.vertex_index[pw.source])
-                cf = field.coerce(coeff)
-                for u, c in pre.items():
-                    kkey = (w[-1], u)
-                    s = vec.get(kkey, zero) + cf * c
-                    if s:
-                        vec[kkey] = s
-                    else:
-                        vec.pop(kkey, None)
-            if vec:
-                key = coord_pos[next(iter(vec))][0]
-                images[key].append(vec)
+                _add_scaled(vec, field.coerce(coeff),
+                            {(w[-1], u): c for u, c in pre.items()})
+            ideal.insert(vec)
         for row in carried:
             for b_pos in range(len(arrows)):
                 vec = {}
@@ -423,48 +488,19 @@ def _build_graded(pres, field):
                         else:
                             vec.pop(kkey, None)
                 if vec:
-                    key = coord_pos[next(iter(vec))][0]
-                    images[key].append(vec)
+                    ideal.insert(vec)
+        carried = ideal.rows()
 
-        carried = []
-        new_elts = []
-        stage_quota = {}
-        for key in sorted(blocks):
-            cc = blocks[key]
-            npos = len(cc)
-            sub = Subspace(npos, field)
-            for vec in images[key]:
-                dense = [zero] * npos
-                for au, c in vec.items():
-                    dense[coord_pos[au][1]] = c
-                sub.insert(dense)
-            for r in sub.rows:
-                carried.append({cc[k]: c for k, c in enumerate(r) if c})
-            pivset = set(sub.pivots)
-            nonpiv = [k for k in range(npos) if k not in pivset]
-            local_id = {}
-            for k in nonpiv:
-                a_pos, u = cc[k]
-                local_id[k] = len(new_elts)
-                new_elts.append((words[u] + (a_pos,), key[0], key[1]))
-            for k in range(npos):
-                if k in local_id:
-                    stage_quota[cc[k]] = {local_id[k]: one}
-                else:
-                    stage_quota[cc[k]] = {}
-            for r, p in zip(sub.rows, sub.pivots):
-                tail = {local_id[k]: -r[k] for k in nonpiv if r[k]}
-                stage_quota[cc[p]] = tail
-
-        # canonical order within the degree: ascending by word
-        order = sorted(range(len(new_elts)), key=lambda i: new_elts[i][0])
-        renum = {old: new for new, old in enumerate(order)}
-        base = len(words)
-        for old in order:
-            word, s, t = new_elts[old]
-            add_elt(word, s, t, m)
-        for (a_pos, u), vec in stage_quota.items():
-            left_mult[a_pos][u] = {base + renum[lid]: c for lid, c in vec.items()}
+        # the new basis: the non-pivot coordinates, ascending by word
+        pivots = ideal.pivots()
+        new_elt = {}
+        for a_pos, u in sorted((au for au in coords if au not in pivots),
+                               key=lambda au: words[au[1]] + (au[0],)):
+            new_elt[(a_pos, u)] = add_elt(words[u] + (a_pos,), sources[u],
+                                          arrow_target[a_pos], m)
+        for a_pos, u in coords:
+            left_mult[a_pos][u] = {new_elt[au]: c for au, c
+                                   in ideal.reduce({(a_pos, u): one}).items()}
         for b_pos in range(len(arrows)):
             rb = rho[b_pos]
             for u in prev:
@@ -482,7 +518,7 @@ def _build_graded(pres, field):
                             acc.pop(y, None)
                 if acc:
                     rb[u] = acc
-        if not new_elts and m >= max_rel_len:
+        if not new_elt and m >= max_rel_len:
             effective_len = m
         m += 1
     if effective_len is None:
@@ -524,11 +560,11 @@ def build_algebra_blunt(pres: Presentation, field=QQ):
     mixed-length ones whenever the bound comfortably exceeds the ideal's
     effective degree.  ``BLUNT_MAX_PATHS`` caps exponential path growth.
     """
-    _validate_presentation(pres)
+    _validate_presentation(pres, field)
     Q = pres.quiver
     nv = Q.n_vertices
     bound = pres.default_length_bound()
-    one, zero = field.one, field.zero
+    one = field.one
 
     paths = []
     index = {}
@@ -559,96 +595,49 @@ def build_algebra_blunt(pres: Presentation, field=QQ):
                 nxt.append(widx)
         frontier = nxt
 
-    block_order = {}
-    block_pos = {}
-    for i, (word, s, t) in enumerate(paths):
-        block_order.setdefault((s, t), []).append(i)
-    for key, idxs in block_order.items():
-        idxs.sort(key=lambda i: (len(paths[i][0]), paths[i][0]), reverse=True)
-        for k, i in enumerate(idxs):
-            block_pos[i] = k
-    spans = {key: Subspace(len(idxs), field) for key, idxs in block_order.items()}
-
-    def to_dense(vec):
-        i0 = next(iter(vec))
-        key = (paths[i0][1], paths[i0][2])
-        dense = [zero] * len(block_order[key])
-        for i, c in vec.items():
-            dense[block_pos[i]] = c
-        return key, dense
-
+    ideal = _EchelonIdeal(range(len(paths)),
+                          lambda i: (paths[i][1], paths[i][2]),
+                          lambda i: (len(paths[i][0]), paths[i][0]), field)
     worklist = []
     for rel in pres.relations:
         vec = {}
         for coeff, pw in rel.terms:
-            i = index[(pw.arrows, Q.vertex_index[pw.source])]
-            vec[i] = vec.get(i, zero) + field.coerce(coeff)
-        vec = {i: c for i, c in vec.items() if c}
+            _add_scaled(vec, field.coerce(coeff),
+                        {index[(pw.arrows, Q.vertex_index[pw.source])]: one})
         if vec:
-            key, dense = to_dense(vec)
-            spans[key].insert(dense)
+            ideal.insert(vec)
             worklist.append(vec)
 
     while worklist:
         vec = worklist.pop()
+        if any(len(paths[i][0]) >= bound for i in vec):
+            continue
+        _, s, t = paths[next(iter(vec))]
         for a_pos, a in enumerate(Q.arrows):
-            asrc = Q.vertex_index[a.source]
-            atgt = Q.vertex_index[a.target]
-            lv, rv = {}, {}
-            l_ok = r_ok = True
-            for i, c in vec.items():
-                word, s, t = paths[i]
-                if t == asrc:
-                    if len(word) >= bound:
-                        l_ok = False
-                    else:
-                        j = index[(word + (a_pos,), s)]
-                        lv[j] = lv.get(j, zero) + c
-                else:
-                    l_ok = False
-                if s == atgt:
-                    if len(word) >= bound:
-                        r_ok = False
-                    else:
-                        j = index[((a_pos,) + word, asrc)]
-                        rv[j] = rv.get(j, zero) + c
-                else:
-                    r_ok = False
-            for ok, nv_ in ((l_ok, lv), (r_ok, rv)):
-                if not ok or not nv_:
-                    continue
-                nv_ = {i: c for i, c in nv_.items() if c}
-                if not nv_:
-                    continue
-                key, dense = to_dense(nv_)
-                if spans[key].insert(dense):
-                    worklist.append(nv_)
+            asrc, atgt = Q.vertex_index[a.source], Q.vertex_index[a.target]
+            # a path and an arrow compose to a distinct path, so the
+            # images need no sums
+            images = []
+            if t == asrc:
+                images.append({index[(paths[i][0] + (a_pos,), s)]: c
+                               for i, c in vec.items()})
+            if s == atgt:
+                images.append({index[((a_pos,) + paths[i][0], asrc)]: c
+                               for i, c in vec.items()})
+            worklist.extend(v for v in images if ideal.insert(v))
 
-    def all_length_in_span(L):
-        for i, (word, s, t) in enumerate(paths):
-            if len(word) == L:
-                unit = [zero] * len(block_order[(s, t)])
-                unit[block_pos[i]] = one
-                if not spans[(s, t)].contains(unit):
-                    return False
-        return True
-
-    eff = None
-    for L in range(1, bound + 1):
-        if all_length_in_span(L):
-            eff = L
-            break
+    eff = next((L for L in range(1, bound + 1)
+                if all(not ideal.reduce({i: one})
+                       for i, (word, _, _) in enumerate(paths)
+                       if len(word) == L)), None)
     if eff is None:
         raise NotAdmissible(f"no length L <= {bound} with all length-L paths in the ideal")
     if eff == 1 and Q.n_arrows:
         raise NotAdmissible("an arrow is congruent to zero modulo the ideal")
 
-    pivot_paths = set()
-    for key, sub in spans.items():
-        for p in sub.pivots:
-            pivot_paths.add(block_order[key][p])
+    pivots = ideal.pivots()
     basis_paths = [i for i, (word, s, t) in enumerate(paths)
-                   if len(word) < eff and i not in pivot_paths]
+                   if len(word) < eff and i not in pivots]
     basis_paths.sort(key=lambda i: (len(paths[i][0]), paths[i][0], paths[i][1]))
     new_index = {i: k for k, i in enumerate(basis_paths)}
 
@@ -656,17 +645,7 @@ def build_algebra_blunt(pres: Presentation, field=QQ):
         i = index.get((word, s))
         if i is None or len(word) >= eff:
             return {}
-        key = (s, paths[i][2])
-        unit = [zero] * len(block_order[key])
-        unit[block_pos[i]] = one
-        res = spans[key].reduce(unit)
-        out = {}
-        for k, c in enumerate(res):
-            if c:
-                pi = block_order[key][k]
-                assert len(paths[pi][0]) < eff
-                out[new_index[pi]] = c
-        return out
+        return {new_index[k]: c for k, c in ideal.reduce({i: one}).items()}
 
     basis = [BasisElt(paths[i][0], paths[i][1], paths[i][2], len(paths[i][0]))
              for i in basis_paths]
@@ -757,33 +736,20 @@ class IdempotentReduction:
     @property
     def quotient(self):
         """A/<e>.  AeA is spanned by all products x . e_v . y of basis
-        elements, so its echelon span is computed per (source, target) block
-        and the quotient basis is the set of non-pivot basis elements (the
-        normal-form paths avoiding the killed vertices, for every algebra in
-        this package's scope)."""
+        elements, kept as an ``_EchelonIdeal``; the quotient basis is the set
+        of its non-pivot basis elements (the normal-form paths avoiding the
+        killed vertices, for every algebra in this package's scope)."""
         if self._quotient is None:
             A = self.parent
             kill_pos = {A.vertex_pos[v] for v in self.vertices}
-            self._blocks = {}
-            for i, b in enumerate(A.basis):
-                self._blocks.setdefault((b.source, b.target), []).append(i)
-            self._block_pos = {}
-            for idxs in self._blocks.values():
-                idxs.sort(key=lambda i: (A.basis[i].length, A.basis[i].word),
-                          reverse=True)
-                for k, i in enumerate(idxs):
-                    self._block_pos[i] = k
-            self._spans = {key: Subspace(len(idxs), A.field)
-                           for key, idxs in self._blocks.items()}
+            self._ideal = _EchelonIdeal(
+                range(A.dim), lambda i: (A.basis[i].source, A.basis[i].target),
+                lambda i: (A.basis[i].length, A.basis[i].word), A.field)
             for vpos in sorted(kill_pos):
                 for y in A.by_target(vpos):
                     for x in A.by_source(vpos):
-                        prod = A.mult(x, y)
-                        if prod:
-                            key = (A.basis[y].source, A.basis[x].target)
-                            self._spans[key].insert(self._dense(key, prod))
-            pivot = {self._blocks[key][p] for key, sub in self._spans.items()
-                     for p in sub.pivots}
+                        self._ideal.insert(A.mult(x, y))
+            pivot = self._ideal.pivots()
             keep_pos = [p for p in range(A.n_vertices) if p not in kill_pos
                         and A.idempotent_index[p] not in pivot]
             keep = [i for i, b in enumerate(A.basis) if i not in pivot
@@ -802,23 +768,8 @@ class IdempotentReduction:
         """The class in A/<e> of a sparse vector over the parent's basis, as
         a sparse vector over the quotient's basis (once the quotient is
         built)."""
-        grouped = {}
-        for k, c in vec.items():
-            b = self.parent.basis[k]
-            grouped.setdefault((b.source, b.target), {})[k] = c
-        out = {}
-        for key, part in grouped.items():
-            reduced = self._spans[key].reduce(self._dense(key, part))
-            for i, c in zip(self._blocks[key], reduced):
-                if c and i in self._reindex:
-                    out[self._reindex[i]] = c
-        return out
-
-    def _dense(self, key, vec):
-        dense = [self.parent.field.zero] * len(self._blocks[key])
-        for k, c in vec.items():
-            dense[self._block_pos[k]] = c
-        return dense
+        return {self._reindex[i]: c for i, c in self._ideal.reduce(vec).items()
+                if i in self._reindex}
 
     def _child(self, role, vertices, keep, mult_fn, name):
         A = self.parent
@@ -955,13 +906,7 @@ def _is_isomorphism(pres, Apres, B, vertex_map, arrow_images):
     for rel in pres.relations:
         acc = {}
         for coeff, pw in rel.terms:
-            cf = B.field.coerce(coeff)
-            for i, c in eval_word(pw.arrows, pw.source).items():
-                s = acc.get(i, zero) + cf * c
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
+            _add_scaled(acc, B.field.coerce(coeff), eval_word(pw.arrows, pw.source))
         if acc:
             return False
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from .errors import QfabError, SummandsNotDistinct, SummandDecomposable
 from .linalg import Subspace, from_columns, solve
 from .quiver import Quiver, Arrow, Presentation
-from .algebra import build_algebra, _extract_relations
+from .algebra import (build_algebra, _EchelonIdeal, _extract_relations,
+                      _sparse_product)
 from . import modules as md
 
 
@@ -129,26 +130,14 @@ def endomorphism_algebra(summands):
         return {block_members[key][k]: c for k, c in enumerate(x)
                 if c}
 
-    # radical square and arrow choice
-    rad2 = {key: Subspace(len(m), field) for key, m in block_members.items()}
+    # radical square and arrow choice, lowest raw index first: a radical
+    # element outside the span of rad^2 and of the earlier arrows is an arrow
+    ideal = _EchelonIdeal(range(dim), lambda i: (raw[i][0], raw[i][1]),
+                          lambda i: -i, field)
     for i in rad_indices:
         for j in rad_indices:
-            prod = mult_raw(i, j)
-            if prod:
-                key = (raw[j][0], raw[i][1])
-                dense = [field.zero] * len(block_members[key])
-                pos = {b: k for k, b in enumerate(block_members[key])}
-                for b, c in prod.items():
-                    dense[pos[b]] = c
-                rad2[key].insert(dense)
-    gen_list = []
-    for i in rad_indices:
-        key = (raw[i][0], raw[i][1])
-        pos = {b: k for k, b in enumerate(block_members[key])}
-        unit = [field.zero] * len(block_members[key])
-        unit[pos[i]] = field.one
-        if rad2[key].insert(unit):
-            gen_list.append(i)
+            ideal.insert(mult_raw(i, j))
+    gen_list = [i for i in rad_indices if ideal.insert({i: field.one})]
 
     vertex_ids = [f"m{v}" for v in range(t)]
     arrows = []
@@ -157,22 +146,10 @@ def endomorphism_algebra(summands):
         arrows.append(Arrow(f"x{k}", vertex_ids[s], vertex_ids[u]))
     Q = Quiver(vertex_ids, arrows)
 
-    def mult_vec_raw(vec_a, vec_b):
-        out = {}
-        for i, ca in vec_a.items():
-            for j, cb in vec_b.items():
-                for k2, ck in mult_raw(i, j).items():
-                    s2 = out.get(k2, field.zero) + ca * cb * ck
-                    if s2:
-                        out[k2] = s2
-                    else:
-                        out.pop(k2, None)
-        return out
-
     # degree-by-degree relation extraction (evaluation into raw coordinates)
     relations = _extract_relations(
         Q, [(raw[g][0], raw[g][1], {g: field.one}) for g in gen_list],
-        mult_vec_raw, dim, field)
+        lambda a, b: _sparse_product(a, b, mult_raw), dim, field)
 
     pres = Presentation(Q, relations, name="endomorphism algebra")
     B = build_algebra(pres, field)

@@ -83,6 +83,20 @@ def _classes_relation(c1, c2, field):
     return "different"
 
 
+def _some_arrow_gives(A, arrows, source, target, cls, path_of, transcript, tag):
+    """Is there an arrow h: source -> target with path_of(h) equal to the
+    class cls?  Arrows tried before the match whose path is proportional to
+    cls are recorded as near misses, ``tag`` followed by the factor."""
+    for (s, t, h) in arrows:
+        if s == source and t == target:
+            rel = _classes_relation(path_of(h), cls, A.field)
+            if rel == "equal":
+                return True
+            if isinstance(rel, tuple):
+                transcript["near_misses"].append(tag + (str(rel[1]),))
+    return False
+
+
 def check_fabric_combinatorial(A, F, cutoff=12):
     """Quiver-level fabric test.  Returns (e, transcript) on success.
 
@@ -128,18 +142,9 @@ def check_fabric_combinatorial(A, F, cutoff=12):
                 raise ConditionFailed(3, f"nonzero path {i}->{j}->{jp} but no "
                                          f"distinguished arrow at {i}")
             ip, alpha_i = iprime[i]
-            found = False
-            for (s2, t2, delta) in arrows:
-                if s2 == ip and t2 == jp:
-                    cls2 = A.mult(delta, alpha_i)
-                    rel = _classes_relation(cls2, cls, A.field)
-                    if rel == "equal":
-                        found = True
-                        break
-                    if isinstance(rel, tuple):
-                        transcript["near_misses"].append(
-                            ("cond3", i, j, str(rel[1])))
-            if not found:
+            if not _some_arrow_gives(A, arrows, ip, jp, cls,
+                                     lambda delta: A.mult(delta, alpha_i),
+                                     transcript, ("cond3", i, j)):
                 raise ConditionFailed(3, f"no factorization of {i}->{j}->{jp}")
     transcript["conditions"][3] = "ok"
 
@@ -153,18 +158,9 @@ def check_fabric_combinatorial(A, F, cutoff=12):
                 cls = A.mult(delta, alpha_i)
                 if not cls:
                     continue
-                found = False
-                for (s3, t3, beta) in arrows:
-                    if s3 == i and t3 == j:
-                        cls2 = A.mult(alpha_j, beta)
-                        rel = _classes_relation(cls2, cls, A.field)
-                        if rel == "equal":
-                            found = True
-                            break
-                        if isinstance(rel, tuple):
-                            transcript["near_misses"].append(
-                                ("cond4", i, j, str(rel[1])))
-                if not found:
+                if not _some_arrow_gives(A, arrows, i, j, cls,
+                                         lambda beta: A.mult(alpha_j, beta),
+                                         transcript, ("cond4", i, j)):
                     raise ConditionFailed(4, f"no arrow {i}->{j} matching the "
                                              f"path {i}->{ip}->{jp}")
     transcript["conditions"][4] = "ok"

@@ -18,6 +18,7 @@ the identity.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .errors import ParseError, UnknownVertex, NonParallelRelation, QfabError
 from .field import QQ, field_by_name
@@ -44,12 +45,16 @@ def parse_presentation(text, name=""):
             vid = line[len("vertex"):].strip()
             if not vid:
                 raise ParseError(ln, 7, "missing vertex id")
+            if vid in vertices:
+                raise ParseError(ln, 1, f"vertex {vid!r} declared twice")
             vertices.append(vid)
         elif line.startswith("arrow"):
             m = re.match(r"arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*$",
                          line)
             if not m:
                 raise ParseError(ln, 1, "expected `arrow id: src -> tgt`")
+            if any(a[0] == m.group(1) for a in arrows):
+                raise ParseError(ln, 1, f"arrow {m.group(1)!r} declared twice")
             arrows.append((m.group(1), m.group(2), m.group(3), ln))
         elif line.startswith("relation"):
             rel_lines.append((ln, line[len("relation"):].strip()))
@@ -93,6 +98,8 @@ def _parse_relation(Q, ln, body):
         for p in pieces:
             if p not in Q.arrow_index:
                 raise ParseError(ln, 1, f"unknown arrow {p!r}")
+        if len(pieces) < 2:
+            raise ParseError(ln, 1, f"term {chunk!r} is shorter than 2 arrows")
         # written composition order is right-to-left; words store
         # application order
         word = tuple(Q.arrow_index[p] for p in reversed(pieces))
@@ -105,7 +112,8 @@ def _parse_relation(Q, ln, body):
         else:
             if "/" in coef:
                 n, d = coef.split("/")
-                from fractions import Fraction
+                if not int(d):
+                    raise ParseError(ln, 1, f"coefficient {coef!r} divides by zero")
                 terms.append((sign * Fraction(int(n), int(d)), pw))
             else:
                 terms.append((sign * int(coef), pw))

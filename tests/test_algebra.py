@@ -1,12 +1,16 @@
+from itertools import combinations
+
 import pytest
 
+from qfab import modules as md
 from qfab.quiver import Quiver, Presentation, path, relation
 from qfab.algebra import (build_algebra, build_algebra_blunt, corner,
                           quotient_by_idempotent_ideal, quiver_of,
                           check_presentation_isomorphism, generator_lifts)
 from qfab.errors import NotAdmissible, QfabError
 from qfab.fixtures import fixture
-from qfab.field import PrimeField
+from qfab.field import QQ, PrimeField
+from qfab.nakayama import higher_nakayama
 
 
 def test_one_vertex_no_arrows():
@@ -40,18 +44,56 @@ def test_fixture_dimensions_golden(name, dim):
     assert build_algebra(fixture(name)).dim == dim
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIMS))
+# higher Nakayama algebras the reduction pipeline builds, and fixtures over F_3
+ORACLE_NAKAYAMA = {f"nakayama-{n}-{''.join(map(str, series))}": (n, series)
+                   for n, series in [(1, (4, 4, 3, 3)), (2, (4, 3, 3, 3)),
+                                     (3, (3, 2, 2)), (2, (5, 4, 3, 3, 3, 4)),
+                                     (3, (4, 3, 3, 3))]}
+ORACLE_F3 = {f"{name}-F3": name
+             for name in ["double-triangle", "preprojective-a3", "canonical-2-211"]}
+
+
+def _oracle_input(name):
+    """The presentation and field of one blunt-oracle case."""
+    if name in ORACLE_NAKAYAMA:
+        return higher_nakayama(*ORACLE_NAKAYAMA[name])[1], QQ
+    if name in ORACLE_F3:
+        return fixture(ORACLE_F3[name]), PrimeField(3)
+    return fixture(name), QQ
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIMS) + sorted(ORACLE_NAKAYAMA)
+                         + sorted(ORACLE_F3))
 def test_graded_engine_agrees_with_blunt_oracle(name):
-    pres = fixture(name)
-    A = build_algebra(pres)
+    pres, field = _oracle_input(name)
+    A = build_algebra(pres, field)
     pres.length_bound = A.max_len + 2
-    B = build_algebra_blunt(pres)
+    B = build_algebra_blunt(pres, field)
     assert A.dim == B.dim
     assert [b.word for b in A.basis] == [b.word for b in B.basis]
     # full structure-constant agreement
     for i in range(A.dim):
         for j in range(A.dim):
             assert A.mult(i, j) == B.mult(i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", ["double-triangle", "two-ag-square",
+                                  "preprojective-a3"])
+def test_idempotent_quotient_agrees_with_cokernel_oracle(name, field):
+    """For every vertex set S, A/<e_S> is an algebra of the dimension of
+    A/AeA, built as the cokernel of the trace of the P_u (u in S) in A."""
+    A = build_algebra(fixture(name), field)
+    R = md.regular_module(A)
+    for k in range(A.n_vertices + 1):
+        for S in combinations(A.vertices, k):
+            Abar = quotient_by_idempotent_ideal(A, S)
+            Abar.validate()
+            seeds = [(v, col) for u in S
+                     for f in md.hom_space(md.projective_module(A, u), R)
+                     for v in range(A.n_vertices) for col in f.mats[v].columns()]
+            _, trace = md.submodule_generated_by(R, seeds)
+            assert Abar.dim == md.cokernel(trace)[0].total_dim, S
 
 
 def test_validate_all_small_fixtures():

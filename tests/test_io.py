@@ -72,6 +72,24 @@ def test_parse_errors_are_located():
         parse_presentation("vertex 1\narrow a: 1 -> 1\nrelation a*x\n")
 
 
+_TWO_CYCLE = "vertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
+
+MALFORMED = {
+    "zero-denominator": (_TWO_CYCLE + "relation 1/0*b*a\n", 5),
+    "repeated-vertex": ("vertex 1\nvertex 2\nvertex 1\n", 3),
+    "repeated-arrow": (_TWO_CYCLE + "arrow a: 2 -> 1\n", 5),
+    "short-path": ("vertex 1\narrow a: 1 -> 1\nrelation a*a - a\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_presentation_is_located(case):
+    text, line = MALFORMED[case]
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert exc.value.line == line
+
+
 def test_dot_export_quiver():
     pres = fixture("preprojective-a2")
     dot = export_dot(pres)
@@ -217,6 +235,30 @@ def test_cli_bad_flag_value_is_an_input_error(args, bad):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("input error: ")
     assert bad in r.stderr
+    assert r.stdout == ""
+
+
+_UNDEFINED_OVER_F5 = ("input error: relation 1 ((1/5)*b*a): coefficient 1/5 "
+                      "is not defined over F5")
+CLI_MALFORMED = {
+    **{case: (text, [], f"parse error: line {line}, ")
+       for case, (text, line) in MALFORMED.items()},
+    "undefined-in-file-field": ("field F 5\n" + _TWO_CYCLE + "relation 1/5*b*a\n",
+                                [], _UNDEFINED_OVER_F5),
+    "undefined-in-flag-field": (_TWO_CYCLE + "relation 1/5*b*a\n",
+                                ["--field", "F5"], _UNDEFINED_OVER_F5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_MALFORMED))
+def test_cli_malformed_presentation_is_an_input_error(tmp_path, case):
+    text, flags, message = CLI_MALFORMED[case]
+    p = tmp_path / "bad.qf"
+    p.write_text(text)
+    r = _run_cli("analyze", str(p), *flags)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith(message)
     assert r.stdout == ""
 
 

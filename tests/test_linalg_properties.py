@@ -1,4 +1,5 @@
-"""Property tests of the exact linear-algebra kernel against sympy.
+"""Property tests of the exact linear-algebra kernel against sympy, and of
+the normal form modulo an ideal built on it.
 
 Matrices are small, mostly zero and drawn over Q, F_2 and F_(2^31-1).  The
 kernel tests scalars for zero by truthiness, so the scalar contract is
@@ -13,6 +14,7 @@ from hypothesis import example, given, strategies as st
 from sympy import GF, QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
+from qfab.algebra import _EchelonIdeal
 from qfab.field import QQ, PrimeField
 from qfab.linalg import (Matrix, Subspace, kernel_basis, rank, rref, solve,
                          solve_matrix)
@@ -217,6 +219,45 @@ def test_unit_pivots_keep_integer_matrices_integral():
     assert R.data == ((1, 0), (0, 1))
     R, _ = rref(Matrix.from_rows([[2, 1]], QQ))
     assert R.data == ((1, Fraction(1, 2)),) and type(R.data[0][1]) is Fraction
+
+
+# keys (block, rank): two blocks of four coordinates each
+IDEAL_KEYS = [(b, r) for b in range(2) for r in range(4)]
+
+
+@st.composite
+def block_vectors(draw, F):
+    """A sparse vector over IDEAL_KEYS supported in one block."""
+    b = draw(st.integers(0, 1))
+    vals = draw(vectors(F, 4))
+    return {(b, r): c for r, c in enumerate(vals) if c}
+
+
+def _minus(u, v):
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out[k] - c if k in out else -c
+    return {k: c for k, c in out.items() if c}
+
+
+@given(st.data())
+def test_echelon_ideal_reduce_is_a_normal_form(data):
+    F = data.draw(st.sampled_from([QQ, PrimeField(5)]))
+    ideal = _EchelonIdeal(IDEAL_KEYS, lambda k: k[0], lambda k: k[1], F)
+    inserted = data.draw(st.lists(block_vectors(F), max_size=6))
+    for vec in inserted:
+        ideal.insert(vec)
+    for vec in inserted:
+        assert ideal.reduce(vec) == {}
+    v = {}
+    for part in data.draw(st.lists(block_vectors(F), max_size=3)):
+        v.update(part)
+    r = ideal.reduce(v)
+    assert ideal.reduce(r) == r
+    assert not set(r) & ideal.pivots()
+    diff = _minus(v, r)
+    for b in range(2):
+        assert not ideal.insert({k: c for k, c in diff.items() if k[0] == b})
 
 
 @given(st.integers(-40, 40), st.integers(-12, 12).filter(bool))
