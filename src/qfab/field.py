@@ -1,13 +1,12 @@
 """Exact scalar fields: the rationals (arbitrary precision) and prime fields.
 
 Scalars are plain values supporting +, -, *, ==, hash.  A rational is a
-Python ``int`` whenever it is integral, and a ``fractions.Fraction`` (or a
-``gmpy2.mpq`` when the optional ``gmpy2`` extra is installed) only when a
-division leaves a remainder.  Most entries in this package are 0 or +-1, and
-an ``int`` operation costs a small fraction of a ``Fraction`` one.  ``int``
-and ``Fraction`` mix freely under +, -, * and ==, and a ``Fraction`` is in
-lowest terms with a positive denominator.  Prime-field elements are small
-wrapper objects around a residue.
+Python ``int`` whenever it is integral, and a ``fractions.Fraction`` only
+when a division leaves a remainder.  Most entries in this package are 0 or
++-1, and an ``int`` operation costs a small fraction of a ``Fraction`` one.
+``int`` and ``Fraction`` mix freely under +, -, * and ==, and a ``Fraction``
+is in lowest terms with a positive denominator.  Prime-field elements are
+small wrapper objects around a residue.
 
 Scalars are never divided with ``/`` outside this module, because
 ``int / int`` is a float.  Each field has one method ``div(a, b)``, the only
@@ -26,15 +25,12 @@ every entry).  ``zero`` and ``one`` are stored constants of each field.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # gmpy2 is an optional extra
-    from fractions import Fraction as _rational
+from fractions import Fraction
 
 
 def _canonical(q):
     """A rational value as an ``int`` when it is integral."""
-    return int(q.numerator) if q.denominator == 1 else q
+    return q.numerator if q.denominator == 1 else q
 
 
 class RationalField:
@@ -46,7 +42,7 @@ class RationalField:
     one = 1
 
     def __call__(self, num, den=1):
-        return _canonical(_rational(num, den))
+        return _canonical(Fraction(num, den))
 
     def coerce(self, x):
         if type(x) is int:
@@ -56,13 +52,13 @@ class RationalField:
                 n, d = x.split("/")
                 return self(int(n), int(d))
             return int(x)
-        return _canonical(_rational(x))
+        return _canonical(Fraction(x))
 
     def div(self, a, b):
         """a / b; canonical when a and b are."""
         if b == 1 or b == -1:
             return a * b
-        return _canonical(_rational(a, b))
+        return _canonical(Fraction(a, b))
 
     def __repr__(self):
         return "QQ"

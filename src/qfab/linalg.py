@@ -226,8 +226,15 @@ def kernel_basis(mat):
     increasing free-column order, with the free coordinate set to one.
     Without rows, that is the unit vectors.
     """
+    return _kernel(mat)[0]
+
+
+def _kernel(mat):
+    """(basis, free): ``kernel_basis(mat)`` and its free columns.  Basis
+    vector i is 1 at ``free[i]`` and 0 at the other free columns, so a kernel
+    vector y is the combination with coefficients y[free]."""
     if not mat.rows:
-        return unit_vectors(mat.cols, mat.field)
+        return unit_vectors(mat.cols, mat.field), range(mat.cols)
     R, pivots = rref(mat)
     z, o = mat.field.zero, mat.field.one
     pivot_set = set(pivots)
@@ -239,7 +246,7 @@ def kernel_basis(mat):
         for r, pc in enumerate(pivots):
             v[pc] = -R.data[r][fc]
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def unit_vectors(n, field=QQ):
@@ -265,24 +272,6 @@ def solve(mat, b):
     return x
 
 
-def solve_matrix(mat, rhs):
-    """Solve mat*X = rhs, free variables set to zero; None if any column is
-    inconsistent.  One elimination of [mat | rhs] gives, column by column,
-    the same solutions as ``solve``."""
-    if rhs.rows != mat.rows:
-        raise DimensionMismatch("rhs row count mismatch")
-    n, k = mat.cols, rhs.cols
-    if not k:
-        return Matrix.zero(n, 0, mat.field)
-    R, pivots = rref(mat.hstack(rhs))
-    if pivots and pivots[-1] >= n:
-        return None
-    out = [(mat.field.zero,) * k] * n
-    for r, pc in enumerate(pivots):
-        out[pc] = R.data[r][n:]
-    return Matrix(n, k, out, mat.field)
-
-
 def from_columns(cols, rows, field=QQ):
     """Matrix whose columns are the given vectors."""
     # a non-empty column for 0 rows goes on to the shape check
@@ -292,12 +281,14 @@ def from_columns(cols, rows, field=QQ):
 
 
 class Subspace:
-    """A subspace kept in reduced echelon form for membership tests.
+    """A subspace kept in reduced echelon form.
 
     Rows are vectors of fixed length `dim`; `pivots[i]` is the pivot column
-    of the i-th stored row, in increasing order.  Supports incremental
-    insertion.  Each row's non-zero columns are kept beside it, so reducing
-    a vector updates only those entries.
+    of the i-th stored row, in increasing order.  The rows are the identity
+    at the pivots, so a vector of the span has its entries there as its
+    coordinates.  Supports incremental insertion.  Each row's non-zero
+    columns are kept beside it, so reducing a vector updates only those
+    entries.
     """
 
     def __init__(self, dim, field=QQ):
@@ -307,24 +298,15 @@ class Subspace:
         self.pivots = []
         self._support = []
 
-    def _eliminate(self, v, coords=None):
-        """Clear v (in place) at every stored pivot; record the multipliers
-        in coords when given."""
-        for i, (row, p, support) in enumerate(zip(self.rows, self.pivots, self._support)):
+    def reduce(self, vec):
+        """Reduce vec against the stored rows; returns the residue (a list)."""
+        v = list(vec)
+        for row, p, support in zip(self.rows, self.pivots, self._support):
             f = v[p]
             if f:
-                if coords is not None:
-                    coords[i] = f
                 for j in support:
                     v[j] = v[j] - f * row[j]
         return v
-
-    def reduce(self, vec):
-        """Reduce vec against the stored rows; returns the residue (a list)."""
-        return self._eliminate(list(vec))
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
 
     def insert(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
@@ -351,10 +333,3 @@ class Subspace:
     @property
     def rank(self):
         return len(self.rows)
-
-    def coordinates(self, vec):
-        """Coordinates of vec in the stored echelon basis, or None."""
-        coords = [self.field.zero] * len(self.rows)
-        if any(self._eliminate(list(vec), coords)):
-            return None
-        return coords

@@ -8,10 +8,8 @@ computation (kernels, images, homs) remains exact linear algebra.
 
 Modules are small and live on a few vertices, so most blocks have a zero
 side.  Such a block is never computed: ``Representation.action`` returns the
-shared ``Matrix.zero`` for it, ``free_module``, ``cokernel``,
-``direct_sum`` and ``dual_module`` build nothing for it, and
-``_sub_representation`` only checks that an image with an empty target
-block is zero.  ``radical_spaces`` reads only ``gen_mats``, and ``socle``,
+shared ``Matrix.zero`` for it, and ``free_module``, ``cokernel``,
+``direct_sum`` and ``dual_module`` build nothing for it.  ``radical_spaces`` reads only ``gen_mats``, and ``socle``,
 ``submodule_generated_by``, ``hom_space``, ``restrict_to_corner`` and
 ``inflate_from_quotient`` read only the generators leaving a non-zero
 vertex, through ``FDAlgebra.generators_from``.  A module costs its
@@ -21,6 +19,14 @@ shape of every matrix it is given, drops those with a zero side, and fills
 in a shared zero for a supported generator left out.
 ``_supported_generators`` lists those generators, through
 ``FDAlgebra.generators_from`` at the non-zero vertices.
+
+A submodule is handed to ``_sub_representation`` as an echelon basis per
+vertex with its unit coordinates: the pivots of a ``Subspace`` (``image``,
+``radical_submodule``, ``submodule_generated_by``) or the free columns of a
+kernel basis (``kernel``, ``socle``).  The basis matrix is the identity at
+those rows, so the coordinates of a vector of the span are its entries
+there: submodules read their generator matrices off the images and never
+solve a linear system.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import (Matrix, from_columns, kernel_basis, rank, solve,
-                     solve_matrix, Subspace, unit_vectors)
+from .linalg import (Matrix, _kernel, from_columns, kernel_basis, rank,
+                     solve, Subspace, unit_vectors)
 from .errors import (AlgebraMismatch, QfabError, DimensionMismatch,
                      NotQuotientModule)
 
@@ -355,14 +361,17 @@ def direct_sum(summands):
 # ---------------------------------------------------------------------------
 
 
-def _sub_representation(N, col_bases):
-    """Submodule of N spanned (vertexwise) by the given column bases.
+def _sub_representation(N, bases):
+    """Submodule of N spanned, vertex by vertex, by echelon bases.
 
-    ``col_bases[v]`` is a list of vectors in N_v, assumed action-stable.
-    Returns (module, inclusion).
+    ``bases[v]`` is ``(vectors, units)``: vectors in N_v whose matrix of
+    columns is the identity at the rows ``units``.  A vector of their span is
+    the combination with its entries at ``units`` as coefficients, so each
+    generator matrix is read off the image, and one product checks that the
+    span is action-stable.  Returns (module, inclusion).
     """
     A = N.algebra
-    mats = [from_columns(cols, N.dims[v], A.field) for v, cols in enumerate(col_bases)]
+    mats = [from_columns(cols, N.dims[v], A.field) for v, (cols, _) in enumerate(bases)]
     dims = [m.cols for m in mats]
     gen_mats = {}
     for v, d in enumerate(dims):
@@ -371,12 +380,8 @@ def _sub_representation(N, col_bases):
         for g in A.generators_from(v):
             t = A.basis[g].target
             img = N.action(g) * mats[v]
-            if not dims[t]:
-                if not img.is_zero():
-                    raise QfabError("subspace is not action-stable")
-                continue
-            x = solve_matrix(mats[t], img)
-            if x is None:
+            x = Matrix(dims[t], d, [img.data[p] for p in bases[t][1]], A.field)
+            if mats[t] * x != img:
                 raise QfabError("subspace is not action-stable")
             gen_mats[g] = x
     S = Representation(A, dims, gen_mats)
@@ -385,33 +390,30 @@ def _sub_representation(N, col_bases):
 
 def kernel(f: ModuleMap):
     """Kernel with its inclusion."""
-    bases = [kernel_basis(f.mats[v]) for v in range(f.source.algebra.n_vertices)]
-    return _sub_representation(f.source, bases)
+    return _sub_representation(f.source, [_kernel(m) for m in f.mats])
+
+
+def _column_span(m):
+    """The column span of m as a ``Subspace``."""
+    sub = Subspace(m.rows, m.field)
+    for col in m.columns():
+        sub.insert(col)
+    return sub
 
 
 def image(f: ModuleMap):
     """Image as a submodule of the target, with its inclusion."""
-    A = f.source.algebra
-    bases = []
-    for v in range(A.n_vertices):
-        sub = Subspace(f.target.dims[v], A.field)
-        for col in f.mats[v].columns():
-            sub.insert(col)
-        bases.append([list(r) for r in sub.rows])
-    return _sub_representation(f.target, bases)
+    return _sub_representation(f.target, [(sub.rows, sub.pivots)
+                                          for sub in map(_column_span, f.mats)])
 
 
 def cokernel(f: ModuleMap):
     """Cokernel with the projection from the target."""
     A = f.source.algebra
     N = f.target
-    subs = []
+    subs = [_column_span(m) for m in f.mats]
     complements = []
-    for v in range(A.n_vertices):
-        sub = Subspace(N.dims[v], A.field)
-        for col in f.mats[v].columns():
-            sub.insert(col)
-        subs.append(sub)
+    for v, sub in enumerate(subs):
         pivset = set(sub.pivots)
         complements.append([k for k in range(N.dims[v]) if k not in pivset])
     dims = [len(c) for c in complements]
@@ -455,7 +457,7 @@ def radical_spaces(M):
 
 def radical_submodule(M):
     """rad(M) = rad(A).M with its inclusion."""
-    return _sub_representation(M, [[list(r) for r in sub.rows]
+    return _sub_representation(M, [(sub.rows, sub.pivots)
                                    for sub in radical_spaces(M)])
 
 
@@ -473,8 +475,8 @@ def socle(M):
         stack = None
         for g in A.generators_from(v):
             stack = M.action(g) if stack is None else stack.vstack(M.action(g))
-        bases.append(unit_vectors(M.dims[v], A.field) if stack is None
-                     else kernel_basis(stack))
+        bases.append((unit_vectors(M.dims[v], A.field), range(M.dims[v]))
+                     if stack is None else _kernel(stack))
     return _sub_representation(M, bases)
 
 
@@ -770,8 +772,7 @@ def submodule_generated_by(N, seeds):
             img = N.action(g).apply(vec)
             if any(img) and subs[t].insert(img):
                 work.append((t, img))
-    bases = [[list(r) for r in sub.rows] for sub in subs]
-    return _sub_representation(N, bases)
+    return _sub_representation(N, [(sub.rows, sub.pivots) for sub in subs])
 
 
 def random_module(A, rng, max_total_dim=8):

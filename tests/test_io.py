@@ -177,6 +177,14 @@ def test_cli_nakayama_reduce():
     assert "terminal-dimension: 12" in r.stdout
 
 
+def test_cli_nakayama_reduce_below_the_cutoff_is_undecided():
+    # gl.dim is 2, so cutoff 0 decides nothing; that is no verification failure
+    r = _run_cli("nakayama", "--n", "1", "--kupisch", "1,2,3", "--reduce",
+                 "--cutoff", "0")
+    assert r.returncode == 0, r.stderr
+    assert "status: undecided" in r.stdout
+
+
 def test_cli_nakayama_vertex_list_splits_into_labels():
     from qfab.nakayama import higher_nakayama
     # coordinates reach 10 and 11, so some labels contain commas

@@ -4,8 +4,8 @@ import pytest
 
 from qfab.field import QQ, PrimeField
 from qfab.errors import DimensionMismatch
-from qfab.linalg import (Matrix, rref, rank, kernel_basis, solve, solve_matrix,
-                         Subspace, from_columns)
+from qfab.linalg import (Matrix, rref, rank, kernel_basis, solve, Subspace,
+                         from_columns)
 
 
 def mat(rows, field=QQ):
@@ -43,22 +43,6 @@ def test_solve_free_variable_zeroed():
 
 def test_solve_inconsistent():
     assert solve(mat([[1], [2]]), [QQ(1), QQ(1)]) is None
-
-
-def test_solve_matrix_matches_columnwise_solve():
-    m = mat([[1, 2, 0], [2, 4, 1], [0, 0, 0]])
-    rhs = mat([[1, 0, 3], [3, 1, 6], [0, 0, 0]])
-    got = solve_matrix(m, rhs)
-    cols = [solve(m, rhs.column(j)) for j in range(rhs.cols)]
-    assert got == from_columns(cols, m.cols)
-    # one inconsistent column makes the whole system inconsistent
-    bad = rhs.hstack(mat([[0], [0], [1]]))
-    assert solve(m, bad.column(3)) is None
-    assert solve_matrix(m, bad) is None
-    empty = solve_matrix(m, Matrix(3, 0, [[], [], []]))
-    assert (empty.rows, empty.cols) == (3, 0)
-    with pytest.raises(DimensionMismatch):
-        solve_matrix(m, mat([[1], [2]]))
 
 
 def test_rref_idempotent():
@@ -101,13 +85,14 @@ def test_prime_field_rank_agrees_with_rational():
 
 
 def test_inverse_and_product():
-    # an inverse is the solution of m * X = I; a singular m has none
+    # an inverse is the solution of m * X = I, column by column; a singular
+    # m has none
     m = mat([[2, 1], [1, 1]])
-    inv = solve_matrix(m, Matrix.identity(2))
-    assert inv is not None
+    inv = from_columns([solve(m, e) for e in Matrix.identity(2).columns()], 2)
     assert m * inv == Matrix.identity(2)
-    assert rank(mat([[1, 2], [2, 4]])) < 2
-    assert solve_matrix(mat([[1, 2], [2, 4]]), Matrix.identity(2)) is None
+    singular = mat([[1, 2], [2, 4]])
+    assert rank(singular) < 2
+    assert solve(singular, Matrix.identity(2).column(0)) is None
 
 
 def test_subspace_membership_and_coordinates():
@@ -115,10 +100,14 @@ def test_subspace_membership_and_coordinates():
     assert sub.insert([QQ(1), QQ(1), QQ(0)])
     assert sub.insert([QQ(0), QQ(1), QQ(1)])
     assert not sub.insert([QQ(1), QQ(2), QQ(1)])
-    assert sub.contains([QQ(2), QQ(3), QQ(1)])
-    assert not sub.contains([QQ(0), QQ(0), QQ(1)])
-    coords = sub.coordinates([QQ(2), QQ(3), QQ(1)])
-    assert coords is not None
+    v = [QQ(2), QQ(3), QQ(1)]
+    assert not any(sub.reduce(v))
+    assert any(sub.reduce([QQ(0), QQ(0), QQ(1)]))
+    # the rows are the identity at the pivots, so v's coordinates are its
+    # entries there
+    assert sub.pivots == [0, 1]
+    coords = [v[p] for p in sub.pivots]
+    assert [sum(c * row[j] for c, row in zip(coords, sub.rows)) for j in range(3)] == v
 
 
 def test_from_columns_shape():

@@ -1,12 +1,14 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qfab import modules as md
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
-from qfab.linalg import Matrix, kernel_basis, rank
+from qfab.linalg import Matrix, from_columns, kernel_basis, rank, solve, unit_vectors
 from qfab.quiver import Presentation, Quiver, path, relation
 from qfab.errors import (DimensionMismatch, NotQuotientModule, QfabError,
                          SummandsNotDistinct, SummandDecomposable)
@@ -517,3 +519,62 @@ def test_socle_is_the_common_kernel_of_the_arrows(name, field):
             assert S.dims[v] == M.dims[v] - rank(Matrix(len(rows), M.dims[v], rows, field))
             for g in leaving:
                 assert (M.action(g) * inc.mats[v]).is_zero()
+
+
+# -- submodules read off echelon bases ----------------------------------------
+
+
+def test_sub_representation_rejects_a_basis_that_is_not_action_stable(double_triangle):
+    A = double_triangle
+    P, pos = md.free_module(A, ["1"])
+    v = A.vertex_pos["1"]
+    assert any(A.basis[g].source == v for g in A.generators)
+    # the span of e_1 alone: the arrow 1 -> 2 sends it outside
+    e = next(i for i in A.by_source(v) if A.basis[i].length == 0)
+    w, k = pos[0][e]
+    assert w == v
+    unit = [A.field.one if j == k else A.field.zero for j in range(P.dims[v])]
+    bases = [([], []) for _ in A.vertices]
+    bases[v] = ([unit], [k])
+    with pytest.raises(QfabError, match="not action-stable"):
+        md._sub_representation(P, bases)
+    # every unit vector at every vertex spans P itself
+    whole = [(unit_vectors(d, A.field), range(d)) for d in P.dims]
+    S, inc = md._sub_representation(P, whole)
+    assert S.dims == P.dims and inc.intertwines()
+    assert all(S.action(g) == P.action(g) for g in A.generators)
+
+
+@functools.cache
+def _algebra(name, p):
+    return build_algebra(fixture(name), PrimeField(p) if p else QQ)
+
+
+def _assert_read_off_is_the_solve_answer(S, inc):
+    """Each generator matrix of S is the column-wise solution of
+    inc[t] * X = N(g) * inc[v], and inc is a module map."""
+    A, N = S.algebra, inc.target
+    assert inc.intertwines()
+    for g in A.generators:
+        b = A.basis[g]
+        img = N.action(g) * inc.mats[b.source]
+        cols = [solve(inc.mats[b.target], c) for c in img.columns()]
+        assert from_columns(cols, S.dims[b.target], A.field) == S.action(g)
+
+
+@given(st.sampled_from(["double-triangle", "two-ag-square", "preprojective-a3"]),
+       st.sampled_from([0, 5]), st.integers(0, 2 ** 32))
+def test_submodules_match_the_column_wise_solve(name, p, seed):
+    A = _algebra(name, p)
+    F = A.field
+    rng = random.Random(seed)
+    M = md.random_module(A, rng, max_total_dim=6)
+    N = md.random_module(A, rng, max_total_dim=6)
+    f = md.ModuleMap.zero(M, N)
+    for h in md.hom_space(M, N):
+        f = f + h.scale(F(rng.randrange(-2, 3)))
+    w = max(range(A.n_vertices), key=lambda v: N.dims[v])
+    seeds = [(w, [F(rng.randrange(-2, 3)) for _ in range(N.dims[w])])]
+    for S, inc in (md.kernel(f), md.image(f), md.radical_submodule(N),
+                   md.socle(N), md.submodule_generated_by(N, seeds)):
+        _assert_read_off_is_the_solve_answer(S, inc)

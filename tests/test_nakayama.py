@@ -142,6 +142,24 @@ def test_reduce_l0_one_trivial_singularity():
     assert trace.certificates["gl_dim"].is_finite
 
 
+def test_reduce_below_the_cutoff_is_undecided():
+    # gl.dim of (1,2,3) is 2, so cutoff 1 leaves only ">=1": not a failure
+    trace = reduce_to_selfinjective(1, (1, 2, 3), cutoff=1)
+    assert trace.status == "undecided"
+    assert trace.certificates["gl_dim"] == hm.DimValue.at_least(1)
+    assert trace.terminal.dim == 5
+    trace = reduce_to_selfinjective(1, (1, 2, 3), cutoff=2)
+    assert trace.status == "trivial-singularity"
+    assert trace.certificates["gl_dim"] == 2
+
+
+def test_reduce_certified_infinite_gl_dim_still_raises(monkeypatch):
+    monkeypatch.setattr(hm, "global_dimension",
+                        lambda A, cutoff: hm.DimValue.infinite())
+    with pytest.raises(StageVerificationFailed, match="got infinity"):
+        reduce_to_selfinjective(1, (1, 2, 3), cutoff=12)
+
+
 def test_reduce_n1_chen_ye_style():
     trace = reduce_to_selfinjective(1, (3, 2, 2), cutoff=12)
     assert trace.status == "trivial-singularity"
