@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import QQ
-from .linalg import Subspace, from_columns, solve
+from .linalg import Span, Subspace
 from .quiver import Quiver, Arrow, PathWord, Relation, Presentation
 from .errors import InputError, NotAdmissible, QfabError
 
@@ -161,7 +161,8 @@ class FDAlgebra:
         for (m, s, t) in sorted(by_len_block):
             idxs = by_len_block[(m, s, t)]
             row_of = {b: k for k, b in enumerate(idxs)}
-            cols, keys = [], []
+            # the products g . u that are independent of the earlier ones
+            span, keys = Span(len(idxs), self.field), []
 
             def add_col(g, u):
                 prod = self.mult(g, u)
@@ -171,8 +172,8 @@ class FDAlgebra:
                         raise QfabError("algebra is not length-graded; "
                                         "generator factorization unsupported")
                     col[row_of[k]] = c
-                cols.append(col)
-                keys.append((g, u))
+                if span.add(col) is None:
+                    keys.append((g, u))
 
             for g in gens:
                 bg = self.basis[g]
@@ -186,11 +187,11 @@ class FDAlgebra:
             for b in idxs:
                 unit = [zero] * len(idxs)
                 unit[row_of[b]] = one
-                x = solve(from_columns(cols, len(idxs), self.field), unit) if cols else None
+                x = span.add(unit)
                 if x is None:
                     gens.append(b)
                     # later block members may factor through b directly
-                    add_col(b, self.idempotent_index[s])
+                    keys.append((b, self.idempotent_index[s]))
                 else:
                     factor[b] = [
                         (c, keys[k][0], keys[k][1])
@@ -830,7 +831,7 @@ def _extract_relations(Q, gens, mult_vec, dim, field):
     vector ``gens[k][2]``; ``mult_vec(a, b)`` multiplies two sparse vectors
     of a ``dim``-dimensional algebra (a after b).  Each block of paths of one
     degree is split into products chosen in word order, spanning the block's
-    image, and one relation per other path, solved against the chosen ones.
+    image, and one relation per other path, in coordinates over the chosen ones.
     """
     zero, one = field.zero, field.one
     elems = [((k,), s, t, vec) for k, (s, t, vec) in enumerate(gens)]
@@ -846,17 +847,14 @@ def _extract_relations(Q, gens, mult_vec, dim, field):
         new = []
         for key in sorted(blocks):
             cc = sorted(blocks[key], key=lambda ke: elems[ke[1]][0] + (ke[0],))
-            sub = Subspace(dim, field)
+            span = Span(dim, field)
             chosen = []
             for k, e in cc:
                 val = mult_vec(gens[k][2], elems[e][3])
-                dense = _dense(val, dim, zero)
-                if sub.insert(dense):
+                x = span.add(_dense(val, dim, zero))
+                if x is None:
                     chosen.append(((k, e), val))
                 else:
-                    mat = from_columns([_dense(v, dim, zero) for _, v in chosen],
-                                       dim, field)
-                    x = solve(mat, dense) if chosen else []
                     terms = [(one, PathWord(Q, elems[e][0] + (k,)))]
                     for pos, c in enumerate(x):
                         if c:

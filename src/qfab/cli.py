@@ -167,12 +167,11 @@ def cmd_nakayama(args):
 def cmd_resolve(args):
     pres, field = _load(args)
     A = build_algebra(pres, field)
-    kind, _, v = args.module.partition(":")
-    try:
-        M = md.standard_module(A, kind, v)
-    except QfabError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+    kind, sep, v = args.module.partition(":")
+    if not sep:
+        raise InputError(f"--module: {args.module!r} is not of the form "
+                         f"simple|proj|inj:<vertex>")
+    M = md.standard_module(A, kind, v)
     direction = "injective" if args.injective else "projective"
     res = hm.minimal_resolution(M, direction, cutoff=args.steps)
     doc = ReportDocument(f"resolve {kind}:{v} over {pres.name or args.file}")

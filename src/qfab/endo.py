@@ -12,7 +12,7 @@ result carries the same path-graded structure as every other algebra here.
 from __future__ import annotations
 
 from .errors import QfabError, SummandsNotDistinct, SummandDecomposable
-from .linalg import Subspace, from_columns, solve
+from .linalg import Span, Subspace
 from .quiver import Quiver, Arrow, Presentation
 from .algebra import (build_algebra, _EchelonIdeal, _extract_relations,
                       _sparse_product)
@@ -107,14 +107,15 @@ def endomorphism_algebra(summands):
                 raw.append((s, u, phi))
 
     dim = len(raw)
-    block_members = {}
+    # each block's span, with the raw indices of the vectors it stored
+    block_span = {}
     for i, (s, u, phi) in enumerate(raw):
-        block_members.setdefault((s, u), []).append(i)
-    flat = {i: phi.as_vector() for i, (s, u, phi) in enumerate(raw)}
-    block_mat = {}
-    for key, members in block_members.items():
-        cols = [flat[i] for i in members]
-        block_mat[key] = from_columns(cols, len(cols[0]), field)
+        vec = phi.as_vector()
+        if (s, u) not in block_span:
+            block_span[(s, u)] = Span(len(vec), field), []
+        span, stored = block_span[(s, u)]
+        if span.add(vec) is None:
+            stored.append(i)
 
     def mult_raw(i, j):
         """raw[i] . raw[j] (apply j first) in raw coordinates."""
@@ -123,12 +124,11 @@ def endomorphism_algebra(summands):
         if uj != si:
             return {}
         comp = phi_j.compose(phi_i)       # module side reverses
-        key = (sj, ui)
-        x = solve(block_mat[key], comp.as_vector())
+        span, stored = block_span[(sj, ui)]
+        x = span.add(comp.as_vector())
         if x is None:
             raise QfabError("endomorphism composition left its block")
-        return {block_members[key][k]: c for k, c in enumerate(x)
-                if c}
+        return {i: c for i, c in zip(stored, x) if c}
 
     # radical square and arrow choice, lowest raw index first: a radical
     # element outside the span of rad^2 and of the earlier arrows is an arrow

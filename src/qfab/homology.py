@@ -23,8 +23,8 @@ its first two terms and differential on the resolved module
 resolution take no cover and no kernel; the record holds only the
 resolution's own terms, never the module.  Periodicity is screened by tops:
 a syzygy goes to ``is_isomorphic`` only when its dimension vector and its
-top (``_top``) match those of an earlier syzygy, and the next cover reuses
-the top the screen computed.  A period it misses leaves ``>=cutoff``.
+top (``modules._top``) match those of an earlier syzygy, and the next cover
+reuses the top the screen computed.  A period it misses leaves ``>=cutoff``.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
@@ -47,9 +47,9 @@ from .algebra import quotient_by_idempotent_ideal
 from .linalg import Matrix, from_columns, rank
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
-from .modules import (ModuleMap, Representation, dual_module, free_module,
-                      injective_module, is_isomorphic, projective_layout,
-                      simple_module, zero_module)
+from .modules import (ModuleMap, Representation, _top, dual_module,
+                      free_module, injective_module, is_isomorphic,
+                      projective_layout, simple_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +164,6 @@ def projective_cover(M, top=None):
     cover = ModuleMap(P, M, [from_columns(cols[w], M.dims[w], F)
                              for w in range(A.n_vertices)])
     return P, cover, [A.vertices[v] for v, _ in summand_data]
-
-
-def _top(M):
-    """The coordinates (v, c), vertex by vertex, with c outside the pivots of
-    the radical's span in M_v (``modules.radical_spaces``): a basis of M's
-    top."""
-    out = []
-    for v, sub in enumerate(md.radical_spaces(M)):
-        pivs = set(sub.pivots)
-        out.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
-    return out
 
 
 def syzygy(M, n=1):

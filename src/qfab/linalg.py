@@ -2,8 +2,14 @@
 
 Matrices are immutable (tuple-of-tuples) and every operation is a pure
 function, so values can be shared freely.  All echelon forms are reduced and
-pivot-ordered, which makes kernel bases, solutions and ranks canonical:
+pivot-ordered, which makes kernel bases, coordinates and ranks canonical:
 re-running any computation reproduces identical output.
+
+There is one elimination, ``Subspace.insert``: it holds the only pivot
+search and the only back-substitution.  ``rref`` inserts the rows of a
+matrix into a ``Subspace`` and reads the reduced echelon form off it, and
+``Span`` keeps coordinates over the vectors added to it by carrying them in
+a ``Subspace`` with one unit tail slot per vector.
 
 Most entries are 0 or +-1, so the kernel relies on the scalar contract of
 ``field``: a scalar is falsy exactly when it is zero.  Entries are tested with
@@ -11,8 +17,9 @@ Most entries are 0 or +-1, so the kernel relies on the scalar contract of
 the row that is added (``a - f*0 == a`` exactly, so results are unchanged).
 Over Q an entry is an ``int`` until a division leaves a remainder, and only
 then a ``Fraction``; it is never a float.  The only division here, by a
-pivot in ``rref`` and ``Subspace.insert``, goes through ``field.div``, and a
-pivot of +-1 (the common case) keeps every entry an ``int``.
+pivot in ``Subspace.insert``, goes through ``field.div``, and is skipped for
+a pivot of one; a pivot of +-1 (the common case) keeps every entry an
+``int``.
 
 ``Matrix(rows, cols, data)`` is the one constructor, and it always checks the
 shape: rows are converted to tuples and their lengths compared at C level, and
@@ -159,12 +166,6 @@ class Matrix:
             out.append(s)
         return out
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return Matrix(self.rows, self.cols + other.cols,
-                      [a + b for a, b in zip(self.data, other.data)], self.field)
-
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatch("vstack col mismatch")
@@ -180,39 +181,15 @@ class Matrix:
 def rref(mat):
     """Reduced row echelon form.  Returns (Matrix, pivot column list).
 
-    Each elimination step updates only the pivot row's non-zero columns."""
+    The rows are inserted into a ``Subspace``; its rows, padded with zero
+    rows, are the reduced echelon form, which is unique for the row space."""
     if not mat.rows or not mat.cols:
         return mat, []
-    F = mat.field
-    one = F.one
-    rows = [list(r) for r in mat.data]
-    n, m = mat.rows, mat.cols
-    pivots = []
-    r = 0
-    for c in range(m):
-        if r >= n:
-            break
-        pr = next((i for i in range(r, n) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        # columns left of c are zero in every row from r on
-        support = [j for j in range(c, m) if prow[j]]
-        pv = prow[c]
-        if pv != one:
-            inv = F.div(one, pv)
-            for j in support:
-                prow[j] = inv * prow[j]
-        for i in range(n):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-    return Matrix(n, m, rows, F), pivots
+    sub = Subspace(mat.cols, mat.field)
+    for r in mat.data:
+        sub.insert(r)
+    pad = [(mat.field.zero,) * mat.cols] * (mat.rows - sub.rank)
+    return Matrix(mat.rows, mat.cols, sub.rows + pad, mat.field), sub.pivots
 
 
 def rank(mat):
@@ -257,21 +234,6 @@ def unit_vectors(n, field=QQ):
     return out
 
 
-def solve(mat, b):
-    """One solution of mat*x = b with free variables set to zero, or None."""
-    if len(b) != mat.rows:
-        raise DimensionMismatch("rhs length mismatch")
-    aug = mat.hstack(Matrix(mat.rows, 1, [[x] for x in b], mat.field))
-    R, pivots = rref(aug)
-    if mat.cols in pivots:
-        return None
-    z = mat.field.zero
-    x = [z] * mat.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R.data[r][mat.cols]
-    return x
-
-
 def from_columns(cols, rows, field=QQ):
     """Matrix whose columns are the given vectors."""
     # a non-empty column for 0 rows goes on to the shape check
@@ -309,21 +271,27 @@ class Subspace:
         return v
 
     def insert(self, vec):
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.
+
+        This is the one elimination step of the package: the pivot search,
+        the normalisation by the pivot and the back-substitution into the
+        stored rows."""
         v = self.reduce(vec)
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        support = [j for j in range(p, self.dim) if v[j]]
-        inv = self.field.div(self.field.one, v[p])
-        for j in support:
-            v[j] = inv * v[j]
-        for i, (row, rsupp) in enumerate(zip(self.rows, self._support)):
+        F, dim = self.field, self.dim
+        support = [j for j in range(p, dim) if v[j]]
+        if v[p] != F.one:
+            inv = F.div(F.one, v[p])
+            for j in support:
+                v[j] = inv * v[j]
+        for i, row in enumerate(self.rows):
             f = row[p]
             if f:
                 for j in support:
                     row[j] = row[j] - f * v[j]
-                self._support[i] = [j for j in sorted(set(rsupp).union(support)) if row[j]]
+                self._support[i] = [j for j in range(self.pivots[i], dim) if row[j]]
         k = bisect(self.pivots, p)
         self.rows.insert(k, v)
         self.pivots.insert(k, p)
@@ -333,3 +301,34 @@ class Subspace:
     @property
     def rank(self):
         return len(self.rows)
+
+
+class Span:
+    """Vectors kept in the order they were added, each independent of the
+    ones before it, with the coordinates of their span.
+
+    Vector k is stored in a ``Subspace`` of twice the length as ``[v | e_k]``,
+    with a unit in its own tail slot.  Reducing ``[w | 0]`` leaves
+    ``[w - sum c_k v_k | -c]``, so w is in the span exactly when the head
+    reduces to zero, and then its coordinates are the negated tail.  They
+    are the solution of ``V x = w`` for the column matrix V of all vectors
+    ever offered, with the variables of the dependent ones set to zero.
+    """
+
+    def __init__(self, dim, field=QQ):
+        self.dim = dim
+        self.size = 0
+        self._sub = Subspace(2 * dim, field)
+
+    def add(self, vec):
+        """The coordinates of vec over the stored vectors when vec is in
+        their span; otherwise None, and vec is stored after them."""
+        F, dim = self._sub.field, self.dim
+        v = self._sub.reduce(list(vec) + [F.zero] * dim)
+        if any(v[:dim]):
+            # v is reduced and its new tail slot is no stored pivot
+            v[dim + self.size] = F.one
+            self._sub.insert(v)
+            self.size += 1
+            return None
+        return [-c for c in v[dim:dim + self.size]]

@@ -35,8 +35,8 @@ import itertools
 import random
 
 from .linalg import (Matrix, _kernel, from_columns, kernel_basis, rank,
-                     solve, Subspace, unit_vectors)
-from .errors import (AlgebraMismatch, QfabError, DimensionMismatch,
+                     Span, Subspace, unit_vectors)
+from .errors import (AlgebraMismatch, QfabError, DimensionMismatch, InputError,
                      NotQuotientModule)
 
 # Random combinations is_isomorphic draws when no exact step decides, the
@@ -455,6 +455,16 @@ def radical_spaces(M):
     return subs
 
 
+def _top(M):
+    """The coordinates (v, c), vertex by vertex, with c outside the pivots of
+    the radical's span in M_v (``radical_spaces``): a basis of M's top."""
+    out = []
+    for v, sub in enumerate(radical_spaces(M)):
+        pivs = set(sub.pivots)
+        out.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
+    return out
+
+
 def radical_submodule(M):
     """rad(M) = rad(A).M with its inclusion."""
     return _sub_representation(M, [(sub.rows, sub.pivots)
@@ -684,19 +694,20 @@ def _first_invertible(basis, points, field):
 
 def _has_simple_top(M):
     """Is M/rad(M) one-dimensional?  Then M is local, and so is End(M)."""
-    return M.total_dim - sum(len(sub.pivots) for sub in radical_spaces(M)) == 1
+    return len(_top(M)) == 1
 
 
 def endo_structure(M):
     """Endomorphism basis plus structure constants (composition)."""
     basis = hom_space(M, M)
     n = len(basis)
-    base_mat = from_columns([h.as_vector() for h in basis],
-                            sum(d * d for d in M.dims), M.field)
+    span = Span(sum(d * d for d in M.dims), M.field)
+    for h in basis:
+        span.add(h.as_vector())
     table = {}
     for i in range(n):
         for j in range(n):
-            x = solve(base_mat, basis[i].compose(basis[j]).as_vector())
+            x = span.add(basis[i].compose(basis[j]).as_vector())
             if x is None:
                 raise QfabError("composition left the endomorphism space")
             table[(i, j)] = x
@@ -743,15 +754,17 @@ def is_indecomposable(M):
 
 
 def standard_module(A, kind, vertex_id):
+    """The simple, projective or injective module at a vertex; an unknown
+    kind or vertex is an ``InputError``."""
+    make = {"simple": simple_module, "proj": projective_module,
+            "projective": projective_module, "inj": injective_module,
+            "injective": injective_module}.get(kind)
+    if make is None:
+        raise InputError(f"unknown module kind {kind!r}: expected "
+                         f"simple|proj|inj:<vertex>")
     if vertex_id not in A.vertex_pos:
-        raise QfabError(f"unknown vertex {vertex_id!r}")
-    if kind == "simple":
-        return simple_module(A, vertex_id)
-    if kind in ("projective", "proj"):
-        return projective_module(A, vertex_id)
-    if kind in ("injective", "inj"):
-        return injective_module(A, vertex_id)
-    raise QfabError(f"unknown module kind {kind!r}")
+        raise InputError(f"unknown vertex {vertex_id!r}")
+    return make(A, vertex_id)
 
 
 def submodule_generated_by(N, seeds):

@@ -1,5 +1,6 @@
-"""No dead linear algebra: every module-level function of ``qfab.linalg``,
-and every method of ``Subspace``, is used somewhere in the package."""
+"""No dead code: every module-level function of ``qfab.linalg``, every
+method of ``Subspace`` and ``Span``, and every module-level private
+``_function`` of the package is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -32,9 +33,18 @@ def test_every_linalg_function_and_subspace_method_is_used():
     for node in TREES["linalg"].body:
         if isinstance(node, ast.FunctionDef):
             defs.append((node.name, node))
-        elif isinstance(node, ast.ClassDef) and node.name == "Subspace":
-            defs += [(f"Subspace.{m.name}", m) for m in node.body
+        elif isinstance(node, ast.ClassDef) and node.name in ("Subspace", "Span"):
+            defs += [(f"{node.name}.{m.name}", m) for m in node.body
                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
-    assert {"rref", "solve", "Subspace.insert"} <= {label for label, _ in defs}
+    assert {"rref", "Span.add", "Subspace.insert"} <= {label for label, _ in defs}
+    unused = [label for label, node in defs if not _used(node.name, node)]
+    assert unused == []
+
+
+def test_every_private_function_is_used():
+    defs = [(f"{mod}.{node.name}", node) for mod, tree in TREES.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    assert "linalg._kernel" in {label for label, _ in defs}
     unused = [label for label, node in defs if not _used(node.name, node)]
     assert unused == []

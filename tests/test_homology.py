@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from conftest import sympy_solve
 from qfab import modules as md, homology as hm
 from qfab.algebra import build_algebra, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
-from qfab.linalg import Matrix, Subspace, from_columns, rank, solve
+from qfab.linalg import Matrix, Subspace, from_columns, rank
 from qfab.quiver import Quiver, Presentation
 from qfab.fixtures import fixture
 from qfab.nakayama import higher_nakayama
@@ -385,7 +386,7 @@ def test_self_injective_is_exact_in_every_field(case, want):
 
 def _nakayama_functor_by_hom_spaces(M):
     """The oracle: D Hom(M, A) with Hom(M, Ae_v) from ``hom_space`` and the
-    right action of each generator solved for in those bases."""
+    right action of each generator solved for in those bases by sympy."""
     A = M.algebra
     op = A.opposite()
     projs = {v: md.free_module(A, [v]) for v in A.vertices}
@@ -406,7 +407,7 @@ def _nakayama_functor_by_hom_spaces(M):
                                          for w in range(A.n_vertices)])
             flat = from_columns([h.as_vector() for h in bases[vi]],
                                 len(bases[vi][0].as_vector()), A.field)
-            cols = [solve(flat, rmul.compose(phi).as_vector()) for phi in bases[vj]]
+            cols = [sympy_solve(flat, rmul.compose(phi).as_vector()) for phi in bases[vj]]
         else:
             cols = [[] for _ in bases[vj]]
         gen_mats[g] = from_columns(cols, len(bases[vi]), A.field)

@@ -235,8 +235,15 @@ def test_cli_bad_field_flag_is_an_input_error(spec, command):
     (["analyze", "fixture:double-triangle", "--cutoff", "-1"], "--cutoff: "),
     (["resolve", "fixture:double-triangle", "--module", "simple:3", "--steps", "-1"],
      "--steps: "),
+    (["resolve", "fixture:double-triangle", "--module", "bogus"],
+     "--module: 'bogus' is not of the form simple|proj|inj:<vertex>"),
+    (["resolve", "fixture:double-triangle", "--module", "bogus:3"],
+     "unknown module kind 'bogus': expected simple|proj|inj:<vertex>"),
+    (["resolve", "fixture:double-triangle", "--module", "simple:9"],
+     "unknown vertex '9'"),
 ], ids=["kupisch-letter", "kupisch-empty-entry", "n-zero", "unknown-fixture",
-        "unknown-f-vertex", "unknown-h-vertex", "negative-cutoff", "negative-steps"])
+        "unknown-f-vertex", "unknown-h-vertex", "negative-cutoff", "negative-steps",
+        "module-without-kind", "unknown-module-kind", "unknown-module-vertex"])
 def test_cli_bad_flag_value_is_an_input_error(args, bad):
     r = _run_cli(*args)
     assert r.returncode == 2

@@ -4,12 +4,27 @@ import pytest
 
 from qfab.field import QQ, PrimeField
 from qfab.errors import DimensionMismatch
-from qfab.linalg import (Matrix, rref, rank, kernel_basis, solve, Subspace,
+from qfab.linalg import (Matrix, rref, rank, kernel_basis, Span, Subspace,
                          from_columns)
 
 
 def mat(rows, field=QQ):
     return Matrix.from_rows(rows, field)
+
+
+def solve(m, b):
+    """A solution of m x = b read off a ``Span`` of m's columns: the
+    coordinates over the columns it stored, zero at the others; None when b
+    is outside the column span."""
+    span = Span(m.rows, m.field)
+    stored = [j for j, col in enumerate(m.columns()) if span.add(col) is None]
+    coords = span.add(b)
+    if coords is None:
+        return None
+    x = [m.field.zero] * m.cols
+    for j, c in zip(stored, coords):
+        x[j] = c
+    return x
 
 
 def test_kernel_identity_is_empty():

@@ -11,12 +11,11 @@ when the value is integral.
 from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
-from sympy import GF, QQ as SQQ
-from sympy.polys.matrices import DomainMatrix
 
+from conftest import from_sympy, sympy_solve, to_sympy
 from qfab.algebra import _EchelonIdeal
 from qfab.field import QQ, PrimeField
-from qfab.linalg import Matrix, Subspace, kernel_basis, rank, rref, solve
+from qfab.linalg import Matrix, Span, Subspace, kernel_basis, rank, rref
 
 FIELDS = [QQ, PrimeField(2), PrimeField(2 ** 31 - 1)]
 
@@ -40,24 +39,6 @@ def matrices(draw, field=None, rows=None, cols=None):
 
 def vectors(F, n):
     return st.lists(entries(F), min_size=n, max_size=n)
-
-
-def to_sympy(M):
-    if M.field.characteristic == 0:
-        K = SQQ
-        data = [[K(x.numerator, x.denominator) for x in r] for r in M.data]
-    else:
-        K = GF(M.field.p)
-        data = [[K(x.v) for x in r] for r in M.data]
-    return DomainMatrix(data, (M.rows, M.cols), K)
-
-
-def from_sympy(D, F):
-    K = D.domain
-    if F.characteristic == 0:
-        return [[Fraction(int(K.numer(x)), int(K.denom(x))) for x in r]
-                for r in D.to_list()]
-    return [[int(x) % F.p for x in r] for r in D.to_list()]
 
 
 def plain(M):
@@ -87,17 +68,28 @@ def test_kernel_basis_is_a_kernel_basis(M):
 
 
 @given(st.data())
-def test_solve_checks_out(data):
+def test_span_coordinates_match_sympy(data):
+    """Span.add over the columns of M: a dependent vector gets the sympy
+    solution of M x = b with the free variables zero back, and an
+    independent one joins the span, after which it is its own coordinate."""
     M = data.draw(matrices())
-    x = data.draw(vectors(M.field, M.cols))
-    got = solve(M, M.apply(x))
-    assert got is not None and M.apply(got) == M.apply(x)
-    b = data.draw(vectors(M.field, M.rows))
-    consistent = rank(M.hstack(Matrix(M.rows, 1, [[y] for y in b], M.field))) == rank(M)
-    got = solve(M, b)
-    assert (got is not None) == consistent
-    if got is not None:
-        assert M.apply(got) == b
+    F = M.field
+    span = Span(M.rows, F)
+    stored = [j for j, col in enumerate(M.columns()) if span.add(col) is None]
+    # the stored columns are the greedily independent ones: rref's pivots
+    assert stored == rref(M)[1] and span.size == rank(M)
+    for b in (M.apply(data.draw(vectors(F, M.cols))), data.draw(vectors(F, M.rows))):
+        want = sympy_solve(M, b)
+        got = span.add(b)
+        if want is None:
+            assert got is None and span.size == rank(M) + 1
+            assert span.add(b) == [F.zero] * (span.size - 1) + [F.one]
+        else:
+            assert got is not None
+            x = [F.zero] * M.cols
+            for j, c in zip(stored, got):
+                x[j] = c
+            assert x == want
 
 
 @given(st.data())
@@ -174,8 +166,10 @@ def test_rational_results_are_ints_or_fractions(data):
     assert plain(R) == from_sympy(SR, QQ) and tuple(pivots) == tuple(spivots)
     assert_int_or_fraction(R.data)
     assert_int_or_fraction(kernel_basis(M))
-    x = solve(M, data.draw(vectors(QQ, M.rows)))
-    assert_int_or_fraction([x or []])
+    span = Span(M.rows, QQ)
+    for col in M.columns():
+        assert_int_or_fraction([span.add(col) or []])
+    assert_int_or_fraction([span.add(data.draw(vectors(QQ, M.rows))) or []])
     sub = Subspace(M.cols, QQ)
     for r in M.data:
         sub.insert(r)

@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import sympy_solve
 from qfab import modules as md
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
-from qfab.linalg import Matrix, from_columns, kernel_basis, rank, solve, unit_vectors
+from qfab.linalg import Matrix, from_columns, kernel_basis, rank, unit_vectors
 from qfab.quiver import Presentation, Quiver, path, relation
 from qfab.errors import (DimensionMismatch, NotQuotientModule, QfabError,
                          SummandsNotDistinct, SummandDecomposable)
@@ -552,13 +553,13 @@ def _algebra(name, p):
 
 def _assert_read_off_is_the_solve_answer(S, inc):
     """Each generator matrix of S is the column-wise solution of
-    inc[t] * X = N(g) * inc[v], and inc is a module map."""
+    inc[t] * X = N(g) * inc[v], solved by sympy, and inc is a module map."""
     A, N = S.algebra, inc.target
     assert inc.intertwines()
     for g in A.generators:
         b = A.basis[g]
         img = N.action(g) * inc.mats[b.source]
-        cols = [solve(inc.mats[b.target], c) for c in img.columns()]
+        cols = [sympy_solve(inc.mats[b.target], c) for c in img.columns()]
         assert from_columns(cols, S.dims[b.target], A.field) == S.action(g)
 
 
