@@ -17,14 +17,28 @@ transpose and the Nakayama functor share one minimal presentation
 P1 -d-> P0 -> M: Tr(M) is the cokernel of Hom(d, A) and, Hom(-, A) being
 left exact, nu(M) = D Hom(M, A) is the dual of its kernel.
 
-A module has one minimal presentation, computed once.  A resolution records
-its first two terms and differential on the resolved module
-(``Representation.presentation``), so the transpose, tau and nu after a
-resolution take no cover and no kernel; the record holds only the
-resolution's own terms, never the module.  Periodicity is screened by tops:
-a syzygy goes to ``is_isomorphic`` only when its dimension vector and its
-top (``modules._top``) match those of an earlier syzygy, and the next cover
-reuses the top the screen computed.  A period it misses leaves ``>=cutoff``.
+Each module is resolved once per algebra.  A resolution step of M (its top,
+the cover term P over its vertices, the syzygy K and K's inclusion into P)
+is a ``_Step`` kept in a table on the algebra, keyed by M's content: the
+dimension vector and the generator matrices.  A module met again, as an
+input or as a syzygy, takes no cover and no kernel.  Resolutions hold their
+steps strongly and the table holds them weakly, and a step never points at
+the module it resolves, so the table keeps nothing alive and adds no
+reference cycle.
+
+A map of free modules is fixed by its generator images (Green, Solberg and
+Zacharia, "Minimal projective resolutions", Trans. AMS 353, 2001).  The
+differential from the cover of K into P sends the generator at a top
+coordinate (v, c) of K to column c of K's inclusion at v; the step keeps
+these (v, column) pairs as ``d``, and the Hom complex and the transpose read
+them directly.  The first two term vertex lists and d are recorded on the
+resolved module (``Representation.presentation``), so the transpose, tau and
+nu after a resolution take no step; the record holds no module.
+
+Periodicity is screened by tops: a syzygy goes to ``is_isomorphic`` only
+when its dimension vector and its top (``modules._top``) match those of an
+earlier syzygy, and the next cover reuses the top the screen computed.  A
+period it misses leaves ``>=cutoff``.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
@@ -42,6 +56,7 @@ is never built as a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .algebra import quotient_by_idempotent_ideal
 from .linalg import Matrix, from_columns, rank
@@ -178,40 +193,93 @@ def cosyzygy(M, n=1):
     return dual_module(syzygy(dual_module(M), n))
 
 
-def dual_map(f: ModuleMap):
-    """D(f): D(target) -> D(source) over the opposite algebra."""
-    S = dual_module(f.target)
-    T = dual_module(f.source)
-    return ModuleMap(S, T, [m.transpose() for m in f.mats])
+class _Step:
+    """One resolution step of a module M: ``top`` is ``_top(M)``, ``P`` the
+    minimal cover term over the vertex list ``verts``, ``K`` the syzygy and
+    ``inc`` its inclusion into P.  ``d`` is None until the differential into
+    P is asked for, and then its generator images (see ``_differential``).
+    A step holds no reference to M."""
+
+    __slots__ = ("top", "P", "verts", "K", "inc", "d", "__weakref__")
+
+    def __init__(self, top, P, verts, K, inc):
+        self.top, self.P, self.verts, self.K, self.inc = top, P, verts, K, inc
+        self.d = None
+
+
+def _steps(A):
+    """A's table of resolution steps, by module content (``_content``)."""
+    cache = _cache(A)
+    if "steps" not in cache:
+        cache["steps"] = WeakValueDictionary()
+    return cache["steps"]
+
+
+def _content(M):
+    """M's dimension vector and its generator matrices, as a table key."""
+    return M.dims, tuple(sorted((g, m.data) for g, m in M.gen_mats.items()))
+
+
+def _step(M, top=None):
+    """The resolution step of M, from the algebra's table when a module with
+    M's content has been resolved there and its step is still held.  ``top``
+    is ``_top(M)`` when the caller has it already."""
+    table = _steps(M.algebra)
+    key = _content(M)
+    step = table.get(key)
+    if step is None:
+        if top is None:
+            top = _top(M)
+        P, cover, verts = projective_cover(M, top)
+        step = table[key] = _Step(top, P, verts, *md.kernel(cover))
+    return step
+
+
+def _known_top(M):
+    """``_top(M)``, read off the table's step for M's content when it has one."""
+    step = _steps(M.algebra).get(_content(M))
+    return _top(M) if step is None else step.top
+
+
+def _differential(step, top):
+    """The differential from the cover of ``step.K`` into ``step.P``, given
+    the top of K: for each top coordinate (v, c) of K, in order, the pair
+    (v, column c of K's inclusion at v), the image of that summand's
+    generator.  Computed once per step."""
+    if step.d is None:
+        step.d = [(v, step.inc.mats[v].column(c)) for v, c in top]
+    return step.d
 
 
 @dataclass
 class Resolution:
     """A minimal resolution with its bookkeeping.
 
-    ``terms[i]`` is the i-th term, ``diffs[i] : terms[i+1] -> terms[i]``
-    (reversed for an injective coresolution).
-    ``syzygies[i]`` is the i-th (co)syzygy (index 0 = the target itself).
-    ``status`` is one of terminated / truncated / periodic; a periodic
-    resolution records (start, period) and the isomorphism certificate.
+    ``terms[i]`` is the i-th term and ``syzygies[i]`` the i-th (co)syzygy
+    (index 0 = the target itself).  A projective resolution holds its
+    ``steps`` (``steps[i]`` resolves ``syzygies[i]``) and its differentials
+    ``diffs[i] : terms[i+1] -> terms[i]`` as generator images (see
+    ``_differential``); an injective coresolution has ``diffs`` and
+    ``steps`` None.  ``status`` is one of terminated / truncated / periodic;
+    a periodic resolution records (start, period) and the isomorphism
+    certificate.
     """
 
     target: Representation
     direction: str
     terms: list
-    diffs: list
+    diffs: list | None
     term_vertices: list
     syzygies: list
     status: str
     period: tuple | None = None
     period_witness: object = None
-    kernel_inclusions: list | None = None
+    steps: list | None = None
 
 
 def _unresolved(M):
     """A projective resolution of M with no terms yet."""
-    return Resolution(M, "projective", [], [], [], [M], "truncated",
-                      kernel_inclusions=[])
+    return Resolution(M, "projective", [], [], [], [M], "truncated", steps=[])
 
 
 def _resolution_step(res, top=None):
@@ -221,18 +289,17 @@ def _resolution_step(res, top=None):
 
     The step that makes P1 -> P0 records that minimal presentation on the
     resolved module, as does the step that finds the module projective."""
-    P, cover, verts = projective_cover(res.syzygies[-1], top)
-    if res.terms:
-        res.diffs.append(res.kernel_inclusions[-1].compose(cover))
-    res.terms.append(P)
-    res.term_vertices.append(verts)
-    K, inc = md.kernel(cover)
-    res.kernel_inclusions.append(inc)
-    res.syzygies.append(K)
+    step = _step(res.syzygies[-1], top)
+    if res.steps:
+        res.diffs.append(_differential(res.steps[-1], step.top))
+    res.steps.append(step)
+    res.terms.append(step.P)
+    res.term_vertices.append(step.verts)
+    res.syzygies.append(step.K)
     if len(res.terms) == 2:
-        res.syzygies[0].presentation = (res.term_vertices[0], verts, res.diffs[0])
-    elif not K.total_dim and len(res.terms) == 1:
-        res.syzygies[0].presentation = (verts, [], None)
+        res.syzygies[0].presentation = (res.term_vertices[0], step.verts, res.diffs[0])
+    elif not step.K.total_dim and len(res.terms) == 1:
+        res.syzygies[0].presentation = (step.verts, [], None)
 
 
 def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
@@ -248,7 +315,7 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
     if direction == "injective":
         res = minimal_resolution(dual_module(M), "projective", cutoff)
         return Resolution(M, "injective", [dual_module(t) for t in res.terms],
-                          [dual_map(d) for d in res.diffs], res.term_vertices,
+                          None, res.term_vertices,
                           [dual_module(s) for s in res.syzygies], res.status,
                           res.period, res.period_witness)
     if direction != "projective":
@@ -264,7 +331,7 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
             if res.syzygies[j].dims != cur.dims:
                 continue
             if top is None:
-                top = _top(cur)
+                top = _known_top(cur)
                 # in vertex order, as projective_cover lists term vertices
                 top_verts = [M.algebra.vertices[v] for v, _ in top]
             if top_verts != res.term_vertices[j]:
@@ -286,7 +353,7 @@ def extend_resolution(res, n_terms):
     Used to evaluate the Hom complex at degrees beyond an early periodicity
     break; the status flag is left untouched.
     """
-    if res.direction != "projective" or res.kernel_inclusions is None:
+    if res.steps is None:
         raise QfabError("only stored projective resolutions can be extended")
     while len(res.terms) < n_terms and res.syzygies[-1].total_dim:
         _resolution_step(res)
@@ -302,21 +369,19 @@ def _hom_coords_dim(term_vertices, N):
     return sum(N.dims[A.vertex_pos[v]] for v in term_vertices)
 
 
-def _differential_entries(A, verts_prev, verts_next, d):
-    """d: + Ae_{verts_next} -> + Ae_{verts_prev} as entries of A.
+def _differential_entries(A, verts_prev, d):
+    """A differential into + Ae_{verts_prev}, given by its generator images
+    ``d`` (see ``_differential``), as entries of A.
 
     Yields (r, s, i, c), one per term: the image under d of the generator of
     summand r of the source is the sum of the terms c * (basis element i of
-    A, in summand s of the target).  With no ``verts_next``, d is not read.
+    A, in summand s of the target).  A d of None, the presentation of a
+    projective module, has no entries.
     """
     _, pos_prev = projective_layout(A, verts_prev)
     at = {wk: (s, i) for s, slots in enumerate(pos_prev) for i, wk in slots.items()}
-    _, pos_next = projective_layout(A, verts_next)
-    for r, (v_id, slots) in enumerate(zip(verts_next, pos_next)):
-        w, col = slots[A.idempotent_index[A.vertex_pos[v_id]]]
-        m = d.mats[w]
-        for k in range(m.rows):
-            c = m.data[k][col]
+    for r, (w, col) in enumerate(d or ()):
+        for k, c in enumerate(col):
             if c:
                 s, i = at[(w, k)]
                 yield r, s, i, c
@@ -339,7 +404,7 @@ def _hom_complex_matrix(verts_prev, verts_next, d, N):
     for v_id in verts_next:
         hoff_next.append(acc)
         acc += N.dims[A.vertex_pos[v_id]]
-    for r, s, i, c in _differential_entries(A, verts_prev, verts_next, d):
+    for r, s, i, c in _differential_entries(A, verts_prev, d):
         act = N.action(i)   # N_{v_s} -> N_{v_r}
         for a in range(act.rows):
             for b in range(act.cols):
@@ -495,15 +560,16 @@ def _presentation(M):
     """A minimal presentation P1 -d-> P0 -> M -> 0 as (verts0, verts1, d),
     P_i the free module over verts_i; verts1 is empty and d None when M is
     projective.  Read from ``M.presentation`` when a resolution of M (or an
-    earlier call) recorded it, and recorded there otherwise."""
+    earlier call) recorded it, and recorded there otherwise: from M's step,
+    with verts1 and d read off the top of its syzygy."""
     if M.presentation is None:
-        _, cover, verts0 = projective_cover(M)
-        K, inc = md.kernel(cover)
-        if K.total_dim == 0:
-            M.presentation = verts0, [], None
+        step = _step(M)
+        if step.K.total_dim == 0:
+            M.presentation = step.verts, [], None
         else:
-            _, cover1, verts1 = projective_cover(K)
-            M.presentation = verts0, verts1, inc.compose(cover1)
+            top = _known_top(step.K)
+            M.presentation = (step.verts, [M.algebra.vertices[v] for v, _ in top],
+                              _differential(step, top))
     return M.presentation
 
 
@@ -527,7 +593,7 @@ def _dual_presentation_map(A, verts0, verts1, d):
     H1, pos1 = free_module(op, verts1)
     mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
             for w in range(op.n_vertices)]
-    for r, s, i, c in _differential_entries(A, verts0, verts1, d):
+    for r, s, i, c in _differential_entries(A, verts0, d):
         # y_s -> c * (i . y_s): left multiplication by i, e_{v_s} A -> e_{v_r} A
         for x, (_, k_x) in pos0[s].items():
             for y, cy in A.mult(i, x).items():

@@ -368,11 +368,14 @@ def _sub_representation(N, bases):
     columns is the identity at the rows ``units``.  A vector of their span is
     the combination with its entries at ``units`` as coefficients, so each
     generator matrix is read off the image, and one product checks that the
-    span is action-stable.  Returns (module, inclusion).
+    span is action-stable.  That product equals the image at the unit rows
+    by construction, so only the other rows are computed and compared.
+    Returns (module, inclusion).
     """
     A = N.algebra
     mats = [from_columns(cols, N.dims[v], A.field) for v, (cols, _) in enumerate(bases)]
     dims = [m.cols for m in mats]
+    off_units = {}  # by target vertex: the rows off the units, and the basis there
     gen_mats = {}
     for v, d in enumerate(dims):
         if not d:
@@ -380,8 +383,16 @@ def _sub_representation(N, bases):
         for g in A.generators_from(v):
             t = A.basis[g].target
             img = N.action(g) * mats[v]
-            x = Matrix(dims[t], d, [img.data[p] for p in bases[t][1]], A.field)
-            if mats[t] * x != img:
+            units = bases[t][1]
+            x = Matrix(dims[t], d, [img.data[p] for p in units], A.field)
+            off = off_units.get(t)
+            if off is None:
+                unit_set = set(units)
+                rows = [p for p in range(N.dims[t]) if p not in unit_set]
+                off = off_units[t] = rows, Matrix(len(rows), dims[t],
+                                                  [mats[t].data[p] for p in rows], A.field)
+            rows, basis_off = off
+            if rows and (basis_off * x).data != tuple([img.data[p] for p in rows]):
                 raise QfabError("subspace is not action-stable")
             gen_mats[g] = x
     S = Representation(A, dims, gen_mats)

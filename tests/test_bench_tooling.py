@@ -6,6 +6,9 @@ that removes or renames one of them breaks ``--trace 1``, and the first test
 makes the tier-1 run notice.  The second runs the ``reduce`` workload's own
 checks, which rebuild each terminal algebra with the blunt engine and test
 Cartan determinants: both builders and the idempotent quotient, end to end.
+The third runs the ``queries`` workload's checks (Ext^1 by Hom dimensions,
+Euler characteristics, periodicity witnesses and tau against projectivity):
+resolutions, their differentials and presentations, end to end.
 """
 
 import json
@@ -40,5 +43,11 @@ def test_traced_analyze_pass_counts_every_patched_layer():
 
 def test_reduce_workload_passes_its_own_checks():
     out = _child("--workload", "reduce", "--seed", "1", "--check", "1")
+    assert out["errors"] == []
+    assert out["failed"] == []
+
+
+def test_queries_workload_passes_its_own_checks():
+    out = _child("--workload", "queries", "--seed", "907", "--check", "1")
     assert out["errors"] == []
     assert out["failed"] == []

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -546,3 +547,91 @@ def test_top_screen_changes_no_resolution(name, field, monkeypatch):
         for X in res.syzygies:
             assert hm._top(X) == _top_coordinates(X)
     assert (screened > 0) == (name not in TOP_SCREEN_UNUSED)
+
+
+STEP_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2 ** 31 - 1)],
+                                      ids=["Q", "F_3", "F_2^31-1"])
+STEP_ALGEBRAS = {
+    "double-triangle": lambda field: build_algebra(fixture("double-triangle"), field),
+    "nakayama-2-4333": lambda field: higher_nakayama(2, (4, 3, 3, 3), field=field)[0],
+}
+
+
+def _step_test_modules(A):
+    """``_test_modules`` and two direct sums of them, which repeat summands'
+    syzygies inside one resolution."""
+    mods = _test_modules(A)
+    return mods + [md.direct_sum(mods[-2:])[0], md.direct_sum(mods[:3])[0]]
+
+
+def _resolution_answers(M):
+    """A resolution of M and what it answers: status, period, term vertices,
+    the content of each syzygy, and dim Ext^i(M, S) for i <= 3 and every
+    simple S."""
+    A = M.algebra
+    res = hm.minimal_resolution(M, cutoff=4)
+    exts = [hm.ext_dim(M, md.simple_module(A, v), i, resolution=res)
+            for v in A.vertices for i in range(4)]
+    contents = [hm._content(K) for K in res.syzygies[1:]]
+    return res, (res.status, res.period, res.term_vertices, contents, exts)
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", STEP_ALGEBRAS)
+def test_warmed_step_table_gives_the_answers_of_a_fresh_algebra(name, field, monkeypatch):
+    A = STEP_ALGEBRAS[name](field)
+    mods = _step_test_modules(A)
+    held = [_resolution_answers(M)[0] for M in mods]  # keeps their steps in the table
+    assert hm._steps(A)
+    covered = []
+    real_cover = hm.projective_cover
+    monkeypatch.setattr(hm, "projective_cover",
+                        lambda M, top=None: covered.append(M) or real_cover(M, top))
+    warm = [_resolution_answers(_fresh(M))[1] for M in mods]
+    assert covered == []  # every step came from the table
+    monkeypatch.undo()
+    for k, answers in enumerate(warm):
+        B = STEP_ALGEBRAS[name](field)
+        assert not hm._steps(B)
+        assert answers == _resolution_answers(_step_test_modules(B)[k])[1]
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", STEP_ALGEBRAS)
+def test_step_table_keeps_no_step_alive(name, field):
+    A = STEP_ALGEBRAS[name](field)
+    mods = _step_test_modules(A)
+    held = [hm.minimal_resolution(M, cutoff=4) for M in mods]
+    # translates, syzygies and recorded presentations stay alive, holding no step
+    taus = [hm.ar_translate(_fresh(M)) for M in mods]  # noqa: F841
+    syz = [hm.syzygy(M, 2) for M in mods]  # noqa: F841
+    assert hm._steps(A)
+    del held
+    gc.collect()
+    assert not hm._steps(A)
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", STEP_ALGEBRAS)
+def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, field):
+    A = STEP_ALGEBRAS[name](field)
+    for M in _step_test_modules(A):
+        res = hm.minimal_resolution(M, cutoff=4)
+        hm.extend_resolution(res, 5)
+        assert len(res.diffs) == len(res.terms) - 1
+        for i in range(1, len(res.terms)):
+            # the oracle: d_i = inc_{i-1} . cover_i as a full module map
+            P, cover, verts = hm.projective_cover(res.syzygies[i])
+            assert verts == res.term_vertices[i] and P.dims == res.terms[i].dims
+            d = res.steps[i - 1].inc.compose(cover)
+            _, pos = md.projective_layout(A, verts)
+            want = []
+            for v, slots in zip(verts, pos):
+                w, col = slots[A.idempotent_index[A.vertex_pos[v]]]
+                want.append((w, d.mats[w].column(col)))
+            assert res.diffs[i - 1] == want
+        X = _fresh(M)
+        verts0, verts1, d0 = hm._presentation(X)
+        assert verts0 == res.term_vertices[0]
+        assert (verts1, d0) == ((res.term_vertices[1], res.diffs[0]) if res.diffs
+                                else ([], None))
