@@ -42,12 +42,6 @@ class FabricReport:
     definitional: dict = dc_field(default_factory=dict)
 
 
-def _quotient_modules(A, F, make):
-    """The modules make(A/<f>, v) inflated to A, keyed by surviving vertex v."""
-    Abar = quotient_by_idempotent_ideal(A, F)
-    return {v: md.inflate_from_quotient(make(Abar, v), A) for v in Abar.vertices}
-
-
 def _gabriel_arrows(A):
     """(source vertex id, target vertex id, generator) per Gabriel arrow."""
     return [(A.vertices[A.basis[g].source], A.vertices[A.basis[g].target], g)
@@ -189,7 +183,7 @@ def _companion_valid(A, F, E, taus):
     for v, tau in taus.items():
         if not _holds_over_quotient(A, tau, E, hm.is_injective_module):
             return False
-    injs = _quotient_modules(A, E, md.injective_module)
+    injs = hm._quotient_modules(A, E, md.injective_module)
     for w, I in injs.items():
         tinv = hm.ar_translate_inverse(I)
         if not _holds_over_quotient(A, tinv, F, hm.is_projective_module):
@@ -209,7 +203,7 @@ def check_fabric_definitional(A, F, cutoff=12):
     pd = _quotient_proj_dim(A, F, cutoff=cutoff)
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
-    projs = _quotient_modules(A, F, md.projective_module)
+    projs = hm._quotient_modules(A, F, md.projective_module)
     taus = {v: hm.ar_translate(P) for v, P in projs.items()}
     transcript = {"proj_dim_quotient": pd,
                   "tau_dims": {v: t.dims for v, t in taus.items()}}
@@ -237,7 +231,7 @@ def fabric_dimension(A, F, cutoff=12):
     Certified infinite when every injective's syzygy chain terminates or
     cycles without reaching P; otherwise honest ">= cutoff".
     """
-    projs = _quotient_modules(A, F, md.projective_module)
+    projs = hm._quotient_modules(A, F, md.projective_module)
     chains = []
     for w in A.vertices:
         I = md.injective_module(A, w)
@@ -319,7 +313,7 @@ def special_tilting_module(A, F, E, cutoff=12):
     since the theory guarantees the axioms for a fabric idempotent.
     """
     Eset = set(E)
-    projs = _quotient_modules(A, F, md.projective_module)
+    projs = hm._quotient_modules(A, F, md.projective_module)
     summands = [md.projective_module(A, v) for v in A.vertices if v in Eset]
     summands += list(projs.values())
     if not summands:
@@ -342,7 +336,8 @@ def special_tilting_module(A, F, E, cutoff=12):
     # syzygy is P_w; its cover lives in add(Ae).
     pairing = {}
     used = set()
-    kernels = {v: hm.syzygy(P, 1) for v, P in projs.items()}
+    # one cover per quotient projective: its kernel and its vertices
+    first = {v: hm.minimal_resolution(P, cutoff=0) for v, P in projs.items()}
     for w in A.vertices:
         if w in Eset:
             continue
@@ -351,7 +346,7 @@ def special_tilting_module(A, F, E, cutoff=12):
         for v in projs:
             if v in used:
                 continue
-            K = kernels[v]
+            K = first[v].syzygies[1]
             if K.dims == Pw.dims and md.is_isomorphic(K, Pw):
                 found = v
                 break
@@ -360,8 +355,7 @@ def special_tilting_module(A, F, E, cutoff=12):
         pairing[w] = found
         used.add(found)
     for w, v in pairing.items():
-        cover_vs = hm.projective_cover(projs[v])[2]
-        if any(u not in Eset for u in cover_vs):
+        if any(u not in Eset for u in first[v].term_vertices[0]):
             raise VerificationFailed(f"middle term of the sequence for {w} "
                                      f"is not generated by e-vertices")
     transcript["pairing"] = pairing
@@ -409,23 +403,20 @@ def singular_reduction(A, F, cutoff=12):
 
 
 def minimal_gen_level(A, H, cutoff=12):
-    """Least m with DA in gen_m(Ah), or None."""
-    DA = hm.dual_regular(A)
-    res = hm.minimal_resolution(DA, "projective", cutoff=cutoff)
+    """The largest m with DA in gen_m(Ah), i.e. with terms 0..m of the
+    minimal projective resolution of DA in add(Ah); None when term 0 is not.
+
+    "inf" when every term is: all listed terms are, and the resolution
+    terminates or repeats (the terms after a period repeat listed ones).
+    A truncated resolution gives the last listed term, a lower bound."""
+    res = hm.minimal_resolution(hm.dual_regular(A), "projective", cutoff=cutoff)
     Hset = set(H)
-    best = None
     for i, verts in enumerate(res.term_vertices):
         if any(v not in Hset for v in verts):
-            best = i - 1
-            break
-    else:
-        if res.status == "terminated":
-            best = "inf"
-        else:
-            best = len(res.term_vertices) - 1
-    if best == -1:
-        return None
-    return best
+            return i - 1 if i else None
+    if res.status == "truncated":
+        return len(res.term_vertices) - 1
+    return "inf"
 
 
 def sample_gorenstein_injectives(A, gor_n, budget=20):

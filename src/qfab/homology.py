@@ -11,34 +11,37 @@ cogen_l membership is gen_l membership of D(M) over the opposite algebra.
 Each derived object has one construction.  One resolution step (cover the
 last syzygy, take the kernel) grows every projective resolution and syzygy.
 M is projective when its minimal cover has M's dimension: the cover is onto,
-so it is then an isomorphism, and no kernel is taken.  An algebra is
+so it is then an isomorphism; that dimension is read off M's top, and
+neither the cover nor a kernel is built.  An algebra is
 self-injective when every indecomposable injective is projective.  The
 transpose and the Nakayama functor share one minimal presentation
 P1 -d-> P0 -> M: Tr(M) is the cokernel of Hom(d, A) and, Hom(-, A) being
 left exact, nu(M) = D Hom(M, A) is the dual of its kernel.
 
-Each module is resolved once per algebra.  A resolution step of M (its top,
-the cover term P over its vertices, the syzygy K and K's inclusion into P)
-is a ``_Step`` kept in a table on the algebra, keyed by M's content: the
-dimension vector and the generator matrices.  A module met again, as an
-input or as a syzygy, takes no cover and no kernel.  Resolutions hold their
-steps strongly and the table holds them weakly, and a step never points at
-the module it resolves, so the table keeps nothing alive and adds no
-reference cycle.
+A module keeps two records: its top (``modules._top``), computed once and
+kept on the module, and its resolution step.  Each module is resolved once
+per algebra.  A resolution step of M (the cover term P over the vertices of
+M's top, the syzygy K and K's inclusion into P) is a ``_Step`` kept in a
+table on the algebra, keyed by M's content: the dimension vector and the
+generator matrices.  A module met again, as an input or as a syzygy, takes
+no cover and no kernel.  Resolutions hold their steps strongly and the
+table holds them weakly, and a step never points at the module it
+resolves, so the table keeps nothing alive and adds no reference cycle.
+The differentials and the minimal presentation are read off these two.
 
 A map of free modules is fixed by its generator images (Green, Solberg and
 Zacharia, "Minimal projective resolutions", Trans. AMS 353, 2001).  The
 differential from the cover of K into P sends the generator at a top
 coordinate (v, c) of K to column c of K's inclusion at v; the step keeps
-these (v, column) pairs as ``d``, and the Hom complex and the transpose read
-them directly.  The first two term vertex lists and d are recorded on the
-resolved module (``Representation.presentation``), so the transpose, tau and
-nu after a resolution take no step; the record holds no module.
+these (v, column) pairs as ``d``, made from K's top the first time they are
+asked for, and the Hom complex and the transpose read them directly.  The
+presentation of M is its step with K's top and d, so the transpose, tau and
+nu after a resolution of M take no cover and no kernel.
 
 Periodicity is screened by tops: a syzygy goes to ``is_isomorphic`` only
-when its dimension vector and its top (``modules._top``) match those of an
-earlier syzygy, and the next cover reuses the top the screen computed.  A
-period it misses leaves ``>=cutoff``.
+when its dimension vector and its top match those of an earlier syzygy; the
+top the screen computes is the one the next cover reads.  A period it
+misses leaves ``>=cutoff``.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
@@ -129,7 +132,7 @@ def dim_max(a, b):
 # ---------------------------------------------------------------------------
 
 
-def projective_cover(M, top=None):
+def projective_cover(M):
     """Minimal projective cover (P, surjection, summand vertex list).
 
     Summand s is generated by x_s, the unit vector at a top coordinate
@@ -137,12 +140,11 @@ def projective_cover(M, top=None):
     walked along the factor table by increasing length: x_s itself for the
     idempotent, column c of M(g) for a generator g, and
     sum coeff * M(g) (u . x_s) over ``A.factor(i)`` otherwise.  Vertices
-    where M is 0 get no columns.  A caller that has ``_top(M)`` already
-    passes it as ``top``.
+    where M is 0 get no columns.
     """
     A = M.algebra
     F = A.field
-    summand_data = _top(M) if top is None else top
+    summand_data = _top(M)
     if not summand_data:
         Z = zero_module(A)
         return Z, ModuleMap.zero(Z, M), []
@@ -183,9 +185,11 @@ def projective_cover(M, top=None):
 
 def syzygy(M, n=1):
     """The n-th syzygy (kernel of iterated minimal covers)."""
-    res = _unresolved(M)
-    extend_resolution(res, n)
-    return res.syzygies[-1]
+    for _ in range(n):
+        if not M.total_dim:
+            break
+        M = _step(M).K
+    return M
 
 
 def cosyzygy(M, n=1):
@@ -194,16 +198,16 @@ def cosyzygy(M, n=1):
 
 
 class _Step:
-    """One resolution step of a module M: ``top`` is ``_top(M)``, ``P`` the
-    minimal cover term over the vertex list ``verts``, ``K`` the syzygy and
-    ``inc`` its inclusion into P.  ``d`` is None until the differential into
-    P is asked for, and then its generator images (see ``_differential``).
-    A step holds no reference to M."""
+    """One resolution step of a module M: ``P`` the minimal cover term over
+    the vertex list ``verts``, ``K`` the syzygy and ``inc`` its inclusion
+    into P.  ``d`` is None until the differential into P is asked for, and
+    then its generator images (see ``_differential``).  A step holds no
+    reference to M."""
 
-    __slots__ = ("top", "P", "verts", "K", "inc", "d", "__weakref__")
+    __slots__ = ("P", "verts", "K", "inc", "d", "__weakref__")
 
-    def __init__(self, top, P, verts, K, inc):
-        self.top, self.P, self.verts, self.K, self.inc = top, P, verts, K, inc
+    def __init__(self, P, verts, K, inc):
+        self.P, self.verts, self.K, self.inc = P, verts, K, inc
         self.d = None
 
 
@@ -220,34 +224,25 @@ def _content(M):
     return M.dims, tuple(sorted((g, m.data) for g, m in M.gen_mats.items()))
 
 
-def _step(M, top=None):
+def _step(M):
     """The resolution step of M, from the algebra's table when a module with
-    M's content has been resolved there and its step is still held.  ``top``
-    is ``_top(M)`` when the caller has it already."""
+    M's content has been resolved there and its step is still held."""
     table = _steps(M.algebra)
     key = _content(M)
     step = table.get(key)
     if step is None:
-        if top is None:
-            top = _top(M)
-        P, cover, verts = projective_cover(M, top)
-        step = table[key] = _Step(top, P, verts, *md.kernel(cover))
+        P, cover, verts = projective_cover(M)
+        step = table[key] = _Step(P, verts, *md.kernel(cover))
     return step
 
 
-def _known_top(M):
-    """``_top(M)``, read off the table's step for M's content when it has one."""
-    step = _steps(M.algebra).get(_content(M))
-    return _top(M) if step is None else step.top
-
-
-def _differential(step, top):
-    """The differential from the cover of ``step.K`` into ``step.P``, given
-    the top of K: for each top coordinate (v, c) of K, in order, the pair
-    (v, column c of K's inclusion at v), the image of that summand's
-    generator.  Computed once per step."""
+def _differential(step):
+    """The differential from the cover of ``step.K`` into ``step.P``: for
+    each top coordinate (v, c) of K, in order, the pair (v, column c of K's
+    inclusion at v), the image of that summand's generator.  Computed once
+    per step."""
     if step.d is None:
-        step.d = [(v, step.inc.mats[v].column(c)) for v, c in top]
+        step.d = [(v, step.inc.mats[v].column(c)) for v, c in _top(step.K)]
     return step.d
 
 
@@ -257,18 +252,17 @@ class Resolution:
 
     ``terms[i]`` is the i-th term and ``syzygies[i]`` the i-th (co)syzygy
     (index 0 = the target itself).  A projective resolution holds its
-    ``steps`` (``steps[i]`` resolves ``syzygies[i]``) and its differentials
-    ``diffs[i] : terms[i+1] -> terms[i]`` as generator images (see
-    ``_differential``); an injective coresolution has ``diffs`` and
-    ``steps`` None.  ``status`` is one of terminated / truncated / periodic;
-    a periodic resolution records (start, period) and the isomorphism
-    certificate.
+    ``steps`` (``steps[i]`` resolves ``syzygies[i]``), and ``diffs`` reads
+    its differentials ``diffs[i] : terms[i+1] -> terms[i]`` off them as
+    generator images (see ``_differential``), each computed when first
+    asked for; an injective coresolution has ``diffs`` and ``steps`` None.
+    ``status`` is one of terminated / truncated / periodic; a periodic
+    resolution records (start, period) and the isomorphism certificate.
     """
 
     target: Representation
     direction: str
     terms: list
-    diffs: list | None
     term_vertices: list
     syzygies: list
     status: str
@@ -276,30 +270,26 @@ class Resolution:
     period_witness: object = None
     steps: list | None = None
 
+    @property
+    def diffs(self):
+        if self.steps is None:
+            return None
+        return [_differential(step) for step in self.steps[:-1]]
+
 
 def _unresolved(M):
     """A projective resolution of M with no terms yet."""
-    return Resolution(M, "projective", [], [], [], [M], "truncated", steps=[])
+    return Resolution(M, "projective", [], [], [M], "truncated", steps=[])
 
 
-def _resolution_step(res, top=None):
+def _resolution_step(res):
     """Append the minimal cover of the last syzygy, as the next term, and
-    its kernel, as the next syzygy.  ``top`` is the last syzygy's ``_top``
-    when the caller has it already.
-
-    The step that makes P1 -> P0 records that minimal presentation on the
-    resolved module, as does the step that finds the module projective."""
-    step = _step(res.syzygies[-1], top)
-    if res.steps:
-        res.diffs.append(_differential(res.steps[-1], step.top))
+    its kernel, as the next syzygy."""
+    step = _step(res.syzygies[-1])
     res.steps.append(step)
     res.terms.append(step.P)
     res.term_vertices.append(step.verts)
     res.syzygies.append(step.K)
-    if len(res.terms) == 2:
-        res.syzygies[0].presentation = (res.term_vertices[0], step.verts, res.diffs[0])
-    elif not step.K.total_dim and len(res.terms) == 1:
-        res.syzygies[0].presentation = (step.verts, [], None)
 
 
 def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
@@ -315,25 +305,23 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
     if direction == "injective":
         res = minimal_resolution(dual_module(M), "projective", cutoff)
         return Resolution(M, "injective", [dual_module(t) for t in res.terms],
-                          None, res.term_vertices,
+                          res.term_vertices,
                           [dual_module(s) for s in res.syzygies], res.status,
                           res.period, res.period_witness)
     if direction != "projective":
         raise QfabError(f"unknown resolution direction {direction!r}")
     res = _unresolved(M)
-    top = None  # the last syzygy's _top, once the screen has computed it
     while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
-        _resolution_step(res, top)
+        _resolution_step(res)
         cur = res.syzygies[-1]
-        top = None
+        top_verts = None
         # the earlier syzygies are non-zero, so a zero one matches none
         for j in range(1, len(res.syzygies) - 1):
             if res.syzygies[j].dims != cur.dims:
                 continue
-            if top is None:
-                top = _known_top(cur)
+            if top_verts is None:
                 # in vertex order, as projective_cover lists term vertices
-                top_verts = [M.algebra.vertices[v] for v, _ in top]
+                top_verts = [M.algebra.vertices[v] for v, _ in _top(cur)]
             if top_verts != res.term_vertices[j]:
                 continue
             cert = is_isomorphic(res.syzygies[j], cur)
@@ -423,29 +411,29 @@ def ext_dim(M, N, i, resolution=None, seed=None):
 
 
 def _ext_from_resolution(res, N, i):
-    if i >= len(res.terms):
+    if res.status == "periodic":
+        start, p = res.period
+        if i >= len(res.terms):  # so i > start
+            i = start + 1 + (i - start - 1) % p
+        # a periodic resolution never ends, so this lists terms i and i + 1
+        extend_resolution(res, i + 2)
+    elif i >= len(res.terms):
         if res.status == "terminated":
             return 0
-        if res.status == "periodic":
-            start, p = res.period
-            if i > start:
-                i = start + 1 + (i - start - 1) % p
-            extend_resolution(res, i + 2)
-        else:
-            raise QfabError("resolution truncated below requested Ext degree")
-    terms, tverts, diffs = res.terms, res.term_vertices, res.diffs
+        raise QfabError("resolution truncated below requested Ext degree")
+    terms, tverts, steps = res.terms, res.term_vertices, res.steps
     dim_i = _hom_coords_dim(tverts[i], N)
     if dim_i == 0:
         return 0
     rank_in = 0
     if i >= 1:
-        m_in = _hom_complex_matrix(tverts[i - 1], tverts[i], diffs[i - 1], N)
+        m_in = _hom_complex_matrix(tverts[i - 1], tverts[i],
+                                   _differential(steps[i - 1]), N)
         rank_in = rank(m_in)
     rank_out = 0
-    if i + 1 >= len(terms) and res.status == "periodic":
-        extend_resolution(res, i + 2)
     if i + 1 < len(terms):
-        m_out = _hom_complex_matrix(tverts[i], tverts[i + 1], diffs[i], N)
+        m_out = _hom_complex_matrix(tverts[i], tverts[i + 1],
+                                    _differential(steps[i]), N)
         rank_out = rank(m_out)
     elif res.status != "terminated" and res.syzygies[len(terms)].total_dim > 0:
         raise QfabError("resolution too short for requested Ext degree")
@@ -518,8 +506,10 @@ def gorenstein_dimension(A, cutoff=12):
 
 def is_projective_module(M):
     """The minimal cover is onto, so it is an isomorphism, and M projective,
-    exactly when it has M's dimension."""
-    return projective_cover(M)[0].total_dim == M.total_dim
+    exactly when it has M's dimension.  The cover is + Ae_v over the top
+    coordinates (v, c) of M, so its dimension is read off the algebra."""
+    A = M.algebra
+    return sum(len(A.by_source(v)) for v, _ in _top(M)) == M.total_dim
 
 
 def is_injective_module(M):
@@ -559,18 +549,13 @@ def is_self_injective(A):
 def _presentation(M):
     """A minimal presentation P1 -d-> P0 -> M -> 0 as (verts0, verts1, d),
     P_i the free module over verts_i; verts1 is empty and d None when M is
-    projective.  Read from ``M.presentation`` when a resolution of M (or an
-    earlier call) recorded it, and recorded there otherwise: from M's step,
-    with verts1 and d read off the top of its syzygy."""
-    if M.presentation is None:
-        step = _step(M)
-        if step.K.total_dim == 0:
-            M.presentation = step.verts, [], None
-        else:
-            top = _known_top(step.K)
-            M.presentation = (step.verts, [M.algebra.vertices[v] for v, _ in top],
-                              _differential(step, top))
-    return M.presentation
+    projective.  Read off M's step, with verts1 and d read off the top of
+    its syzygy."""
+    step = _step(M)
+    if step.K.total_dim == 0:
+        return step.verts, [], None
+    return (step.verts, [M.algebra.vertices[v] for v, _ in _top(step.K)],
+            _differential(step))
 
 
 def transpose(M):
@@ -675,6 +660,12 @@ def is_gorenstein_injective(M, gor_n):
 # ---------------------------------------------------------------------------
 
 
+def _quotient_modules(A, F, make):
+    """The modules make(A/<f>, v) inflated to A, keyed by surviving vertex v."""
+    Abar = quotient_by_idempotent_ideal(A, F)
+    return {v: md.inflate_from_quotient(make(Abar, v), A) for v in Abar.vertices}
+
+
 @dataclass
 class GenMembershipReport:
     module: Representation
@@ -731,15 +722,11 @@ def gen_membership(M, e_vertices, level, cutoff=20):
     method_a = {"terms_checked": check_upto + 1, "violation": viol,
                 "status": res.status}
 
-    Abar = quotient_by_idempotent_ideal(A, eset)
-    injectives = []
-    for v in Abar.vertices:
-        F = md.inflate_from_quotient(injective_module(Abar, v), A)
-        injectives.append((v, F))
+    injectives = _quotient_modules(A, eset, injective_module)
     ext_upto = check_upto + 1 if level == "inf" else level
     ext_upto = min(ext_upto, (bound if bound is not None else cutoff))
     viol_b = None
-    for v, F in injectives:
+    for v, F in injectives.items():
         for i in range(0, ext_upto + 1):
             if i >= len(res.terms) and res.status == "terminated":
                 break

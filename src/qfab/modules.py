@@ -72,8 +72,7 @@ class Representation:
                     m = zeros[shape] = Matrix.zero(*shape, algebra.field)
                 self.gen_mats[g] = m
         self._action = {}
-        # a minimal presentation (verts0, verts1, d), recorded by homology
-        self.presentation = None
+        self._top = None  # _top(self), once computed
 
     @property
     def field(self):
@@ -468,12 +467,16 @@ def radical_spaces(M):
 
 def _top(M):
     """The coordinates (v, c), vertex by vertex, with c outside the pivots of
-    the radical's span in M_v (``radical_spaces``): a basis of M's top."""
-    out = []
-    for v, sub in enumerate(radical_spaces(M)):
-        pivs = set(sub.pivots)
-        out.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
-    return out
+    the radical's span in M_v (``radical_spaces``): a basis of M's top.
+    Computed once per module and kept on it, as ``action`` keeps its
+    matrices."""
+    if M._top is None:
+        out = []
+        for v, sub in enumerate(radical_spaces(M)):
+            pivs = set(sub.pivots)
+            out.extend((v, c) for c in range(M.dims[v]) if c not in pivs)
+        M._top = out
+    return M._top
 
 
 def radical_submodule(M):

@@ -1,11 +1,13 @@
 """No dead code: every module-level function of ``qfab.linalg``, every
 method of ``Subspace`` and ``Span``, and every module-level private
-``_function`` of the package is used somewhere in the package."""
+``_function`` of the package is used somewhere in the package, and every
+parameter of every function is read in its body."""
 
 import ast
 from pathlib import Path
 
 import qfab
+from test_knobs import UNREAD_SEEDS
 
 SRC = Path(qfab.__file__).parent
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -48,3 +50,36 @@ def test_every_private_function_is_used():
     assert "linalg._kernel" in {label for label, _ in defs}
     unused = [label for label, node in defs if not _used(node.name, node)]
     assert unused == []
+
+
+def _parameters(node, methods):
+    """The parameters of a def or lambda node; a method's ``self`` or ``cls``
+    is not one, since the call supplies it whatever the body needs."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if node in methods:
+        positional = positional[1:]
+    return [a.arg for a in positional + args.kwonlyargs + [args.vararg, args.kwarg]
+            if a is not None]
+
+
+def test_every_parameter_is_read():
+    unread, seen = [], 0
+    for mod, tree in TREES.items():
+        methods = {m for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for m in c.body if isinstance(m, ast.FunctionDef)
+                   and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                               for d in m.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            label = f"{mod}.{getattr(node, 'name', '<lambda>')}"
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for name in _parameters(node, methods):
+                seen += 1
+                if name not in read and not (name == "seed" and label in UNREAD_SEEDS):
+                    unread.append(f"{label}({name})")
+    assert seen > 500
+    assert unread == []

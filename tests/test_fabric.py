@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from qfab import modules as md, homology as hm, fabric as fb
+from qfab import modules as md, homology as hm, fabric as fb, nakayama as nk
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal, quiver_of
 from qfab.errors import ConditionFailed, ProjDimTooBig, NoCompanionFound
 from qfab.field import QQ, PrimeField
@@ -134,6 +135,28 @@ def test_minimal_gen_level(double_triangle):
     assert fb.minimal_gen_level(double_triangle, ["1", "3", "4"]) == 1
     assert fb.minimal_gen_level(double_triangle,
                                 list(double_triangle.vertices)) == "inf"
+    # DA has a periodic resolution here, so all of its terms are listed ones
+    A = nk.higher_nakayama(1, (3, 4))[0]
+    assert hm.minimal_resolution(hm.dual_regular(A)).status == "periodic"
+    assert fb.minimal_gen_level(A, list(A.vertices)) == "inf"
+
+
+def test_minimal_gen_level_is_inf_exactly_at_gen_inf():
+    """Every n = 1 Kupisch series with at most 3 entries, each at most 4,
+    and every non-empty vertex set H."""
+    cases = 0
+    for k in (1, 2, 3):
+        for entries in itertools.product(range(1, 5), repeat=k):
+            if not nk.is_valid_kupisch(entries):
+                continue
+            A = nk.higher_nakayama(1, entries)[0]
+            DA = hm.dual_regular(A)
+            for r in range(1, A.n_vertices + 1):
+                for H in itertools.combinations(A.vertices, r):
+                    cases += 1
+                    assert ((fb.minimal_gen_level(A, H) == "inf")
+                            == hm.gen_membership(DA, H, "inf").verdict), (entries, H)
+    assert cases == 216
 
 
 def test_analyze_fabric_report(double_triangle):

@@ -454,8 +454,30 @@ def test_projective_by_dimension_matches_zero_cover_kernel(name, field):
             assert hm.is_projective_module(M) == (md.kernel(cover)[0].total_dim == 0)
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+@EXACT_FIELDS
+@pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
+def test_projective_by_top_builds_no_cover(name, field, monkeypatch):
+    A0 = build_algebra(fixture(name), field)
+    for A in (A0, A0.opposite()):
+        mods = _test_modules(A)
+        mods += [md.direct_sum([M, N])[0] for M, N in zip(mods, mods[1:])]
+        # the oracle of test_projective_by_dimension_matches_zero_cover_kernel
+        want = [md.kernel(hm.projective_cover(M)[1])[0].total_dim == 0 for M in mods]
+        with monkeypatch.context() as mp:
+            for layer, fn in ((hm, "projective_cover"), (hm, "free_module"),
+                              (md, "free_module")):
+                mp.setattr(layer, fn, _raise)
+            got = [hm.is_projective_module(_fresh(M)) for M in mods]
+        assert got == want
+        assert any(want) and not all(want)
+
+
 def _fresh(M):
-    """A copy of M with no recorded presentation."""
+    """A copy of M with nothing computed on it yet."""
     return md.Representation(M.algebra, M.dims, M.gen_mats)
 
 
@@ -468,7 +490,7 @@ PRESENTATION_FUNCTORS = [hm.transpose, hm.ar_translate, hm.nakayama_functor]
 
 @EXACT_FIELDS
 @pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
-def test_recorded_presentation_changes_no_functor(name, field):
+def test_recorded_presentation_changes_no_functor(name, field, monkeypatch):
     A0 = build_algebra(fixture(name), field)
     for A in (A0, A0.opposite()):
         for M in _test_modules(A):
@@ -477,20 +499,24 @@ def test_recorded_presentation_changes_no_functor(name, field):
             for cutoff in (0, 1, 4):
                 X = _fresh(M)
                 res = hm.minimal_resolution(X, cutoff=cutoff)
+                # the presentation is read off the resolution's first step
+                with monkeypatch.context() as mp:
+                    mp.setattr(hm, "projective_cover", _raise)
+                    verts0, verts1, d = hm._presentation(X)
+                assert verts0 is res.term_vertices[0]
                 if projective:
-                    verts0, verts1, d = X.presentation
-                    assert verts0 is res.term_vertices[0] and verts1 == [] and d is None
+                    assert verts1 == [] and d is None
                 elif cutoff == 0:
-                    assert X.presentation is None
+                    assert verts1 == [A.vertices[v] for v, _ in hm._top(res.syzygies[1])]
+                    assert d is res.steps[0].d is not None
                 else:
-                    verts0, verts1, d = X.presentation
-                    assert verts0 is res.term_vertices[0]
-                    assert verts1 is res.term_vertices[1] and d is res.diffs[0]
+                    assert verts1 == res.term_vertices[1] and d is res.diffs[0]
                 assert all(_same_module(f(X), w)
                            for f, w in zip(PRESENTATION_FUNCTORS, want))
             X = _fresh(M)
             hm.syzygy(X)
-            assert (X.presentation is not None) == projective
+            verts0, verts1, d = hm._presentation(X)
+            assert (verts1 == [] and d is None) == projective
             assert all(_same_module(f(X), w) for f, w in zip(PRESENTATION_FUNCTORS, want))
 
 
@@ -528,16 +554,16 @@ def test_top_screen_changes_no_resolution(name, field, monkeypatch):
             for v in A.vertices]
     mods += [md.random_module(A, rng) for _ in range(4)]
     screened = 0
-    real_top, topped = hm._top, []
+    real_radical, topped = md.radical_spaces, []
 
-    def counting_top(X):
+    def counting_radical(X):
         topped.append(X)
-        return real_top(X)
+        return real_radical(X)
 
     for M in mods:
         topped.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(hm, "_top", counting_top)
+            mp.setattr(md, "radical_spaces", counting_radical)
             res = hm.minimal_resolution(M, cutoff=6)
         # the next cover reuses the screen's top: no module's top is taken twice
         assert len({id(X) for X in topped}) == len(topped)
@@ -586,7 +612,7 @@ def test_warmed_step_table_gives_the_answers_of_a_fresh_algebra(name, field, mon
     covered = []
     real_cover = hm.projective_cover
     monkeypatch.setattr(hm, "projective_cover",
-                        lambda M, top=None: covered.append(M) or real_cover(M, top))
+                        lambda M: covered.append(M) or real_cover(M))
     warm = [_resolution_answers(_fresh(M))[1] for M in mods]
     assert covered == []  # every step came from the table
     monkeypatch.undo()
