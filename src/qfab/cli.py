@@ -105,6 +105,8 @@ def cmd_fabric(args):
         if report.h is not None:
             doc.add("h", ",".join(report.h))
             doc.add("h-level", report.h_level)
+    else:
+        doc.add("definitional-reason", report.definitional.get("reason", ""))
     sys.stdout.write(doc.render())
     return 0 if report.definitional.get("verdict") else 1
 

@@ -48,8 +48,12 @@ class EndoData:
 def endomorphism_algebra(summands):
     """End(M_1 + ... + M_t)^op as a bound quiver algebra.
 
-    Raises SummandsNotDistinct / SummandDecomposable when the input is not a
-    list of pairwise non-isomorphic indecomposables.
+    Precondition: the summands are pairwise non-isomorphic, and each has
+    End(M_i)/rad equal to the ground field (``md.is_indecomposable``), so
+    that each gives one vertex.  Raises SummandsNotDistinct when two are
+    isomorphic and SummandDecomposable when a summand's End/rad is not the
+    ground field: it is decomposable, or indecomposable with a larger
+    division ring there.
     """
     if not summands:
         raise QfabError("no summands")
@@ -60,7 +64,9 @@ def endomorphism_algebra(summands):
     t = len(summands)
     for i in range(t):
         if not md.is_indecomposable(summands[i]):
-            raise SummandDecomposable(f"summand {i} is decomposable")
+            raise SummandDecomposable(
+                f"summand {i}: End/rad is not the ground field (the summand is "
+                f"decomposable, or its End/rad is a larger division ring)")
         for j in range(i + 1, t):
             if md.is_isomorphic(summands[i], summands[j]):
                 raise SummandsNotDistinct(f"summands {i} and {j} are isomorphic")

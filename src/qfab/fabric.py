@@ -198,7 +198,9 @@ def check_fabric_definitional(A, F, cutoff=12):
     The constructive candidate is tried first; on failure every subset of the
     allowed vertex set is tried (algebras with at most
     ``EXHAUSTIVE_COMPANION_LIMIT`` vertices), pruned by the supports of the
-    translates.
+    translates.  Above that limit a failed candidate raises a
+    ``NoCompanionFound`` that says only the candidate was searched: it is not
+    a proof that no companion exists.
     """
     pd = _quotient_proj_dim(A, F, cutoff=cutoff)
     if not pd.le(1):
@@ -220,6 +222,13 @@ def check_fabric_definitional(A, F, cutoff=12):
         if _companion_valid(A, F, key, taus):
             transcript["e"] = key
             return key, transcript
+    if A.n_vertices > EXHAUSTIVE_COMPANION_LIMIT:
+        tried = "none" if e_c is None else tuple(sorted(e_c))
+        raise NoCompanionFound(
+            f"no companion idempotent for F={sorted(F)} among the constructive "
+            f"candidate only ({tried}): the subset search is not run on "
+            f"{A.n_vertices} vertices, above EXHAUSTIVE_COMPANION_LIMIT = "
+            f"{EXHAUSTIVE_COMPANION_LIMIT}, so another companion may exist")
     raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")
 
 

@@ -134,13 +134,49 @@ def _residue(x, p):
     return int(x) % p
 
 
+# A strong probable prime to each of these bases that lies below
+# PRIME_BOUND is prime (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin on the prime bases 2 ... 41; exact for
+    n < ``PRIME_BOUND``."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field F_p for a prime p."""
+    """The field F_p for a prime p below ``PRIME_BOUND``, where primality is
+    decided exactly."""
 
     characteristic: int
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"{p} is too large: prime fields need "
+                             f"p < {PRIME_BOUND}, below which primality is exact")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

@@ -18,30 +18,32 @@ transpose and the Nakayama functor share one minimal presentation
 P1 -d-> P0 -> M: Tr(M) is the cokernel of Hom(d, A) and, Hom(-, A) being
 left exact, nu(M) = D Hom(M, A) is the dual of its kernel.
 
-A module keeps two records: its top (``modules._top``), computed once and
-kept on the module, and its resolution step.  Each module is resolved once
-per algebra.  A resolution step of M (the cover term P over the vertices of
-M's top, the syzygy K and K's inclusion into P) is a ``_Step`` kept in a
-table on the algebra, keyed by M's content: the dimension vector and the
-generator matrices.  A module met again, as an input or as a syzygy, takes
-no cover and no kernel.  Resolutions hold their steps strongly and the
-table holds them weakly, and a step never points at the module it
-resolves, so the table keeps nothing alive and adds no reference cycle.
-The differentials and the minimal presentation are read off these two.
+A module keeps one record, its top (``modules._top``), computed once and
+kept on the module.  Each module is resolved once per algebra, by a
+resolution step (P, verts, K, d): the cover term P over the vertex list
+verts of M's top, the syzygy K, and the differential d from the cover of K
+into P.  The step is a ``_Step`` kept in a table on the algebra, keyed by
+M's content: the dimension vector and the generator matrices.  The module
+does not keep its step; the table keeps it while a resolution holds it, and
+a module met again then, as an input or as a syzygy, takes no cover and no
+kernel.  Resolutions hold their steps strongly and the table holds them
+weakly, and a step never points at the module it resolves, so the table
+keeps nothing alive and adds no reference cycle.
 
 A map of free modules is fixed by its generator images (Green, Solberg and
 Zacharia, "Minimal projective resolutions", Trans. AMS 353, 2001).  The
-differential from the cover of K into P sends the generator at a top
-coordinate (v, c) of K to column c of K's inclusion at v; the step keeps
-these (v, column) pairs as ``d``, made from K's top the first time they are
-asked for, and the Hom complex and the transpose read them directly.  The
-presentation of M is its step with K's top and d, so the transpose, tau and
-nu after a resolution of M take no cover and no kernel.
+generator of K's cover at a top coordinate (v, c) of K goes to column c of
+K's inclusion into P at v.  The step reads these images off the inclusion
+once, when it is made, as A-coefficients over the summands of P, and keeps
+them as ``d`` in place of the inclusion; the Hom complex, the transpose and
+the Nakayama functor read ``d`` as it is.  The presentation of M is its
+step with the vertices of K's top, so the transpose, tau and nu after a
+resolution of M take no cover and no kernel.
 
 Periodicity is screened by tops: a syzygy goes to ``is_isomorphic`` only
 when its dimension vector and its top match those of an earlier syzygy; the
-top the screen computes is the one the next cover reads.  A period it
-misses leaves ``>=cutoff``.
+step that makes a syzygy takes its top, and the screen and the next cover
+read that one.  A period the screen misses leaves ``>=cutoff``.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are
@@ -199,16 +201,25 @@ def cosyzygy(M, n=1):
 
 class _Step:
     """One resolution step of a module M: ``P`` the minimal cover term over
-    the vertex list ``verts``, ``K`` the syzygy and ``inc`` its inclusion
-    into P.  ``d`` is None until the differential into P is asked for, and
-    then its generator images (see ``_differential``).  A step holds no
+    the vertex list ``verts``, ``K`` the syzygy, and ``d`` the differential
+    from the cover of K into P, read off K's inclusion when the step is made.
+
+    ``d`` lists (r, s, i, c), by r and then by k: the generator of summand r
+    of K's cover is the unit vector at the r-th top coordinate (v, col) of
+    K, and its image, column col of the inclusion at v, has c at the
+    coordinate k where ``projective_layout`` puts basis element i of A in
+    summand s of P.  The image is the sum of these c * (i in summand s).  A
+    projective M has d empty.  A step keeps neither the inclusion nor any
     reference to M."""
 
-    __slots__ = ("P", "verts", "K", "inc", "d", "__weakref__")
+    __slots__ = ("P", "verts", "K", "d", "__weakref__")
 
     def __init__(self, P, verts, K, inc):
-        self.P, self.verts, self.K, self.inc = P, verts, K, inc
-        self.d = None
+        self.P, self.verts, self.K = P, verts, K
+        _, pos = projective_layout(P.algebra, verts)
+        at = {wk: (s, i) for s, slots in enumerate(pos) for i, wk in slots.items()}
+        self.d = [(r, *at[(v, k)], c) for r, (v, col) in enumerate(_top(K))
+                  for k, c in enumerate(inc.mats[v].column(col)) if c]
 
 
 def _steps(A):
@@ -236,31 +247,19 @@ def _step(M):
     return step
 
 
-def _differential(step):
-    """The differential from the cover of ``step.K`` into ``step.P``: for
-    each top coordinate (v, c) of K, in order, the pair (v, column c of K's
-    inclusion at v), the image of that summand's generator.  Computed once
-    per step."""
-    if step.d is None:
-        step.d = [(v, step.inc.mats[v].column(c)) for v, c in _top(step.K)]
-    return step.d
-
-
 @dataclass
 class Resolution:
     """A minimal resolution with its bookkeeping.
 
-    ``terms[i]`` is the i-th term and ``syzygies[i]`` the i-th (co)syzygy
-    (index 0 = the target itself).  A projective resolution holds its
-    ``steps`` (``steps[i]`` resolves ``syzygies[i]``), and ``diffs`` reads
-    its differentials ``diffs[i] : terms[i+1] -> terms[i]`` off them as
-    generator images (see ``_differential``), each computed when first
-    asked for; an injective coresolution has ``diffs`` and ``steps`` None.
+    ``terms[i]`` is the i-th term and ``syzygies[i]`` the i-th (co)syzygy;
+    ``syzygies[0]`` is the resolved module itself.  A projective resolution
+    holds its ``steps`` (``steps[i]`` resolves ``syzygies[i]``), and
+    ``diffs[i] : terms[i+1] -> terms[i]`` is the ``d`` of ``steps[i]``;
+    an injective coresolution has ``diffs`` and ``steps`` None.
     ``status`` is one of terminated / truncated / periodic; a periodic
     resolution records (start, period) and the isomorphism certificate.
     """
 
-    target: Representation
     direction: str
     terms: list
     term_vertices: list
@@ -274,12 +273,12 @@ class Resolution:
     def diffs(self):
         if self.steps is None:
             return None
-        return [_differential(step) for step in self.steps[:-1]]
+        return [step.d for step in self.steps[:-1]]
 
 
 def _unresolved(M):
     """A projective resolution of M with no terms yet."""
-    return Resolution(M, "projective", [], [], [M], "truncated", steps=[])
+    return Resolution("projective", [], [], [M], "truncated", steps=[])
 
 
 def _resolution_step(res):
@@ -304,7 +303,7 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
     """
     if direction == "injective":
         res = minimal_resolution(dual_module(M), "projective", cutoff)
-        return Resolution(M, "injective", [dual_module(t) for t in res.terms],
+        return Resolution("injective", [dual_module(t) for t in res.terms],
                           res.term_vertices,
                           [dual_module(s) for s in res.syzygies], res.status,
                           res.period, res.period_witness)
@@ -357,24 +356,6 @@ def _hom_coords_dim(term_vertices, N):
     return sum(N.dims[A.vertex_pos[v]] for v in term_vertices)
 
 
-def _differential_entries(A, verts_prev, d):
-    """A differential into + Ae_{verts_prev}, given by its generator images
-    ``d`` (see ``_differential``), as entries of A.
-
-    Yields (r, s, i, c), one per term: the image under d of the generator of
-    summand r of the source is the sum of the terms c * (basis element i of
-    A, in summand s of the target).  A d of None, the presentation of a
-    projective module, has no entries.
-    """
-    _, pos_prev = projective_layout(A, verts_prev)
-    at = {wk: (s, i) for s, slots in enumerate(pos_prev) for i, wk in slots.items()}
-    for r, (w, col) in enumerate(d or ()):
-        for k, c in enumerate(col):
-            if c:
-                s, i = at[(w, k)]
-                yield r, s, i, c
-
-
 def _hom_complex_matrix(verts_prev, verts_next, d, N):
     """Matrix of Hom(P_prev, N) -> Hom(P_next, N), phi -> phi . d."""
     A = N.algebra
@@ -392,7 +373,7 @@ def _hom_complex_matrix(verts_prev, verts_next, d, N):
     for v_id in verts_next:
         hoff_next.append(acc)
         acc += N.dims[A.vertex_pos[v_id]]
-    for r, s, i, c in _differential_entries(A, verts_prev, d):
+    for r, s, i, c in d:
         act = N.action(i)   # N_{v_s} -> N_{v_r}
         for a in range(act.rows):
             for b in range(act.cols):
@@ -427,13 +408,11 @@ def _ext_from_resolution(res, N, i):
         return 0
     rank_in = 0
     if i >= 1:
-        m_in = _hom_complex_matrix(tverts[i - 1], tverts[i],
-                                   _differential(steps[i - 1]), N)
+        m_in = _hom_complex_matrix(tverts[i - 1], tverts[i], steps[i - 1].d, N)
         rank_in = rank(m_in)
     rank_out = 0
     if i + 1 < len(terms):
-        m_out = _hom_complex_matrix(tverts[i], tverts[i + 1],
-                                    _differential(steps[i]), N)
+        m_out = _hom_complex_matrix(tverts[i], tverts[i + 1], steps[i].d, N)
         rank_out = rank(m_out)
     elif res.status != "terminated" and res.syzygies[len(terms)].total_dim > 0:
         raise QfabError("resolution too short for requested Ext degree")
@@ -548,21 +527,18 @@ def is_self_injective(A):
 
 def _presentation(M):
     """A minimal presentation P1 -d-> P0 -> M -> 0 as (verts0, verts1, d),
-    P_i the free module over verts_i; verts1 is empty and d None when M is
-    projective.  Read off M's step, with verts1 and d read off the top of
-    its syzygy."""
+    P_i the free module over verts_i, read off M's step: verts1 lists the
+    vertices of its syzygy's top, and both verts1 and d are empty when M is
+    projective."""
     step = _step(M)
-    if step.K.total_dim == 0:
-        return step.verts, [], None
-    return (step.verts, [M.algebra.vertices[v] for v, _ in _top(step.K)],
-            _differential(step))
+    return step.verts, [M.algebra.vertices[v] for v, _ in _top(step.K)], step.d
 
 
 def transpose(M):
     """Tr(M) over the opposite algebra: the cokernel of Hom(d, A) for a
-    minimal presentation d of M."""
+    minimal presentation d of M; zero when M is projective."""
     verts0, verts1, d = _presentation(M)
-    if d is None:
+    if not verts1:
         return zero_module(M.algebra.opposite())
     C, _ = md.cokernel(_dual_presentation_map(M.algebra, verts0, verts1, d))
     return C
@@ -578,7 +554,7 @@ def _dual_presentation_map(A, verts0, verts1, d):
     H1, pos1 = free_module(op, verts1)
     mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
             for w in range(op.n_vertices)]
-    for r, s, i, c in _differential_entries(A, verts0, d):
+    for r, s, i, c in d:
         # y_s -> c * (i . y_s): left multiplication by i, e_{v_s} A -> e_{v_r} A
         for x, (_, k_x) in pos0[s].items():
             for y, cy in A.mult(i, x).items():
@@ -648,11 +624,7 @@ def is_gorenstein_injective(M, gor_n):
     if key not in cache:
         cache[key] = minimal_resolution(dual_regular(A), "projective",
                                         cutoff=gor_n + 1)
-    res = cache[key]
-    for i in range(1, gor_n + 1):
-        if _ext_from_resolution(res, M, i) != 0:
-            return False
-    return True
+    return ext_vanishes_upto(dual_regular(A), M, gor_n, resolution=cache[key])
 
 
 # ---------------------------------------------------------------------------

@@ -729,8 +729,14 @@ def endo_structure(M):
 
 
 def endo_radical_dim(M):
-    """dim of rad End(M) via the trace form of the regular representation
-    (valid in characteristic zero)."""
+    """dim of rad End(M), the kernel of the trace form of End(M)'s regular
+    representation (exact in characteristic zero only).
+
+    dim End(M) minus this is dim End(M)/rad, which is 1 exactly when End(M)
+    is local with the ground field as its residue field.  That is what
+    ``is_indecomposable`` decides: over a field that is not algebraically
+    closed an indecomposable M can have a larger division ring as
+    End(M)/rad."""
     if M.field.characteristic != 0:
         raise QfabError("endomorphism radical via trace form needs char 0")
     basis, table = endo_structure(M)
@@ -756,7 +762,12 @@ def endo_radical_dim(M):
 
 
 def is_indecomposable(M):
-    """End(M)/rad has dimension 1 (local endomorphism ring)."""
+    """Is End(M)/rad End(M) the ground field?  True implies M is
+    indecomposable (End(M) is local).  False means M is zero, decomposable,
+    or indecomposable with End(M)/rad a larger division ring: over Q, the
+    Kronecker module Q^2 with a = 1 and b a rotation by 90 degrees has
+    End(M) = Q(i) and gets False, like a decomposable module.  The name is
+    kept; over an algebraically closed field the two properties agree."""
     if M.total_dim == 0:
         return False
     return len(hom_space(M, M)) - endo_radical_dim(M) == 1

@@ -222,12 +222,8 @@ def kupisch_reduce(n, entries, with_detail=False):
     if k >= 2 and not (ls[-1] <= ls[0] and ls[1] < ls[0]):
         raise HypothesisViolated(
             f"need l_(k-1) <= l_0 and l_1 < l_0; rotate the series first")
-    detail = {}
-    new = []
-    for i in range(k):
-        if i % k == 0:
-            detail[i] = (None, 0)
-            continue
+    detail = {0: (None, 0)}
+    for i in range(1, k):
         subset = [i]
         cur = i
         for _ in range(n - 1):
@@ -235,16 +231,12 @@ def kupisch_reduce(n, entries, with_detail=False):
             while cur % k == 0:
                 cur += 1
             subset.append(cur)
-        # the subset must itself be a vertex for the original series
-        if subset[-1] >= i + n + ls[i % k] - 1:
-            detail[i] = (tuple(subset), 0)
-            new.append((i, 0))
-            continue
-        top = i + ls[i % k] + n - 1
+        # no count when the subset is not a vertex of the original series
+        # (its last coordinate at or past top): the range is then empty
+        top = i + ls[i] + n - 1
         lp = sum(1 for m in range(subset[-1], top) if m % k != 0)
         detail[i] = (tuple(subset), lp)
-        new.append((i, lp))
-    reduced = tuple(lp for _, lp in new if lp >= 1)
+    reduced = tuple(lp for _, lp in detail.values() if lp >= 1)
     result = None
     if reduced:
         try:
@@ -414,9 +406,7 @@ def _cross_check_corner(stage, B, presB, old_k, new_k, trace):
     psi = coordinate_rank_map(old_k)
     vertex_map = {}
     for lbl, coords in _vertex_tuples(stage).items():
-        new_coords = tuple(psi(c) for c in coords)
-        shift = (new_coords[0] // new_k) * new_k
-        new_coords = tuple(c - shift for c in new_coords)
+        new_coords = _normalize(tuple(psi(c) for c in coords), new_k)
         vertex_map[vertex_label(new_coords)] = lbl
     if set(vertex_map) != set(B.vertices):
         raise StageVerificationFailed("vertex relabeling mismatch in cross-check")

@@ -138,9 +138,8 @@ def print_presentation(pres, field=QQ):
         parts = []
         for k, (coef, pw) in enumerate(rel.terms):
             word = "*".join(pres.quiver.arrows[i].id for i in reversed(pw.arrows))
-            c = coef if not hasattr(coef, "numerator") else coef
-            neg = str(c).startswith("-")
-            mag = str(c)[1:] if neg else str(c)
+            neg = str(coef).startswith("-")
+            mag = str(coef)[1:] if neg else str(coef)
             prefix = "" if mag == "1" else f"{mag}*"
             if k == 0:
                 parts.append(("-" if neg else "") + prefix + word)

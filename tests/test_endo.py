@@ -1,7 +1,12 @@
+import pytest
+
 from qfab import modules as md, homology as hm, fabric as fb
-from qfab.algebra import check_presentation_isomorphism, generator_lifts
+from qfab.algebra import build_algebra, check_presentation_isomorphism, generator_lifts
 from qfab.endo import endomorphism_algebra
+from qfab.errors import SummandDecomposable
 from qfab.fixtures import fixture
+from qfab.linalg import Matrix
+from qfab.quiver import Presentation, Quiver
 
 
 def test_end_of_projectives_recovers_algebra(preproj_a3):
@@ -62,3 +67,41 @@ def test_endomorphism_matches_two_ag_fixture(preproj_a3, two_ag):
     lifts = generator_lifts(pres, B, vm)
     assert lifts is not None
     assert check_presentation_isomorphism(pres, B, vm, lifts)
+
+
+def _kronecker_algebra():
+    return build_algebra(Presentation(
+        Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), []))
+
+
+def _kronecker_module(A, b):
+    """Q^n => Q^n over the Kronecker algebra A, with a = 1 and the n x n b."""
+    n = len(b)
+    ga, gb = A.generators
+    return md.Representation(A, [n, n], {ga: Matrix.identity(n, A.field),
+                                         gb: Matrix(n, n, b, A.field)})
+
+
+ROTATION, DIAGONAL = [[0, -1], [1, 0]], [[1, 0], [0, 2]]
+
+
+@pytest.mark.parametrize("b", [ROTATION, DIAGONAL], ids=["rotation", "diagonal"])
+def test_is_indecomposable_decides_a_split_local_endomorphism_ring(b):
+    A = _kronecker_algebra()
+    M = _kronecker_module(A, b)
+    # End(M) is the matrices commuting with b, two-dimensional and semisimple
+    # for both: End(M)/rad is not the ground field, so both get False
+    assert len(md.hom_space(M, M)) == 2
+    assert md.endo_radical_dim(M) == 0
+    assert not md.is_indecomposable(M)
+    with pytest.raises(SummandDecomposable, match="End/rad is not the ground field"):
+        endomorphism_algebra([M])
+    J = md.ModuleMap(M, M, [Matrix(2, 2, b, A.field)] * 2)
+    assert J.intertwines()
+    if b == ROTATION:
+        # J^2 = -1: End(M) = Q(i) is a field, so M is indecomposable
+        assert J.compose(J).mats == md.ModuleMap.identity(M).scale(-1).mats
+    else:
+        # M is the sum of the modules Q => Q with b = 1 and b = 2
+        lines = [_kronecker_module(A, [[c]]) for c in (1, 2)]
+        assert md.is_isomorphic(M, md.direct_sum(lines)[0])

@@ -168,6 +168,27 @@ def test_analyze_fabric_report(double_triangle):
     assert rep.h_level == 1
 
 
+@pytest.mark.parametrize("limit", [fb.EXHAUSTIVE_COMPANION_LIMIT, 4])
+def test_limited_companion_search_says_it_was_limited(limit, monkeypatch):
+    # canonical-2-211 has 5 vertices: at the default limit the subset search
+    # runs; at limit 4 it is skipped, as on any algebra above 16 vertices
+    A = build_algebra(fixture("canonical-2-211"))
+    assert fb.companion_candidate(A, ["1", "4"])[0] == ("1", "2", "6", "8")
+    monkeypatch.setattr(fb, "EXHAUSTIVE_COMPANION_LIMIT", limit)
+    if A.n_vertices <= limit:
+        e, _ = fb.check_fabric_definitional(A, ["1", "4"])
+        assert e == ("2", "6", "8")
+        return
+    with pytest.raises(NoCompanionFound) as exc:
+        fb.check_fabric_definitional(A, ["1", "4"])
+    msg = str(exc.value)
+    assert "constructive candidate only (('1', '2', '6', '8'))" in msg
+    assert "EXHAUSTIVE_COMPANION_LIMIT = 4" in msg
+    assert "another companion may exist" in msg
+    report = fb.analyze_fabric(A, ["1", "4"])
+    assert report.definitional == {"verdict": False, "reason": msg}
+
+
 def test_canonical_221_observed_behavior():
     """The straight resolution of the duplicated-label figure: the corner
     chain works and a definitional companion exists, while the printed

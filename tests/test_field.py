@@ -1,15 +1,22 @@
-"""The division guard: scalars are divided only inside ``field``.
+"""The division guard and the primality test of prime fields.
 
 Over Q a scalar is an ``int`` until a division leaves a remainder, and
 ``int / int`` is a float.  So every scalar division goes through the field's
 ``div`` method, and a true division ``/`` anywhere else in the package is a
 bug waiting for an integral operand.
+
+``PrimeField`` decides primality by deterministic Miller-Rabin, exact below
+``field.PRIME_BOUND``, and refuses a p at or above it.
 """
 
 import ast
+import time
 from pathlib import Path
 
+import pytest
+
 import qfab
+from qfab.field import PRIME_BOUND, PrimeField, is_prime
 
 PACKAGE = Path(qfab.__file__).parent
 
@@ -27,3 +34,33 @@ def test_true_division_appears_only_in_field():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "field.py" for line in _true_divisions(path)]
     assert found == []
+
+
+def test_primality_agrees_with_trial_division():
+    want = [n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+            for n in range(20000)]
+    assert [is_prime(n) for n in range(20000)] == want
+
+
+# strong pseudoprimes to the prime bases up to 2, 7, 31 and 37: the last is
+# caught only by the base 41
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_strong_pseudoprimes_are_rejected(n):
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_large_primes_are_accepted_quickly(p):
+    t0 = time.perf_counter()
+    F = PrimeField(p)
+    assert time.perf_counter() - t0 < 0.1
+    assert F.characteristic == p and F(1, 2) * 2 == F.one
+
+
+@pytest.mark.parametrize("p", [PRIME_BOUND, PRIME_BOUND + 2, 2 ** 89 - 1])
+def test_prime_at_or_above_the_bound_is_refused(p):
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        PrimeField(p)

@@ -128,13 +128,13 @@ def test_report_document_none_value_is_not_a_section():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run_cli(*args):
+def _run_cli(*args, timeout=None):
     # the child does not inherit pytest's sys.path: this checkout's src goes
     # ahead of any PYTHONPATH already set
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "qfab.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_cli_build_fixture():
@@ -168,6 +168,7 @@ def test_cli_fabric():
 def test_cli_fabric_failure_exit_code():
     r = _run_cli("fabric", "fixture:double-triangle", "--f", "3")
     assert r.returncode == 1
+    assert "definitional-reason: proj.dim_A(A/<f>) = infinity, needs <= 1" in r.stdout
 
 
 def test_cli_nakayama_reduce():
@@ -275,6 +276,35 @@ def test_cli_malformed_presentation_is_an_input_error(tmp_path, case):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith(message)
     assert r.stdout == ""
+
+
+_MERSENNE_61 = "2305843009213693951"
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_cli_large_prime_field_is_built_quickly(tmp_path, where):
+    p = tmp_path / "two.qf"
+    p.write_text(("field F " + _MERSENNE_61 + "\n" if where == "file" else "")
+                 + "vertex 1\nvertex 2\narrow a: 1 -> 2\n")
+    args = ["--field", "F" + _MERSENNE_61] if where == "flag" else []
+    target = "fixture:double-triangle" if where == "flag" else str(p)
+    r = _run_cli("build", target, *args, timeout=5)
+    assert r.returncode == 0, r.stderr
+    assert f"field: F{_MERSENNE_61}" in r.stdout.splitlines()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_cli_prime_at_the_bound_is_a_located_parse_error(tmp_path, where):
+    from qfab.field import PRIME_BOUND
+    p = tmp_path / "one.qf"
+    p.write_text(("field F %d\n" % PRIME_BOUND if where == "file" else "")
+                 + "vertex 1\n")
+    args = ["--field", "F%d" % PRIME_BOUND] if where == "flag" else []
+    r = _run_cli("build", str(p), *args, timeout=5)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("parse error: line 1, col 1: ")
+    assert str(PRIME_BOUND) in r.stderr and r.stdout == ""
 
 
 def test_cli_self_injective_is_exact_over_f2():
