@@ -8,13 +8,18 @@ carries injective A/<e>-modules back to projective A/<f>-modules.
 Two detectors are provided and cross-checked: a quiver-level combinatorial
 test (four arrow/through-path conditions, with the companion read off as the
 vertices that are not targets of the distinguished arrows into F), and the
-definitional test that computes the AR translates and searches for a
-companion directly.
+definitional test, which reads the greatest possible companion off the AR
+translates and checks it against the definition, so that its "no" is exact
+at every size (the argument is in ``check_fabric_definitional``).
+
+Observed, not proved: on every vertex subset of every fixture the two
+detectors disagree only where the combinatorial test fails its condition
+(2) and the definitional one finds a companion (4 of 32 subsets of
+canonical-2-211, 18 of 256 of canonical-2-221).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (ConditionFailed, NoCompanionFound, ProjDimTooBig,
@@ -24,11 +29,6 @@ from .algebra import corner, quotient_by_idempotent_ideal
 from . import modules as md
 from . import homology as hm
 from .homology import DimValue
-
-# The exhaustive companion search builds 2^|allowed| candidate sets, so it
-# runs only on algebras with at most this many vertices.
-EXHAUSTIVE_COMPANION_LIMIT = 16
-
 
 @dataclass
 class FabricReport:
@@ -192,44 +192,41 @@ def _companion_valid(A, F, E, taus):
 
 
 def check_fabric_definitional(A, F, cutoff=12):
-    """Definitional fabric test: compute the AR translates of the projective
-    A/<f>-modules and search for a companion e.
+    """Definitional fabric test: read the companion e off the AR translates
+    tau_v of the projective A/<f>-modules.
 
-    The constructive candidate is tried first; on failure every subset of the
-    allowed vertex set is tried (algebras with at most
-    ``EXHAUSTIVE_COMPANION_LIMIT`` vertices), pruned by the supports of the
-    translates.  Above that limit a failed candidate raises a
-    ``NoCompanionFound`` that says only the candidate was searched: it is not
-    a proof that no companion exists.
+    E starts as the vertices outside every supp tau_v.  While some u outside
+    E and off every soc tau_v has supp I_u meeting E (I_u the indecomposable
+    injective A-module at u), E loses supp I_u.  That E is then checked
+    against the definition; a failure raises ``NoCompanionFound``.
+
+    The "no" is exact.  For a valid e and u outside it, tau^- of the
+    injective A/<e>-module at u is 0 or some P_v.  If P_v, that module is
+    tau_v, with socle at u.  If 0, it is A-injective, so it is I_u and
+    supp I_u misses e.  So every valid e lies inside E at every step, and
+    the loop ends at the greatest such set.  Each tau_v stays injective over
+    A/<e> as e grows inside the starting set, so that greatest set is valid
+    whenever any companion is.
     """
     pd = _quotient_proj_dim(A, F, cutoff=cutoff)
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
     projs = hm._quotient_modules(A, F, md.projective_module)
     taus = {v: hm.ar_translate(P) for v, P in projs.items()}
-    transcript = {"proj_dim_quotient": pd,
-                  "tau_dims": {v: t.dims for v, t in taus.items()}}
-
-    e_c, _ = companion_candidate(A, F)
-    candidates = [] if e_c is None else [e_c]
-    if A.n_vertices <= EXHAUSTIVE_COMPANION_LIMIT:
-        forbidden = {A.vertices[vpos] for t in taus.values()
-                     for vpos, d in enumerate(t.dims) if d}
-        allowed = [v for v in A.vertices if v not in forbidden]
-        for mask in range(1 << len(allowed)):
-            candidates.append([v for k, v in enumerate(allowed) if (mask >> k) & 1])
-    for key in dict.fromkeys(tuple(sorted(cand)) for cand in candidates):
-        if _companion_valid(A, F, key, taus):
-            transcript["e"] = key
-            return key, transcript
-    if A.n_vertices > EXHAUSTIVE_COMPANION_LIMIT:
-        tried = "none" if e_c is None else tuple(sorted(e_c))
-        raise NoCompanionFound(
-            f"no companion idempotent for F={sorted(F)} among the constructive "
-            f"candidate only ({tried}): the subset search is not run on "
-            f"{A.n_vertices} vertices, above EXHAUSTIVE_COMPANION_LIMIT = "
-            f"{EXHAUSTIVE_COMPANION_LIMIT}, so another companion may exist")
-    raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")
+    support, socle = set(), set()
+    for t in taus.values():
+        support.update(p for p, d in enumerate(t.dims) if d)
+        socle.update(p for p, d in enumerate(md.socle(t)[0].dims) if d)
+    inj_supports = [{A.basis[i].source for i in A.by_target(u)}
+                    for u in range(A.n_vertices)]
+    E = set(range(A.n_vertices)) - support
+    while hit := next((s for u, s in enumerate(inj_supports)
+                       if u not in E and u not in socle and s & E), None):
+        E -= hit
+    e = tuple(sorted(A.vertices[p] for p in E))
+    if not _companion_valid(A, F, e, taus):
+        raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")
+    return e, {"proj_dim_quotient": pd, "e": e}
 
 
 def fabric_dimension(A, F, cutoff=12):
@@ -286,8 +283,7 @@ def analyze_fabric(A, F, cutoff=12, h=None):
     try:
         def_e, tr = check_fabric_definitional(A, F, cutoff=cutoff)
         report.definitional = {"verdict": True, "e": tuple(sorted(def_e)),
-                               "transcript": {k: v for k, v in tr.items()
-                                              if k != "tau_dims"}}
+                               "transcript": tr}
         report.e = tuple(sorted(def_e))
     except (ProjDimTooBig, NoCompanionFound) as exc:
         report.definitional = {"verdict": False, "reason": str(exc)}
@@ -428,20 +424,20 @@ def minimal_gen_level(A, H, cutoff=12):
     return "inf"
 
 
+def _named_truncated_projectives(A):
+    """``md.truncated_projectives`` by name: S_v at j = 1, else P_v/len<j>."""
+    return [(f"S_{v}" if j == 1 else f"P_{v}/len{j}", M)
+            for v, j, M in md.truncated_projectives(A)]
+
+
 def sample_gorenstein_injectives(A, gor_n, budget=20):
-    """Deterministic GI sample: injectives, n-th cosyzygies of simples, then
-    n-th cosyzygies of random modules drawn from the fixed stream 0."""
-    rng = random.Random(0)
-    out = []
-    for v in A.vertices:
-        out.append((f"I_{v}", md.injective_module(A, v)))
-    for v in A.vertices:
-        out.append((f"cosyz{gor_n}(S_{v})", hm.cosyzygy(md.simple_module(A, v), gor_n)))
-    k = 0
-    while len(out) < budget and k < budget * 3:
-        k += 1
-        M = md.random_module(A, rng, max_total_dim=8)
-        out.append((f"cosyz{gor_n}(rand{k})", hm.cosyzygy(M, gor_n)))
+    """Deterministic GI sample: injectives, then n-th cosyzygies of the
+    truncated projectives, simples first."""
+    out = [(f"I_{v}", md.injective_module(A, v)) for v in A.vertices]
+    for name, M in _named_truncated_projectives(A):
+        if len(out) >= budget:
+            break
+        out.append((f"cosyz{gor_n}({name})", hm.cosyzygy(M, gor_n)))
     return out[:budget]
 
 
@@ -450,8 +446,8 @@ def verify_generator_switching(A, F, E, H=None, sample_budget=20, cutoff=24,
     """Check the two resolution-generator memberships on a GI sample.
 
     For every sampled Gorenstein injective M: M lies in gen_m(Ah) where m is
-    the least level with DA in gen_m(Ah); and for every simple and sampled
-    module X (random ones from stream 1): its gor_n-th syzygy is in gen_inf(Af).
+    the least level with DA in gen_m(Ah); and for every truncated projective
+    X (simples first): its gor_n-th syzygy is in gen_inf(Af).
     """
     if gor_n is None:
         gor_n = hm.certify_gorenstein(A, cutoff=cutoff)
@@ -473,11 +469,7 @@ def verify_generator_switching(A, F, E, H=None, sample_budget=20, cutoff=24,
             report["samples"].append((name, rep.verdict, "GI" if ok else "not-GI"))
             if ok and not rep.verdict:
                 report["violations"].append((name, "gen_m(Ah)"))
-    rng = random.Random(1)
-    xs = [(f"S_{v}", md.simple_module(A, v)) for v in A.vertices]
-    while len(xs) < sample_budget:
-        xs.append((f"rand{len(xs)}", md.random_module(A, rng, max_total_dim=8)))
-    for name, X in xs[:sample_budget]:
+    for name, X in _named_truncated_projectives(A)[:sample_budget]:
         W = hm.syzygy(X, gor_n)
         if W.total_dim == 0:
             report["syzygy_samples"].append((name, True, "zero"))

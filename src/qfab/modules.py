@@ -39,12 +39,10 @@ from .linalg import (Matrix, _kernel, from_columns, kernel_basis, rank,
 from .errors import (AlgebraMismatch, QfabError, DimensionMismatch, InputError,
                      NotQuotientModule)
 
-# Random combinations is_isomorphic draws when no exact step decides, the
-# largest grid of Hom coefficients it or is_isomorphic_exhaustive walks, and
-# the draws random_module makes before it falls back to a simple module.
+# Random combinations is_isomorphic draws when no exact step decides, and
+# the largest grid of Hom coefficients it or is_isomorphic_exhaustive walks.
 ISO_TRIALS = 2
 ISO_GRID_LIMIT = 2 ** 12
-RANDOM_MODULE_ATTEMPTS = 40
 
 
 class Representation:
@@ -774,7 +772,7 @@ def is_indecomposable(M):
 
 
 # ---------------------------------------------------------------------------
-# standard module front-end and random sampling
+# standard module front-end and the truncated projectives
 # ---------------------------------------------------------------------------
 
 
@@ -813,25 +811,21 @@ def submodule_generated_by(N, seeds):
     return _sub_representation(N, [(sub.rows, sub.pivots) for sub in subs])
 
 
-def random_module(A, rng, max_total_dim=8):
-    """A pseudo-random module: a submodule of a random projective generated
-    by random elements, re-drawn until the size cap is met."""
-    for _ in range(RANDOM_MODULE_ATTEMPTS):
-        v = A.vertices[rng.randrange(A.n_vertices)]
-        P = projective_module(A, v)
-        if P.total_dim == 0:
-            continue
-        nseeds = 1 + rng.randrange(2)
-        seeds = []
-        for _ in range(nseeds):
-            w = rng.randrange(A.n_vertices)
-            if P.dims[w] == 0:
-                continue
-            vec = [A.field.coerce(rng.randrange(-3, 4)) for _ in range(P.dims[w])]
-            seeds.append((w, vec))
-        if not seeds:
-            continue
-        M, _ = submodule_generated_by(P, seeds)
-        if 0 < M.total_dim <= max_total_dim:
-            return M
-    return simple_module(A, A.vertices[rng.randrange(A.n_vertices)])
+def truncated_projectives(A):
+    """(v, j, P_v modulo the submodule its paths of length j generate) for
+    every vertex v and every j >= 1 with such paths, by j, then by v:
+    non-projective modules with a simple top, the simples first."""
+    frees = [(v, *free_module(A, [v])) for v in A.vertices]
+    out = []
+    for j in range(1, max((b.length for b in A.basis), default=0) + 1):
+        for v, P, pos in frees:
+            seeds = []
+            for i, (w, k) in pos[0].items():
+                if A.basis[i].length == j:
+                    unit = [A.field.zero] * P.dims[w]
+                    unit[k] = A.field.one
+                    seeds.append((w, unit))
+            if seeds:
+                _, inc = submodule_generated_by(P, seeds)
+                out.append((v, j, cokernel(inc)[0]))
+    return out

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from qfab import modules as md, homology as hm, fabric as fb, nakayama as nk
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal, quiver_of
 from qfab.errors import ConditionFailed, ProjDimTooBig, NoCompanionFound
 from qfab.field import QQ, PrimeField
-from qfab.fixtures import fixture
+from qfab.fixtures import fixture, fixture_names
 
 
 def test_double_triangle_both_checks_agree(double_triangle):
@@ -168,25 +169,100 @@ def test_analyze_fabric_report(double_triangle):
     assert rep.h_level == 1
 
 
-@pytest.mark.parametrize("limit", [fb.EXHAUSTIVE_COMPANION_LIMIT, 4])
-def test_limited_companion_search_says_it_was_limited(limit, monkeypatch):
-    # canonical-2-211 has 5 vertices: at the default limit the subset search
-    # runs; at limit 4 it is skipped, as on any algebra above 16 vertices
+def test_companion_is_not_the_constructive_candidate():
+    # the candidate keeps vertex 1, in the support of tau P_2, so tau P_2 is
+    # no module over A/<e>; the rule starts outside the translates' supports
     A = build_algebra(fixture("canonical-2-211"))
-    assert fb.companion_candidate(A, ["1", "4"])[0] == ("1", "2", "6", "8")
-    monkeypatch.setattr(fb, "EXHAUSTIVE_COMPANION_LIMIT", limit)
-    if A.n_vertices <= limit:
-        e, _ = fb.check_fabric_definitional(A, ["1", "4"])
-        assert e == ("2", "6", "8")
-        return
+    e_c = fb.companion_candidate(A, ["1", "4"])[0]
+    assert e_c == ("1", "2", "6", "8")
+    e, tr = fb.check_fabric_definitional(A, ["1", "4"])
+    assert e == tr["e"] == ("2", "6", "8")
+    assert not fb._companion_valid(A, ["1", "4"], e_c, _translates(A, ["1", "4"]))
+
+
+def test_no_companion_above_sixteen_vertices_is_a_plain_no():
+    A = nk.higher_nakayama(2, (5, 4, 4, 4))[0]
+    assert A.n_vertices == 17
+    F = [v for v in A.vertices if v != "05"]
     with pytest.raises(NoCompanionFound) as exc:
-        fb.check_fabric_definitional(A, ["1", "4"])
+        fb.check_fabric_definitional(A, F)
     msg = str(exc.value)
-    assert "constructive candidate only (('1', '2', '6', '8'))" in msg
-    assert "EXHAUSTIVE_COMPANION_LIMIT = 4" in msg
-    assert "another companion may exist" in msg
-    report = fb.analyze_fabric(A, ["1", "4"])
-    assert report.definitional == {"verdict": False, "reason": msg}
+    assert msg == f"no companion idempotent for F={sorted(F)}"
+    assert fb.analyze_fabric(A, F).definitional == {"verdict": False, "reason": msg}
+
+
+def _translates(A, F):
+    """tau of each projective A/<f>-module, keyed by its vertex."""
+    projs = hm._quotient_modules(A, F, md.projective_module)
+    return {v: hm.ar_translate(P) for v, P in projs.items()}
+
+
+def _companions_by_search(A, F, taus):
+    """Every companion of F, found by trying each subset of the vertices
+    outside the supports of the translates: the reference the companion
+    rule is checked against."""
+    support = {A.vertices[p] for t in taus.values()
+               for p, d in enumerate(t.dims) if d}
+    allowed = [v for v in A.vertices if v not in support]
+    subsets = (tuple(sorted(E)) for r in range(len(allowed) + 1)
+               for E in itertools.combinations(allowed, r))
+    return [E for E in subsets if fb._companion_valid(A, F, E, taus)]
+
+
+def _outcome(check, A, F):
+    """The sorted companion ``check`` finds, or the exception it raises."""
+    try:
+        return tuple(sorted(check(A, list(F))[0]))
+    except (ProjDimTooBig, ConditionFailed, NoCompanionFound) as exc:
+        return exc
+
+
+@functools.cache
+def _census(name):
+    """Both detectors on every vertex subset of a fixture."""
+    A = build_algebra(fixture(name))
+    return A, {F: (_outcome(fb.check_fabric_combinatorial, A, F),
+                   _outcome(fb.check_fabric_definitional, A, F))
+               for r in range(A.n_vertices + 1)
+               for F in itertools.combinations(A.vertices, r)}
+
+
+def test_companion_rule_agrees_with_the_subset_search():
+    """On every fixture (none has more than 8 vertices) and every F with
+    proj.dim A/<f> <= 1: a companion exists exactly when the rule finds
+    one, and then the rule's is one of them, the only one unless every
+    translate is zero."""
+    checked = 0
+    for name in fixture_names():
+        A, rows = _census(name)
+        assert A.n_vertices <= 8
+        for F, (_, e) in rows.items():
+            if isinstance(e, ProjDimTooBig):
+                continue
+            taus = _translates(A, list(F))
+            checked += 1
+            if isinstance(e, tuple) and not any(t.total_dim for t in taus.values()):
+                assert fb._companion_valid(A, list(F), e, taus), (name, F)
+                continue
+            found = _companions_by_search(A, list(F), taus)
+            assert found == ([e] if isinstance(e, tuple) else []), (name, F)
+    assert checked == 168
+
+
+def test_fabric_census_disagreements_are_condition_2_failures():
+    """Where the two detectors disagree, the combinatorial one fails its
+    condition (2) and the definitional one finds a companion."""
+    disagree = {}
+    for name in fixture_names():
+        _, rows = _census(name)
+        for F, (comb, dfn) in rows.items():
+            companions = [r if isinstance(r, tuple) else None for r in (comb, dfn)]
+            if companions[0] == companions[1]:
+                continue
+            assert isinstance(comb, ConditionFailed) and comb.condition == 2, (name, F)
+            assert isinstance(dfn, tuple), (name, F)
+            disagree[name] = disagree.get(name, 0) + 1
+    assert disagree == {"canonical-2-211": 4, "canonical-2-221": 18}
 
 
 def test_canonical_221_observed_behavior():

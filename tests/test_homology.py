@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import sympy_solve
+from random_modules import random_module
 from qfab import modules as md, homology as hm
 from qfab.algebra import build_algebra, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
@@ -85,7 +86,7 @@ def test_ext_vanishes_on_projectives(double_triangle):
     A = double_triangle
     P = md.projective_module(A, "1")
     rng = random.Random(4)
-    N = md.random_module(A, rng, max_total_dim=8)
+    N = random_module(A, rng, max_total_dim=8)
     for i in (1, 2, 3):
         assert hm.ext_dim(P, N, i) == 0
 
@@ -94,8 +95,8 @@ def test_ext_zero_equals_hom(double_triangle):
     A = double_triangle
     rng = random.Random(5)
     for _ in range(6):
-        M = md.random_module(A, rng, max_total_dim=6)
-        N = md.random_module(A, rng, max_total_dim=6)
+        M = random_module(A, rng, max_total_dim=6)
+        N = random_module(A, rng, max_total_dim=6)
         assert hm.ext_dim(M, N, 0) == md.hom_dim(M, N)
 
 
@@ -181,7 +182,7 @@ def test_gorenstein_injectivity_over_self_injective(preproj_a2):
     n = hm.certify_gorenstein(preproj_a2, cutoff=6)
     assert n == 0
     rng = random.Random(6)
-    M = md.random_module(preproj_a2, rng, max_total_dim=6)
+    M = random_module(preproj_a2, rng, max_total_dim=6)
     assert hm.is_gorenstein_injective(M, n)
     assert hm.is_gorenstein_projective(M, n)
 
@@ -225,8 +226,8 @@ def test_dim_shift_identity(double_triangle):
     A = double_triangle
     rng = random.Random(7)
     for _ in range(5):
-        M = md.random_module(A, rng, max_total_dim=6)
-        N = md.random_module(A, rng, max_total_dim=6)
+        M = random_module(A, rng, max_total_dim=6)
+        N = random_module(A, rng, max_total_dim=6)
         OM = hm.syzygy(M, 1)
         for i in (2, 3):
             assert hm.ext_dim(M, N, i) == hm.ext_dim(OM, N, i - 1)
@@ -282,7 +283,7 @@ def test_projective_cover_columns_are_actions_on_unit_generators(name, field):
     A = build_algebra(fixture(name), field)
     assert A.n_vertices <= 5
     R = md.regular_module(A)
-    modules = [md.radical_submodule(R)[0], md.random_module(A, random.Random(5)),
+    modules = [md.radical_submodule(R)[0], random_module(A, random.Random(5)),
                md.simple_module(A, A.vertices[-1])]
     for M in modules:
         P, cover, verts = hm.projective_cover(M)
@@ -330,7 +331,7 @@ def test_projective_cover_columns_beyond_unit_factor_tables(name, field):
     rng = random.Random(5)
     R = md.regular_module(A)
     modules = [md.radical_submodule(R)[0], md.simple_module(A, A.vertices[-1])]
-    modules += [md.random_module(A, rng) for _ in range(4)]
+    modules += [random_module(A, rng) for _ in range(4)]
     for M in modules:
         cover = _assert_cover_columns_are_actions(M)
         K, _ = md.kernel(cover)
@@ -421,7 +422,7 @@ def _test_modules(A):
     out = [md.standard_module(A, kind, v) for kind in ("simple", "inj", "proj")
            for v in A.vertices]
     rng = random.Random(11)
-    return out + [md.random_module(A, rng) for _ in range(6)]
+    return out + [random_module(A, rng) for _ in range(6)]
 
 
 PRESENTATION_FIXTURES = ["double-triangle", "two-ag-square", "preprojective-a3"]
@@ -552,7 +553,7 @@ def test_top_screen_changes_no_resolution(name, field, monkeypatch):
     rng = random.Random(7)
     mods = [md.standard_module(A, kind, v) for kind in ("simple", "inj")
             for v in A.vertices]
-    mods += [md.random_module(A, rng) for _ in range(4)]
+    mods += [random_module(A, rng) for _ in range(4)]
     screened = 0
     real_radical, topped = md.radical_spaces, []
 
@@ -713,34 +714,13 @@ def test_ext_matches_dimension_shifting(name, field):
     assert beyond
 
 
-def _truncated_projectives(A):
-    """P_v / (the span of the paths of length >= j in P_v), for every vertex v
-    and every j >= 1 that leaves a proper quotient: non-projective modules
-    with a simple top."""
-    out = []
-    for v in A.vertices:
-        P, pos = md.free_module(A, [v])
-        for j in range(1, A.max_len + 1):
-            seeds = []
-            for i, (w, k) in pos[0].items():
-                if A.basis[i].length == j:
-                    unit = [A.field.zero] * P.dims[w]
-                    unit[k] = A.field.one
-                    seeds.append((w, unit))
-            if not seeds:
-                break
-            _, inc = md.submodule_generated_by(P, seeds)
-            out.append(md.cokernel(inc)[0])
-    return out
-
-
 @STEP_FIELDS
 @pytest.mark.parametrize("name", READER_ALGEBRAS)
 def test_transpose_is_an_involution_on_simple_tops(name, field):
     A0 = READER_ALGEBRAS[name](field)
     cases = 0
     for A in (A0, A0.opposite()):
-        for M in _truncated_projectives(A):
+        for _, _, M in md.truncated_projectives(A):
             assert len(hm._top(M)) == 1 and not hm.is_projective_module(M)
             TrTrM = hm.transpose(hm.transpose(M))
             assert TrTrM.algebra is A

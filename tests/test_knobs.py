@@ -37,3 +37,20 @@ def test_cli_rejects_seed_flag():
                        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert r.returncode == 2
     assert "--seed" in r.stderr
+
+
+def test_only_the_last_isomorphism_step_draws_random_numbers():
+    """``modules.is_isomorphic`` ends in draws from a fixed stream; no other
+    module of the package imports ``random``."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "random" in names:
+                importers.add(path.stem)
+    assert importers == {"modules"}

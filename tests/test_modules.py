@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import sympy_solve
+from random_modules import random_module
 from qfab import modules as md
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
@@ -37,7 +38,7 @@ def test_hom_from_projective_counts_dimension(double_triangle):
     A = double_triangle
     rng = random.Random(3)
     for _ in range(10):
-        M = md.random_module(A, rng, max_total_dim=8)
+        M = random_module(A, rng, max_total_dim=8)
         for v in A.vertices:
             P = md.projective_module(A, v)
             assert md.hom_dim(P, M) == M.dims[A.vertex_pos[v]]
@@ -54,7 +55,7 @@ def test_hom_between_distinct_simples_vanishes(double_triangle):
 def test_hom_regular_total(double_triangle):
     A = double_triangle
     rng = random.Random(5)
-    M = md.random_module(A, rng, max_total_dim=7)
+    M = random_module(A, rng, max_total_dim=7)
     total = sum(md.hom_dim(md.projective_module(A, v), M) for v in A.vertices)
     assert total == M.total_dim
 
@@ -108,7 +109,7 @@ def test_randomized_isomorphism_agrees_with_exhaustive():
 def test_is_isomorphic_symmetric(double_triangle):
     A = double_triangle
     rng = random.Random(8)
-    mods = [md.random_module(A, rng, max_total_dim=6) for _ in range(6)]
+    mods = [random_module(A, rng, max_total_dim=6) for _ in range(6)]
     for M in mods:
         for N in mods:
             if M.dims == N.dims:
@@ -131,8 +132,8 @@ def test_rank_nullity_per_vertex(double_triangle):
     A = double_triangle
     rng = random.Random(21)
     for _ in range(6):
-        M = md.random_module(A, rng, max_total_dim=8)
-        N = md.random_module(A, rng, max_total_dim=8)
+        M = random_module(A, rng, max_total_dim=8)
+        N = random_module(A, rng, max_total_dim=8)
         homs = md.hom_space(M, N)
         if not homs:
             continue
@@ -147,7 +148,7 @@ def test_radical_strictly_smaller_and_socle_nonzero(double_triangle):
     A = double_triangle
     rng = random.Random(2)
     for _ in range(8):
-        M = md.random_module(A, rng, max_total_dim=8)
+        M = random_module(A, rng, max_total_dim=8)
         if M.total_dim == 0:
             continue
         R, _ = md.radical_submodule(M)
@@ -364,7 +365,7 @@ def test_action_matches_its_definition(name, field):
     else:
         A = build_algebra(fixture(name), field)
     assert A.n_vertices <= 5
-    for M in (md.regular_module(A), md.random_module(A, random.Random(11))):
+    for M in (md.regular_module(A), random_module(A, random.Random(11))):
         want = _action_by_definition(M)
         assert all(M.action(i) == want[i] for i in range(A.dim))
         assert M.validate(full=True)
@@ -448,7 +449,7 @@ def test_gen_mats_hold_exactly_the_supported_generators(name, field):
     rng = random.Random(13)
     mods = [md.standard_module(A, kind, v) for kind in ("simple", "proj", "inj")
             for v in A.vertices]
-    mods += [md.random_module(A, rng) for _ in range(4)]
+    mods += [random_module(A, rng) for _ in range(4)]
     mods += [md.radical_submodule(M)[0] for M in mods] + [md.top(M)[0] for M in mods]
     for M in mods:
         assert set(M.gen_mats) == {g for g in A.generators if
@@ -484,7 +485,7 @@ def test_direct_sum_blocks_inclusions_and_projections(name, field):
              [md.simple_module(A, first), md.simple_module(A, last)],
              [md.projective_module(A, last), md.injective_module(A, first),
               md.simple_module(A, last)],
-             [md.random_module(A, rng), md.zero_module(A), md.random_module(A, rng)]]
+             [random_module(A, rng), md.zero_module(A), random_module(A, rng)]]
     for summands in lists:
         M, incs, projs = md.direct_sum(summands)
         assert M.dims == tuple(map(sum, zip(*(s.dims for s in summands))))
@@ -511,7 +512,7 @@ def test_direct_sum_blocks_inclusions_and_projections(name, field):
 def test_socle_is_the_common_kernel_of_the_arrows(name, field):
     A = build_algebra(fixture(name), field)
     rng = random.Random(19)
-    for M in (md.regular_module(A), md.random_module(A, rng), md.random_module(A, rng)):
+    for M in (md.regular_module(A), random_module(A, rng), random_module(A, rng)):
         S, inc = md.socle(M)
         assert inc.intertwines() and inc.rank() == S.total_dim
         for v in range(A.n_vertices):
@@ -569,8 +570,8 @@ def test_submodules_match_the_column_wise_solve(name, p, seed):
     A = _algebra(name, p)
     F = A.field
     rng = random.Random(seed)
-    M = md.random_module(A, rng, max_total_dim=6)
-    N = md.random_module(A, rng, max_total_dim=6)
+    M = random_module(A, rng, max_total_dim=6)
+    N = random_module(A, rng, max_total_dim=6)
     f = md.ModuleMap.zero(M, N)
     for h in md.hom_space(M, N):
         f = f + h.scale(F(rng.randrange(-2, 3)))
