@@ -456,6 +456,9 @@ def _build_graded(pres, field):
     max_rel_len = max(rel_by_len, default=0)
     arrow_source = [Q.vertex_index[a.source] for a in arrows]
     arrow_target = [Q.vertex_index[a.target] for a in arrows]
+    arrows_into = [[] for _ in range(nv)]
+    for b_pos, t in enumerate(arrow_target):
+        arrows_into[t].append(b_pos)
     carried = []
     effective_len = None
     if not arrows:
@@ -463,9 +466,16 @@ def _build_graded(pres, field):
     m = 2
     while effective_len is None and m <= bound:
         prev = deg_index.get(m - 1, [])
+        # a product is zero unless its factors' endpoints meet, so the loops
+        # below pair each arrow only with the degree-(m-1) elements at its
+        # vertex: most arrow x element pairs of a large quiver miss
+        prev_from, prev_to = [[] for _ in range(nv)], [[] for _ in range(nv)]
+        for u in prev:
+            prev_from[sources[u]].append(u)
+            prev_to[targets[u]].append(u)
         # coordinate (a, u) of degree m is the path u followed by arrow a
-        coords = [(a_pos, u) for a_pos in range(len(arrows)) for u in prev
-                  if targets[u] == arrow_source[a_pos]]
+        coords = [(a_pos, u) for a_pos in range(len(arrows))
+                  for u in prev_to[arrow_source[a_pos]]]
         ideal = _EchelonIdeal(coords,
                               lambda au: (sources[au[1]], arrow_target[au[0]]),
                               lambda au: words[au[1]] + (au[0],), field)
@@ -478,7 +488,8 @@ def _build_graded(pres, field):
                             {(w[-1], u): c for u, c in pre.items()})
             ideal.insert(vec)
         for row in carried:
-            for b_pos in range(len(arrows)):
+            # a row lies in one block; u . b needs b to end at its source
+            for b_pos in arrows_into[sources[next(iter(row))[1]]]:
                 vec = {}
                 for (a_pos, u), c in row.items():
                     for w, d in rho[b_pos].get(u, {}).items():
@@ -504,7 +515,7 @@ def _build_graded(pres, field):
                                    in ideal.reduce({(a_pos, u): one}).items()}
         for b_pos in range(len(arrows)):
             rb = rho[b_pos]
-            for u in prev:
+            for u in prev_from[arrow_target[b_pos]]:
                 w = words[u]
                 a_pos = w[-1]
                 u2 = (word_lut[w[:-1]] if len(w) > 1
@@ -736,10 +747,19 @@ class IdempotentReduction:
 
     @property
     def quotient(self):
-        """A/<e>.  AeA is spanned by all products x . e_v . y of basis
-        elements, kept as an ``_EchelonIdeal``; the quotient basis is the set
-        of its non-pivot basis elements (the normal-form paths avoiding the
-        killed vertices, for every algebra in this package's scope)."""
+        """A/<e>.  AeA is spanned by the products x . e_v . y of basis
+        elements, v killed, kept as an ``_EchelonIdeal``; the quotient basis
+        is the set of its non-pivot basis elements between kept vertices (the
+        normal-form paths avoiding the killed vertices, for every algebra in
+        this package's scope).
+
+        Only the kept-kept blocks are closed.  A basis element b from s to t
+        with s or t killed is b . e_s or e_t . b, so it lies in AeA, and the
+        whole block (s, t) does.  Each product lies in one block, so leaving
+        out the products x . e_v . y whose source (y's) or target (x's) is
+        killed changes no kept-kept block: the pivots there, ``keep``, the
+        vertices and the structure constants are those of the whole ideal,
+        and ``reduce`` drops every other block."""
         if self._quotient is None:
             A = self.parent
             kill_pos = {A.vertex_pos[v] for v in self.vertices}
@@ -747,8 +767,12 @@ class IdempotentReduction:
                 range(A.dim), lambda i: (A.basis[i].source, A.basis[i].target),
                 lambda i: (A.basis[i].length, A.basis[i].word), A.field)
             for vpos in sorted(kill_pos):
-                for y in A.by_target(vpos):
-                    for x in A.by_source(vpos):
+                ys = [y for y in A.by_target(vpos)
+                      if A.basis[y].source not in kill_pos]
+                xs = [x for x in A.by_source(vpos)
+                      if A.basis[x].target not in kill_pos]
+                for y in ys:
+                    for x in xs:
                         self._ideal.insert(A.mult(x, y))
             pivot = self._ideal.pivots()
             keep_pos = [p for p in range(A.n_vertices) if p not in kill_pos

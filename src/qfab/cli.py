@@ -92,6 +92,10 @@ def cmd_fabric(args):
     doc.add("definitional-verdict", report.definitional.get("verdict"))
     if report.definitional.get("verdict"):
         doc.add("companion-e", ",".join(report.e))
+        if report.definitional["transcript"]["all_translates_zero"]:
+            doc.add("companion-note", "every tau of a projective A/<f>-module is 0; "
+                    "e, the whole vertex set, is the greatest of possibly several "
+                    "companions")
         for v, d in sorted(report.per_projective.items()):
             doc.add(f"fab.dim P_{v}", d, indent=1)
         doc.add("fab.dim", report.fab_dim)

@@ -207,6 +207,10 @@ def check_fabric_definitional(A, F, cutoff=12):
     the loop ends at the greatest such set.  Each tau_v stays injective over
     A/<e> as e grows inside the starting set, so that greatest set is valid
     whenever any companion is.
+
+    When every tau_v is 0, E is the whole vertex set, the greatest of
+    possibly several companions; the transcript's ``all_translates_zero``
+    records that case.
     """
     pd = _quotient_proj_dim(A, F, cutoff=cutoff)
     if not pd.le(1):
@@ -226,7 +230,7 @@ def check_fabric_definitional(A, F, cutoff=12):
     e = tuple(sorted(A.vertices[p] for p in E))
     if not _companion_valid(A, F, e, taus):
         raise NoCompanionFound(f"no companion idempotent for F={sorted(F)}")
-    return e, {"proj_dim_quotient": pd, "e": e}
+    return e, {"proj_dim_quotient": pd, "e": e, "all_translates_zero": not support}
 
 
 def fabric_dimension(A, F, cutoff=12):

@@ -6,11 +6,12 @@ from qfab import modules as md
 from qfab.quiver import Quiver, Presentation, path, relation
 from qfab.algebra import (build_algebra, build_algebra_blunt, corner,
                           quotient_by_idempotent_ideal, quiver_of,
-                          check_presentation_isomorphism, generator_lifts)
+                          check_presentation_isomorphism, generator_lifts,
+                          FDAlgebra, _EchelonIdeal)
 from qfab.errors import NotAdmissible, QfabError
-from qfab.fixtures import fixture
+from qfab.fixtures import fixture, fixture_names
 from qfab.field import QQ, PrimeField
-from qfab.nakayama import higher_nakayama
+from qfab.nakayama import higher_nakayama, reduce_to_selfinjective
 
 
 def test_one_vertex_no_arrows():
@@ -48,7 +49,7 @@ def test_fixture_dimensions_golden(name, dim):
 ORACLE_NAKAYAMA = {f"nakayama-{n}-{''.join(map(str, series))}": (n, series)
                    for n, series in [(1, (4, 4, 3, 3)), (2, (4, 3, 3, 3)),
                                      (3, (3, 2, 2)), (2, (5, 4, 3, 3, 3, 4)),
-                                     (3, (4, 3, 3, 3))]}
+                                     (3, (4, 3, 3, 3)), (2, (6, 5, 4, 4, 4, 5))]}
 ORACLE_F3 = {f"{name}-F3": name
              for name in ["double-triangle", "preprojective-a3", "canonical-2-211"]}
 
@@ -94,6 +95,99 @@ def test_idempotent_quotient_agrees_with_cokernel_oracle(name, field):
                      for v in range(A.n_vertices) for col in f.mats[v].columns()]
             _, trace = md.submodule_generated_by(R, seeds)
             assert Abar.dim == md.cokernel(trace)[0].total_dim, S
+
+
+def _all_products_quotient(A, vertex_ids):
+    """Reference A/<e>: AeA closed under every product x . e_v . y, the
+    blocks at killed vertices included.  Returns the kept parent basis, the
+    kept vertices and the structure constants."""
+    kill = {A.vertex_pos[v] for v in vertex_ids}
+    ideal = _EchelonIdeal(range(A.dim),
+                          lambda i: (A.basis[i].source, A.basis[i].target),
+                          lambda i: (A.basis[i].length, A.basis[i].word), A.field)
+    for v in sorted(kill):
+        for y in A.by_target(v):
+            for x in A.by_source(v):
+                ideal.insert(A.mult(x, y))
+    pivot = ideal.pivots()
+    keep_pos = [p for p in range(A.n_vertices)
+                if p not in kill and A.idempotent_index[p] not in pivot]
+    keep = [i for i, b in enumerate(A.basis) if i not in pivot
+            and b.source in keep_pos and b.target in keep_pos]
+    at = {i: k for k, i in enumerate(keep)}
+    table = [[{at[k]: c for k, c in ideal.reduce(A.mult(i, j)).items() if k in at}
+              for j in keep] for i in keep]
+    return keep, [A.vertices[p] for p in keep_pos], table
+
+
+def _assert_quotient_matches_reference(A, vertex_ids):
+    want = _all_products_quotient(A, vertex_ids)
+    Abar = quotient_by_idempotent_ideal(A, vertex_ids)
+    table = [[Abar.mult(i, j) for j in range(Abar.dim)] for i in range(Abar.dim)]
+    got = (A.idempotent_reduction(vertex_ids).keep["quotient"], Abar.vertices, table)
+    assert got == want, (A.name, sorted(vertex_ids))
+
+
+SMALL_FIXTURE_NAMES = [name for name in fixture_names()
+                       if fixture(name).quiver.n_vertices <= 8]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", SMALL_FIXTURE_NAMES)
+def test_kept_block_quotient_matches_all_products_closure(name, field):
+    """A/<e> closed only between kept vertices has the basis, vertices and
+    structure constants of the closure under every product, for every
+    vertex set of the fixture and of its opposite."""
+    A = build_algebra(fixture(name), field)
+    for B in (A, A.opposite()):
+        for k in range(B.n_vertices + 1):
+            for S in combinations(B.vertices, k):
+                _assert_quotient_matches_reference(B, S)
+
+
+def test_kept_block_quotient_matches_reference_at_reduction_stages(monkeypatch):
+    """The stage quotients of one reduction, where the second pass of each
+    round takes the quotient of a corner."""
+    made = []
+    original = FDAlgebra.idempotent_reduction
+
+    def record(self, vertex_ids):
+        red = original(self, vertex_ids)
+        made.append(red)
+        return red
+
+    monkeypatch.setattr(FDAlgebra, "idempotent_reduction", record)
+    reduce_to_selfinjective(2, (5, 4, 3, 3, 3, 4))
+    monkeypatch.undo()
+    built = {id(red): red for red in made if "quotient" in red.keep}
+    assert any(red.parent.reduction is not None
+               and "corner" in red.parent.reduction.keep
+               and red.parent.reduction.corner is red.parent
+               for red in built.values())
+    for red in built.values():
+        _assert_quotient_matches_reference(red.parent, red.vertices)
+
+
+@pytest.mark.parametrize("name,S", [("double-triangle", ["2"]),
+                                    ("double-triangle", ["2", "3", "5"]),
+                                    ("canonical-2-211", ["1", "4"])])
+def test_quotient_inserts_no_product_with_a_killed_endpoint(name, S, monkeypatch):
+    """Building A/<e> closes AeA only between kept vertices: no vector put
+    into the ideal has a killed source or target."""
+    A = build_algebra(fixture(name))
+    kill = {A.vertex_pos[v] for v in S}
+    inserted = []
+    original = _EchelonIdeal.insert
+
+    def record(self, vec):
+        inserted.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(_EchelonIdeal, "insert", record)
+    quotient_by_idempotent_ideal(A, S)
+    assert inserted
+    assert not [i for vec in inserted for i in vec
+                if {A.basis[i].source, A.basis[i].target} & kill]
 
 
 def test_validate_all_small_fixtures():

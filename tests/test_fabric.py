@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfab import modules as md, homology as hm, fabric as fb, nakayama as nk
+from qfab import cli, modules as md, homology as hm, fabric as fb, nakayama as nk
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal, quiver_of
 from qfab.errors import ConditionFailed, ProjDimTooBig, NoCompanionFound
 from qfab.field import QQ, PrimeField
@@ -178,6 +178,27 @@ def test_companion_is_not_the_constructive_candidate():
     e, tr = fb.check_fabric_definitional(A, ["1", "4"])
     assert e == tr["e"] == ("2", "6", "8")
     assert not fb._companion_valid(A, ["1", "4"], e_c, _translates(A, ["1", "4"]))
+
+
+def test_all_translates_zero_is_reported_as_its_own_outcome(double_triangle, capsys):
+    """canonical-2-221 with F = {1}: every tau of a projective A/<f>-module
+    is 0, so e is the whole vertex set, the greatest of possibly several
+    companions, and the transcript and ``qfab fabric`` say so.  A companion
+    read off non-zero translates gets no such note."""
+    A = build_algebra(fixture("canonical-2-221"))
+    assert all(t.total_dim == 0 for t in _translates(A, ["1"]).values())
+    e, tr = fb.check_fabric_definitional(A, ["1"])
+    assert e == tuple(A.vertices) and tr["all_translates_zero"]
+    assert cli.main(["fabric", "fixture:canonical-2-221", "--f", "1"]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("companion-note:")]
+    assert notes == ["companion-note: every tau of a projective A/<f>-module is 0; "
+                     "e, the whole vertex set, is the greatest of possibly several "
+                     "companions"]
+    _, tr = fb.check_fabric_definitional(double_triangle, ["2", "3", "5"])
+    assert not tr["all_translates_zero"]
+    assert cli.main(["fabric", "fixture:double-triangle", "--f", "2,3,5"]) == 0
+    assert "companion-note" not in capsys.readouterr().out
 
 
 def test_no_companion_above_sixteen_vertices_is_a_plain_no():
