@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .errors import InputError, QfabError, ParseError
 from .field import QQ, field_by_name
@@ -188,10 +189,7 @@ def cmd_resolve(args):
     if res.period:
         doc.add("period", res.period)
     for i, verts in enumerate(res.term_vertices):
-        mult = {}
-        for w in verts:
-            mult[w] = mult.get(w, 0) + 1
-        doc.add(f"term {i}", mult, indent=1)
+        doc.add(f"term {i}", Counter(verts), indent=1)
     sys.stdout.write(doc.render())
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

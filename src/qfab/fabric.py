@@ -63,32 +63,11 @@ def companion_candidate(A, F):
     return e, iprime
 
 
-def _classes_relation(c1, c2, field):
-    """How two path classes (dicts basis index -> coefficient) compare:
-    "equal", ("proportional", lam) with c1 = lam * c2, or "different"."""
-    if c1 == c2:
-        return "equal"
-    if c1 and c2 and set(c1) == set(c2):
-        keys = sorted(c1)
-        k0 = keys[0]
-        lam = field.div(c1[k0], c2[k0])
-        if all(c1[k] == lam * c2[k] for k in keys):
-            return ("proportional", lam)
-    return "different"
-
-
-def _some_arrow_gives(A, arrows, source, target, cls, path_of, transcript, tag):
+def _some_arrow_gives(arrows, source, target, cls, path_of):
     """Is there an arrow h: source -> target with path_of(h) equal to the
-    class cls?  Arrows tried before the match whose path is proportional to
-    cls are recorded as near misses, ``tag`` followed by the factor."""
-    for (s, t, h) in arrows:
-        if s == source and t == target:
-            rel = _classes_relation(path_of(h), cls, A.field)
-            if rel == "equal":
-                return True
-            if isinstance(rel, tuple):
-                transcript["near_misses"].append(tag + (str(rel[1]),))
-    return False
+    class cls?"""
+    return any(s == source and t == target and path_of(h) == cls
+               for (s, t, h) in arrows)
 
 
 def check_fabric_combinatorial(A, F, cutoff=12):
@@ -97,13 +76,11 @@ def check_fabric_combinatorial(A, F, cutoff=12):
     Precondition: proj.dim of A/<f> over A is at most 1 (ProjDimTooBig
     otherwise).  The four conditions are tested syntactically on the Gabriel
     quiver, with path congruences decided as equality of normal forms in A
-    (scalar one; proportional matches are recorded as near misses).
+    (scalar one: a proportional path is no match).
     """
     Fset = set(F)
-    transcript = {"near_misses": [], "conditions": {}}
-
     pd = _quotient_proj_dim(A, F, cutoff=cutoff)
-    transcript["proj_dim_quotient"] = pd
+    transcript = {"proj_dim_quotient": pd}
     if not pd.le(1):
         raise ProjDimTooBig(f"proj.dim_A(A/<f>) = {pd}, needs <= 1")
 
@@ -121,7 +98,6 @@ def check_fabric_combinatorial(A, F, cutoff=12):
             if t == jp and s != j and s not in prime_targets:
                 raise ConditionFailed(2, f"arrow {s}->{t} into {j}' has source "
                                          f"{s} not {j} and not a distinguished target")
-    transcript["conditions"][2] = "ok"
 
     # condition (3): factorization of (alpha_j . beta) through alpha_i
     for j, (jp, alpha_j) in sorted(iprime.items()):
@@ -136,11 +112,9 @@ def check_fabric_combinatorial(A, F, cutoff=12):
                 raise ConditionFailed(3, f"nonzero path {i}->{j}->{jp} but no "
                                          f"distinguished arrow at {i}")
             ip, alpha_i = iprime[i]
-            if not _some_arrow_gives(A, arrows, ip, jp, cls,
-                                     lambda delta: A.mult(delta, alpha_i),
-                                     transcript, ("cond3", i, j)):
+            if not _some_arrow_gives(arrows, ip, jp, cls,
+                                     lambda delta: A.mult(delta, alpha_i)):
                 raise ConditionFailed(3, f"no factorization of {i}->{j}->{jp}")
-    transcript["conditions"][3] = "ok"
 
     # condition (4): paths (delta . alpha_i) between distinguished arrows
     # factor back through the quiver outside F
@@ -152,12 +126,10 @@ def check_fabric_combinatorial(A, F, cutoff=12):
                 cls = A.mult(delta, alpha_i)
                 if not cls:
                     continue
-                if not _some_arrow_gives(A, arrows, i, j, cls,
-                                         lambda beta: A.mult(alpha_j, beta),
-                                         transcript, ("cond4", i, j)):
+                if not _some_arrow_gives(arrows, i, j, cls,
+                                         lambda beta: A.mult(alpha_j, beta)):
                     raise ConditionFailed(4, f"no arrow {i}->{j} matching the "
                                              f"path {i}->{ip}->{jp}")
-    transcript["conditions"][4] = "ok"
     transcript["e"] = e
     return e, transcript
 
@@ -252,9 +224,9 @@ def fabric_dimension(A, F, cutoff=12):
         best = None
         all_closed = True
         for w, res in chains:
-            limit = len(res.syzygies)
-            for n in range(1, limit):
-                S = res.syzygies[n]
+            syzygies = res.syzygies
+            for n in range(1, len(syzygies)):
+                S = syzygies[n]
                 if S.dims == P.dims and md.is_isomorphic(S, P):
                     if best is None or n < best:
                         best = n

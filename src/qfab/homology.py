@@ -4,8 +4,8 @@ dominant dimension, Gorenstein (co)projectivity, and resolution-generator
 membership (gen_l / cogen_l).
 
 Injective-side computations are dualized: an injective coresolution of M is
-the dual of a minimal projective resolution of D(M) over the opposite
-algebra, so the projective machinery is the single source of truth;
+the minimal projective resolution of D(M) over the opposite algebra, read
+through D, so the projective machinery is the single source of truth;
 cogen_l membership is gen_l membership of D(M) over the opposite algebra.
 
 Each derived object has one construction.  One resolution step (cover the
@@ -29,6 +29,14 @@ a module met again then, as an input or as a syzygy, takes no cover and no
 kernel.  Resolutions hold their steps strongly and the table holds them
 weakly, and a step never points at the module it resolves, so the table
 keeps nothing alive and adds no reference cycle.
+
+A resolution is its steps.  ``Resolution`` holds the module its steps
+resolve and the steps; its terms, term vertices and syzygies are read off
+the steps.  Both directions are that one record: an injective coresolution
+keeps the steps of D(M) over the opposite algebra, the vertices of its
+terms are theirs, and it builds the duals of the steps' modules only when
+its terms or syzygies are asked for.  Readers that need a count or the
+vertices (dominant dimension, Ext, gen_l) build no dual.
 
 A map of free modules is fixed by its generator images (Green, Solberg and
 Zacharia, "Minimal projective resolutions", Trans. AMS 353, 2001).  The
@@ -60,7 +68,8 @@ is never built as a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
+from itertools import accumulate
 from weakref import WeakValueDictionary
 
 from .algebra import quotient_by_idempotent_ideal
@@ -249,46 +258,47 @@ def _step(M):
 
 @dataclass
 class Resolution:
-    """A minimal resolution with its bookkeeping.
+    """A minimal resolution: the ``steps`` that resolve ``module``.
 
-    ``terms[i]`` is the i-th term and ``syzygies[i]`` the i-th (co)syzygy;
-    ``syzygies[0]`` is the resolved module itself.  A projective resolution
-    holds its ``steps`` (``steps[i]`` resolves ``syzygies[i]``), and
-    ``diffs[i] : terms[i+1] -> terms[i]`` is the ``d`` of ``steps[i]``;
-    an injective coresolution has ``diffs`` and ``steps`` None.
+    ``steps[i]`` resolves the i-th syzygy of ``module``; ``terms[i]`` is its
+    cover term ``P`` over ``term_vertices[i]``, its ``verts``, the syzygies
+    are ``module`` followed by each step's ``K``, and the differential
+    terms[i+1] -> terms[i] is ``steps[i].d``.  An injective coresolution of M
+    is the projective resolution of D(M) over the opposite algebra read
+    through D: ``module`` is D(M), ``term_vertices`` are the steps' own (term
+    i is the sum of I_v over them), and ``terms`` and ``syzygies`` are the
+    duals of the steps' modules, built when they are asked for.
     ``status`` is one of terminated / truncated / periodic; a periodic
     resolution records (start, period) and the isomorphism certificate.
     """
 
     direction: str
-    terms: list
-    term_vertices: list
-    syzygies: list
+    module: Representation
+    steps: list
     status: str
     period: tuple | None = None
     period_witness: object = None
-    steps: list | None = None
+    # the terms read so far, extended as the steps grow: ``terms`` hands out
+    # this one list, so a term a caller appends to it stays in it
+    # (``perfbench/test_checks.py`` tampers with a resolution that way)
+    _terms: list = dc_field(default_factory=list, init=False, repr=False,
+                            compare=False)
+
+    def _read(self, X):
+        return X if self.direction == "projective" else dual_module(X)
 
     @property
-    def diffs(self):
-        if self.steps is None:
-            return None
-        return [step.d for step in self.steps[:-1]]
+    def terms(self):
+        self._terms += [self._read(s.P) for s in self.steps[len(self._terms):]]
+        return self._terms
 
+    @property
+    def term_vertices(self):
+        return [s.verts for s in self.steps]
 
-def _unresolved(M):
-    """A projective resolution of M with no terms yet."""
-    return Resolution("projective", [], [], [M], "truncated", steps=[])
-
-
-def _resolution_step(res):
-    """Append the minimal cover of the last syzygy, as the next term, and
-    its kernel, as the next syzygy."""
-    step = _step(res.syzygies[-1])
-    res.steps.append(step)
-    res.terms.append(step.P)
-    res.term_vertices.append(step.verts)
-    res.syzygies.append(step.K)
+    @property
+    def syzygies(self):
+        return [self._read(X) for X in [self.module] + [s.K for s in self.steps]]
 
 
 def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
@@ -302,48 +312,48 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
     ``seed`` is not read: the benchmark's ``queries`` workload passes it.
     """
     if direction == "injective":
-        res = minimal_resolution(dual_module(M), "projective", cutoff)
-        return Resolution("injective", [dual_module(t) for t in res.terms],
-                          res.term_vertices,
-                          [dual_module(s) for s in res.syzygies], res.status,
-                          res.period, res.period_witness)
+        return replace(minimal_resolution(dual_module(M), "projective", cutoff),
+                       direction="injective")
     if direction != "projective":
         raise QfabError(f"unknown resolution direction {direction!r}")
-    res = _unresolved(M)
-    while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
-        _resolution_step(res)
-        cur = res.syzygies[-1]
+    res = Resolution("projective", M, [], "truncated")
+    steps, K = res.steps, M
+    while len(steps) <= cutoff and K.total_dim:
+        steps.append(_step(K))
+        K = steps[-1].K
         top_verts = None
         # the earlier syzygies are non-zero, so a zero one matches none
-        for j in range(1, len(res.syzygies) - 1):
-            if res.syzygies[j].dims != cur.dims:
+        for j in range(1, len(steps)):
+            earlier = steps[j - 1].K
+            if earlier.dims != K.dims:
                 continue
             if top_verts is None:
                 # in vertex order, as projective_cover lists term vertices
-                top_verts = [M.algebra.vertices[v] for v, _ in _top(cur)]
-            if top_verts != res.term_vertices[j]:
+                top_verts = [M.algebra.vertices[v] for v, _ in _top(K)]
+            if top_verts != steps[j].verts:
                 continue
-            cert = is_isomorphic(res.syzygies[j], cur)
+            cert = is_isomorphic(earlier, K)
             if cert:
                 res.status = "periodic"
-                res.period = (j, len(res.syzygies) - 1 - j)
+                res.period = (j, len(steps) - j)
                 res.period_witness = cert
                 return res
-    if res.syzygies[-1].total_dim == 0:
+    if not K.total_dim:
         res.status = "terminated"
     return res
 
 
 def extend_resolution(res, n_terms):
-    """Mechanically grow a projective resolution to n_terms terms.
+    """Mechanically grow a resolution to n_terms terms.
 
     Used to evaluate the Hom complex at degrees beyond an early periodicity
     break; the status flag is left untouched.
     """
-    if res.steps is None:
-        raise QfabError("only stored projective resolutions can be extended")
-    while len(res.terms) < n_terms and res.syzygies[-1].total_dim:
-        _resolution_step(res)
+    steps = res.steps
+    K = steps[-1].K if steps else res.module
+    while len(steps) < n_terms and K.total_dim:
+        steps.append(_step(K))
+        K = steps[-1].K
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +361,21 @@ def extend_resolution(res, n_terms):
 # ---------------------------------------------------------------------------
 
 
-def _hom_coords_dim(term_vertices, N):
+def _hom_offsets(verts, N):
+    """Hom(+ Ae_v, N) = + e_v N, one block of coordinates per summand: the
+    offset of each block, and their total."""
     A = N.algebra
-    return sum(N.dims[A.vertex_pos[v]] for v in term_vertices)
+    *offsets, total = accumulate((N.dims[A.vertex_pos[v]] for v in verts),
+                                 initial=0)
+    return offsets, total
 
 
 def _hom_complex_matrix(verts_prev, verts_next, d, N):
     """Matrix of Hom(P_prev, N) -> Hom(P_next, N), phi -> phi . d."""
     A = N.algebra
-    rows = _hom_coords_dim(verts_next, N)
-    cols = _hom_coords_dim(verts_prev, N)
+    hoff_next, rows = _hom_offsets(verts_next, N)
+    hoff_prev, cols = _hom_offsets(verts_prev, N)
     out = [[A.field.zero] * cols for _ in range(rows)]
-    # Hom(+ Ae_v, N) = + e_v N: one block of coordinates per summand
-    hoff_prev = []
-    acc = 0
-    for v_id in verts_prev:
-        hoff_prev.append(acc)
-        acc += N.dims[A.vertex_pos[v_id]]
-    hoff_next = []
-    acc = 0
-    for v_id in verts_next:
-        hoff_next.append(acc)
-        acc += N.dims[A.vertex_pos[v_id]]
     for r, s, i, c in d:
         act = N.action(i)   # N_{v_s} -> N_{v_r}
         for a in range(act.rows):
@@ -392,29 +395,31 @@ def ext_dim(M, N, i, resolution=None, seed=None):
 
 
 def _ext_from_resolution(res, N, i):
+    steps = res.steps
     if res.status == "periodic":
         start, p = res.period
-        if i >= len(res.terms):  # so i > start
+        if i >= len(steps):  # so i > start
             i = start + 1 + (i - start - 1) % p
         # a periodic resolution never ends, so this lists terms i and i + 1
         extend_resolution(res, i + 2)
-    elif i >= len(res.terms):
+    elif i >= len(steps):
         if res.status == "terminated":
             return 0
         raise QfabError("resolution truncated below requested Ext degree")
-    terms, tverts, steps = res.terms, res.term_vertices, res.steps
-    dim_i = _hom_coords_dim(tverts[i], N)
+    _, dim_i = _hom_offsets(steps[i].verts, N)
     if dim_i == 0:
         return 0
     rank_in = 0
     if i >= 1:
-        m_in = _hom_complex_matrix(tverts[i - 1], tverts[i], steps[i - 1].d, N)
+        m_in = _hom_complex_matrix(steps[i - 1].verts, steps[i].verts,
+                                   steps[i - 1].d, N)
         rank_in = rank(m_in)
     rank_out = 0
-    if i + 1 < len(terms):
-        m_out = _hom_complex_matrix(tverts[i], tverts[i + 1], steps[i].d, N)
+    if i + 1 < len(steps):
+        m_out = _hom_complex_matrix(steps[i].verts, steps[i + 1].verts,
+                                    steps[i].d, N)
         rank_out = rank(m_out)
-    elif res.status != "terminated" and res.syzygies[len(terms)].total_dim > 0:
+    elif res.status != "terminated" and steps[-1].K.total_dim > 0:
         raise QfabError("resolution too short for requested Ext degree")
     return dim_i - rank_in - rank_out
 
@@ -435,7 +440,7 @@ def ext_vanishes_upto(M, N, n, resolution=None):
 def proj_dim(M, cutoff=12):
     res = minimal_resolution(M, "projective", cutoff=cutoff)
     if res.status == "terminated":
-        return DimValue.finite(max(len(res.terms) - 1, 0))
+        return DimValue.finite(max(len(res.steps) - 1, 0))
     if res.status == "periodic":
         return DimValue.infinite(note=f"syzygy period {res.period}")
     return DimValue.at_least(cutoff)
@@ -511,7 +516,7 @@ def dominant_dimension(A, cutoff=12):
             return DimValue.finite(i)
     if res.status == "terminated":
         return DimValue.infinite(note="self-injective")
-    return DimValue.at_least(len(res.terms))
+    return DimValue.at_least(len(res.steps))
 
 
 def is_self_injective(A):
@@ -653,7 +658,7 @@ class GenMembershipReport:
 
 def _resolution_closure_bound(res):
     if res.status == "terminated":
-        return len(res.terms)
+        return len(res.steps)
     if res.status == "periodic":
         start, p = res.period
         return start + p
@@ -679,14 +684,14 @@ def gen_membership(M, e_vertices, level, cutoff=20):
                 f"cannot decide gen_inf (raise the cutoff)")
         check_upto = bound - 1
     else:
-        if level >= len(res.terms) and res.status == "truncated":
+        if level >= len(res.steps) and res.status == "truncated":
             raise QfabError("resolution truncated below the requested level")
-        check_upto = min(level, len(res.terms) - 1)
+        check_upto = min(level, len(res.steps) - 1)
     viol = None
     for i in range(check_upto + 1):
-        if i >= len(res.terms):
+        if i >= len(res.steps):
             break
-        bad = [v for v in res.term_vertices[i] if v not in eset]
+        bad = [v for v in res.steps[i].verts if v not in eset]
         if bad:
             viol = (i, bad)
             break
@@ -700,7 +705,7 @@ def gen_membership(M, e_vertices, level, cutoff=20):
     viol_b = None
     for v, F in injectives.items():
         for i in range(0, ext_upto + 1):
-            if i >= len(res.terms) and res.status == "terminated":
+            if i >= len(res.steps) and res.status == "terminated":
                 break
             d = _ext_from_resolution(res, F, i)
             if d != 0:

@@ -120,24 +120,18 @@ class Representation:
         through generators); ``full=True`` checks every basis pair.
         """
         A = self.algebra
-        pairs = []
-        first = A.generators if not full else range(A.dim)
-        for g in first:
+        for g in A.generators if not full else range(A.dim):
             bg = A.basis[g]
             if bg.length == 0:
                 continue
             for u in range(A.dim):
-                bu = A.basis[u]
-                if bu.target != bg.source:
+                if A.basis[u].target != bg.source:
                     continue
-                pairs.append((g, u))
-        for g, u in pairs:
-            bg, bu = A.basis[g], A.basis[u]
-            lhs = self.action(g) * self.action(u)
-            rhs = _combination(((c, self.action(k)) for k, c in A.mult(g, u).items()),
-                               A.field)
-            if not (lhs.is_zero() if rhs is None else lhs == rhs):
-                return False
+                lhs = self.action(g) * self.action(u)
+                rhs = _combination(((c, self.action(k))
+                                    for k, c in A.mult(g, u).items()), A.field)
+                if not (lhs.is_zero() if rhs is None else lhs == rhs):
+                    return False
         return True
 
     def dim_vector(self):

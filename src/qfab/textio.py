@@ -18,6 +18,7 @@ the identity.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .errors import ParseError, UnknownVertex, NonParallelRelation, QfabError
@@ -171,16 +172,12 @@ def export_dot(obj, name="quiver"):
                     lines.append(f'  "{rel.source}" -> "{rel.target}" '
                                  f'[style=dotted, arrowhead=none];')
     elif isinstance(obj, _R):
-        terms = obj.terms
-        for i, t in enumerate(terms):
-            mult = {}
-            for v in obj.term_vertices[i]:
-                mult[v] = mult.get(v, 0) + 1
+        for i, verts in enumerate(obj.term_vertices):
             label = " + ".join(f"{'P' if obj.direction == 'projective' else 'I'}_{v}"
                                + (f"^{m}" if m > 1 else "")
-                               for v, m in sorted(mult.items()))
+                               for v, m in sorted(Counter(verts).items()))
             lines.append(f'  t{i} [label="{label or "0"}", shape=box];')
-        for i in range(1, len(terms)):
+        for i in range(1, len(obj.steps)):
             a, b = (f"t{i}", f"t{i-1}") if obj.direction == "projective" \
                 else (f"t{i-1}", f"t{i}")
             lines.append(f"  {a} -> {b};")

@@ -1,13 +1,11 @@
 import functools
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from qfab import cli, modules as md, homology as hm, fabric as fb, nakayama as nk
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal, quiver_of
 from qfab.errors import ConditionFailed, ProjDimTooBig, NoCompanionFound
-from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture, fixture_names
 
 
@@ -323,18 +321,3 @@ def test_canonical_chain_to_beilinson():
     got2 = sorted((a.source, a.target) for a in ext2.presentation.quiver.arrows)
     want2 = sorted((a.source, a.target) for a in fixture("beilinson-2").quiver.arrows)
     assert got2 == want2
-
-
-def test_classes_relation_reports_non_unit_proportional_near_misses():
-    rel = fb._classes_relation
-    assert rel({0: 1, 5: -1}, {0: 1, 5: -1}, QQ) == "equal"
-    assert rel({0: 2, 5: 3}, {0: 1, 5: 2}, QQ) == "different"
-    assert rel({0: 2}, {5: 2}, QQ) == "different"
-    got = rel({0: 2, 5: -4}, {0: 1, 5: -2}, QQ)
-    assert got == ("proportional", 2) and type(got[1]) is int
-    got = rel({0: 1, 5: -2}, {0: 2, 5: -4}, QQ)
-    assert got == ("proportional", Fraction(1, 2)) and type(got[1]) is Fraction
-    got = rel({0: QQ(2, 3), 5: 2}, {0: QQ(1, 3), 5: 1}, QQ)
-    assert got == ("proportional", 2) and type(got[1]) is int
-    F7 = PrimeField(7)
-    assert rel({0: F7(1), 5: F7(2)}, {0: F7(2), 5: F7(4)}, F7) == ("proportional", F7(4))

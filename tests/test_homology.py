@@ -512,7 +512,7 @@ def test_recorded_presentation_changes_no_functor(name, field, monkeypatch):
                     assert verts1 == [A.vertices[v] for v, _ in hm._top(res.syzygies[1])]
                     assert d is res.steps[0].d is not None
                 else:
-                    assert verts1 == res.term_vertices[1] and d is res.diffs[0]
+                    assert verts1 == res.term_vertices[1] and d is res.steps[0].d
                 assert all(_same_module(f(X), w)
                            for f, w in zip(PRESENTATION_FUNCTORS, want))
             X = _fresh(M)
@@ -526,20 +526,22 @@ def _resolution_by_every_dims_match(M, cutoff):
     """The oracle: (status, period, term vertices) with ``is_isomorphic`` run
     on every earlier syzygy of the same dimension vector, and the number of
     those pairs whose tops differ."""
-    res = hm._unresolved(M)
+    syzygies, verts = [M], []
     screened = 0
-    while len(res.terms) <= cutoff and res.syzygies[-1].total_dim:
-        hm._resolution_step(res)
-        cur = res.syzygies[-1]
-        for j in range(1, len(res.syzygies) - 1):
-            if res.syzygies[j].dims != cur.dims:
+    while len(verts) <= cutoff and syzygies[-1].total_dim:
+        step = hm._step(syzygies[-1])
+        verts.append(step.verts)
+        syzygies.append(step.K)
+        cur = syzygies[-1]
+        for j in range(1, len(syzygies) - 1):
+            if syzygies[j].dims != cur.dims:
                 continue
             top = sorted(M.algebra.vertices[v] for v, _ in _top_coordinates(cur))
-            screened += top != sorted(res.term_vertices[j])
-            if md.is_isomorphic(res.syzygies[j], cur):
-                return "periodic", (j, len(res.syzygies) - 1 - j), res.term_vertices, screened
-    status = "truncated" if res.syzygies[-1].total_dim else "terminated"
-    return status, None, res.term_vertices, screened
+            screened += top != sorted(verts[j])
+            if md.is_isomorphic(syzygies[j], cur):
+                return "periodic", (j, len(syzygies) - 1 - j), verts, screened
+    status = "truncated" if syzygies[-1].total_dim else "terminated"
+    return status, None, verts, screened
 
 
 # no two syzygies resolved here share a dimension vector but not a top
@@ -646,7 +648,8 @@ def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, f
     for M in _step_test_modules(A):
         res = hm.minimal_resolution(M, cutoff=4)
         hm.extend_resolution(res, 5)
-        assert len(res.diffs) == len(res.terms) - 1
+        # one step per term: steps[i - 1].d maps term i into term i - 1
+        assert len(res.steps) == len(res.terms)
         for i in range(1, len(res.terms)):
             # the oracle: d_i = inc_{i-1} . cover_i as a full module map, with
             # the inclusion taken afresh, not read off the step
@@ -662,12 +665,65 @@ def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, f
                 w, col = slots[A.idempotent_index[A.vertex_pos[v]]]
                 want.extend((r, *at[(w, k)], c)
                             for k, c in enumerate(d.mats[w].column(col)) if c)
-            assert res.diffs[i - 1] == want
+            assert res.steps[i - 1].d == want
         X = _fresh(M)
         verts0, verts1, d0 = hm._presentation(X)
         assert verts0 == res.term_vertices[0]
-        assert (verts1, d0) == ((res.term_vertices[1], res.diffs[0]) if res.diffs
-                                else ([], []))
+        assert (verts1, d0) == ((res.term_vertices[1], res.steps[0].d)
+                                if len(res.steps) > 1 else ([], []))
+
+
+CORESOLUTION_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3)],
+                                             ids=["Q", "F_3"])
+
+
+def _simples_and_injectives(A):
+    return [md.standard_module(A, kind, v) for kind in ("simple", "inj")
+            for v in A.vertices]
+
+
+@CORESOLUTION_FIELDS
+@pytest.mark.parametrize("name", ["double-triangle", "preprojective-a3"])
+def test_injective_coresolution_is_the_resolution_of_the_dual_read_through_d(name, field):
+    A = build_algebra(fixture(name), field)
+    for M in _simples_and_injectives(A):
+        for cutoff in (0, 2, 5):
+            inj = hm.minimal_resolution(M, "injective", cutoff)
+            proj = hm.minimal_resolution(md.dual_module(M), cutoff=cutoff)
+            assert proj.module.algebra is A.opposite()
+            assert ((inj.term_vertices, inj.status, inj.period)
+                    == (proj.term_vertices, proj.status, proj.period))
+            assert ([hm._content(I) for I in inj.terms]
+                    == [hm._content(md.dual_module(P)) for P in proj.terms])
+            assert ([hm._content(X) for X in inj.syzygies]
+                    == [hm._content(md.dual_module(K)) for K in proj.syzygies])
+            assert inj.syzygies[0].algebra is A
+            assert hm._content(inj.syzygies[0]) == hm._content(M)
+
+
+@CORESOLUTION_FIELDS
+@pytest.mark.parametrize("name", ["double-triangle", "preprojective-a3"])
+def test_extending_a_truncated_coresolution_gives_a_longer_one(name, field):
+    A = build_algebra(fixture(name), field)
+    extended = 0
+    for M in _simples_and_injectives(A):
+        for cutoff in (0, 2):
+            res = hm.minimal_resolution(M, "injective", cutoff)
+            if res.status != "truncated":
+                continue
+            listed = len(res.terms)  # terms read before the steps grow
+            hm.extend_resolution(res, cutoff + 3)
+            fresh = hm.minimal_resolution(M, "injective", cutoff + 2)
+            n = len(fresh.term_vertices)
+            # a fresh coresolution stops at a period; the extension does not
+            assert res.term_vertices[:n] == fresh.term_vertices
+            if fresh.status != "periodic":
+                assert res.term_vertices == fresh.term_vertices
+            assert len(res.terms) == len(res.term_vertices) > listed
+            assert ([hm._content(I) for I in res.terms[:n]]
+                    == [hm._content(I) for I in fresh.terms])
+            extended += 1
+    assert extended
 
 
 # The readers of a step's differential, checked against oracles that build
