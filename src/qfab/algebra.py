@@ -76,6 +76,7 @@ class FDAlgebra:
             self._by_target[b.target].append(i)
         self._opposite = None
         self._reductions = {}
+        self._steps = {}   # homology's resolution steps, by module content
         self.reduction = None   # the IdempotentReduction that made this algebra
 
     # -- basic views ------------------------------------------------------
@@ -157,6 +158,7 @@ class FDAlgebra:
             if b.length >= 1:
                 by_len_block.setdefault((b.length, b.source, b.target), []).append(i)
         gens = []
+        gens_to = [[] for _ in self.vertices]   # the generators by target
         factor = {}
         for (m, s, t) in sorted(by_len_block):
             idxs = by_len_block[(m, s, t)]
@@ -175,14 +177,12 @@ class FDAlgebra:
                 if span.add(col) is None:
                     keys.append((g, u))
 
-            for g in gens:
+            # g . u with u in block (m - len g, s, source g), in the order of
+            # a scan over every generator and every element at s
+            for g in gens_to[t]:
                 bg = self.basis[g]
-                if bg.target != t or bg.length >= m:
-                    continue
-                need = m - bg.length
-                for u in self.by_source(s):
-                    bu = self.basis[u]
-                    if bu.length == need and bu.target == bg.source:
+                if bg.length < m:
+                    for u in by_len_block.get((m - bg.length, s, bg.source), ()):
                         add_col(g, u)
             for b in idxs:
                 unit = [zero] * len(idxs)
@@ -190,6 +190,7 @@ class FDAlgebra:
                 x = span.add(unit)
                 if x is None:
                     gens.append(b)
+                    gens_to[t].append(b)
                     # later block members may factor through b directly
                     keys.append((b, self.idempotent_index[s]))
                 else:

@@ -19,16 +19,15 @@ P1 -d-> P0 -> M: Tr(M) is the cokernel of Hom(d, A) and, Hom(-, A) being
 left exact, nu(M) = D Hom(M, A) is the dual of its kernel.
 
 A module keeps one record, its top (``modules._top``), computed once and
-kept on the module.  Each module is resolved once per algebra, by a
-resolution step (P, verts, K, d): the cover term P over the vertex list
-verts of M's top, the syzygy K, and the differential d from the cover of K
-into P.  The step is a ``_Step`` kept in a table on the algebra, keyed by
-M's content: the dimension vector and the generator matrices.  The module
-does not keep its step; the table keeps it while a resolution holds it, and
-a module met again then, as an input or as a syzygy, takes no cover and no
-kernel.  Resolutions hold their steps strongly and the table holds them
-weakly, and a step never points at the module it resolves, so the table
-keeps nothing alive and adds no reference cycle.
+kept on the module.  Each module content is resolved once per algebra, for
+the algebra's life, by a resolution step (P, verts, K, d): the cover term P
+over the vertex list verts of M's top, the syzygy K, and the differential d
+from the cover of K into P.  The step is a ``_Step`` kept in the algebra's
+step memo (``FDAlgebra._steps``), keyed by M's content: the dimension vector
+and the generator matrices.  A module met again, as an input or as a
+syzygy, by whichever caller, takes no cover and no kernel.  The memo dies
+with its algebra; its modules point back at the algebra, so the cyclic
+collector frees the two together.
 
 A resolution is its steps.  ``Resolution`` holds the module its steps
 resolve and the steps; its terms, term vertices and syzygies are read off
@@ -70,7 +69,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
-from weakref import WeakValueDictionary
 
 from .algebra import quotient_by_idempotent_ideal
 from .linalg import Matrix, from_columns, rank
@@ -221,7 +219,7 @@ class _Step:
     projective M has d empty.  A step keeps neither the inclusion nor any
     reference to M."""
 
-    __slots__ = ("P", "verts", "K", "d", "__weakref__")
+    __slots__ = ("P", "verts", "K", "d")
 
     def __init__(self, P, verts, K, inc):
         self.P, self.verts, self.K = P, verts, K
@@ -231,28 +229,20 @@ class _Step:
                   for k, c in enumerate(inc.mats[v].column(col)) if c]
 
 
-def _steps(A):
-    """A's table of resolution steps, by module content (``_content``)."""
-    cache = _cache(A)
-    if "steps" not in cache:
-        cache["steps"] = WeakValueDictionary()
-    return cache["steps"]
-
-
 def _content(M):
-    """M's dimension vector and its generator matrices, as a table key."""
+    """M's dimension vector and its generator matrices, as a memo key."""
     return M.dims, tuple(sorted((g, m.data) for g, m in M.gen_mats.items()))
 
 
 def _step(M):
-    """The resolution step of M, from the algebra's table when a module with
-    M's content has been resolved there and its step is still held."""
-    table = _steps(M.algebra)
+    """The resolution step of M, from the algebra's step memo when a module
+    with M's content has been resolved there."""
+    steps = M.algebra._steps
     key = _content(M)
-    step = table.get(key)
+    step = steps.get(key)
     if step is None:
         P, cover, verts = projective_cover(M)
-        step = table[key] = _Step(P, verts, *md.kernel(cover))
+        step = steps[key] = _Step(P, verts, *md.kernel(cover))
     return step
 
 
@@ -461,24 +451,13 @@ def global_dimension(A, cutoff=12):
 
 
 def regular_left(A):
-    cache = _cache(A)
-    if "regular" not in cache:
-        cache["regular"] = md.regular_module(A)
-    return cache["regular"]
+    """A as a left A-module."""
+    return md.regular_module(A)
 
 
 def dual_regular(A):
     """DA as a left A-module."""
-    cache = _cache(A)
-    if "DA" not in cache:
-        cache["DA"] = dual_module(md.regular_module(A.opposite()))
-    return cache["DA"]
-
-
-def _cache(A):
-    if not hasattr(A, "_homology_cache"):
-        A._homology_cache = {}
-    return A._homology_cache
+    return dual_module(md.regular_module(A.opposite()))
 
 
 def gorenstein_dimension(A, cutoff=12):
@@ -605,31 +584,14 @@ def certify_gorenstein(A, cutoff=12):
     return g.value
 
 
-def is_gorenstein_projective(M, gor_n, cross_check=False):
-    """Ext^i(M, A) = 0 for 1 <= i <= Gor.dim; optional syzygy cross-check."""
-    A = M.algebra
-    ok = ext_vanishes_upto(M, regular_left(A), gor_n) if gor_n else True
-    if not cross_check:
-        return ok
-    corro = None
-    if ok and gor_n:
-        X = cosyzygy(M, gor_n)
-        Y = syzygy(X, gor_n)
-        corro = bool(is_isomorphic(Y, M))
-    return ok, corro
+def is_gorenstein_projective(M, gor_n):
+    """Ext^i(M, A) = 0 for 1 <= i <= Gor.dim."""
+    return not gor_n or ext_vanishes_upto(M, regular_left(M.algebra), gor_n)
 
 
 def is_gorenstein_injective(M, gor_n):
     """Ext^i(DA, M) = 0 for 1 <= i <= Gor.dim."""
-    A = M.algebra
-    if gor_n == 0:
-        return True
-    cache = _cache(A)
-    key = ("DA-res", gor_n + 1)
-    if key not in cache:
-        cache[key] = minimal_resolution(dual_regular(A), "projective",
-                                        cutoff=gor_n + 1)
-    return ext_vanishes_upto(dual_regular(A), M, gor_n, resolution=cache[key])
+    return not gor_n or ext_vanishes_upto(dual_regular(M.algebra), M, gor_n)
 
 
 # ---------------------------------------------------------------------------

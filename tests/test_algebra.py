@@ -11,6 +11,7 @@ from qfab.algebra import (build_algebra, build_algebra_blunt, corner,
 from qfab.errors import NotAdmissible, QfabError
 from qfab.fixtures import fixture, fixture_names
 from qfab.field import QQ, PrimeField
+from qfab.linalg import Subspace
 from qfab.nakayama import higher_nakayama, reduce_to_selfinjective
 
 
@@ -349,6 +350,52 @@ def test_corner_and_quotient_are_memoised_per_vertex_set(double_triangle):
         corner(A, ["1", "9"])
     with pytest.raises(QfabError, match="nonempty"):
         corner(A, [])
+
+
+def _derived_algebras(A):
+    """A, every corner and quotient of A and of its opposite by a vertex set,
+    and the opposite of each."""
+    out = []
+    for B in (A, A.opposite()):
+        out.append(B)
+        for k in range(B.n_vertices + 1):
+            for S in combinations(B.vertices, k):
+                out += [corner(B, S)] if k else []
+                out.append(quotient_by_idempotent_ideal(B, S))
+    return out + [C.opposite() for C in out]
+
+
+def _assert_generator_data(A):
+    """Every factor term is (c, g, u) with g a generator and u shorter than
+    the element, the terms recombine to the element through ``mult``, and
+    the generators are independent modulo the products of radical elements."""
+    F, basis, gens = A.field, A.basis, set(A.generators)
+    for i in range(A.dim):
+        terms = A.factor(i)
+        if terms is None:
+            assert i in gens or basis[i].length == 0
+            continue
+        assert i not in gens
+        got = {}
+        for c, g, u in terms:
+            assert g in gens and basis[u].length < basis[i].length
+            for k, x in A.mult(g, u).items():
+                got[k] = got.get(k, F.zero) + c * x
+        assert {k: x for k, x in got.items() if x} == {i: F.one}
+    rad = A.radical_indices
+    products = Subspace(A.dim, F)
+    for prod in filter(None, (A.mult(a, b) for a in rad for b in rad)):
+        products.insert([prod.get(k, F.zero) for k in range(A.dim)])
+    for g in A.generators:
+        assert products.insert([F.one if k == g else F.zero for k in range(A.dim)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", [name for name in fixture_names()
+                                  if fixture(name).quiver.n_vertices <= 6])
+def test_derived_algebras_factor_through_generators(name, field):
+    for B in _derived_algebras(build_algebra(fixture(name), field)):
+        _assert_generator_data(B)
 
 
 def test_generator_lifts_need_one_generator_per_block():

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -12,7 +13,7 @@ from qfab.field import QQ, PrimeField
 from qfab.linalg import Matrix, Subspace, from_columns, rank
 from qfab.quiver import Quiver, Presentation
 from qfab.fixtures import fixture, fixture_names
-from qfab.nakayama import higher_nakayama
+from qfab.nakayama import higher_nakayama, reduce_to_selfinjective
 
 
 def test_cover_of_projective_is_identity_like(double_triangle):
@@ -175,8 +176,8 @@ def test_gorenstein_projectivity(double_triangle):
     # syzygies of anything are Gorenstein projective over an IG algebra
     S = md.simple_module(A, "3")
     W = hm.syzygy(S, n)
-    ok, corro = hm.is_gorenstein_projective(W, n, cross_check=True)
-    assert ok and corro in (True, None)
+    assert hm.is_gorenstein_projective(W, n)
+    assert md.is_isomorphic(hm.syzygy(hm.cosyzygy(W, n), n), W)
 
 
 def test_gorenstein_injectivity_over_self_injective(preproj_a2):
@@ -606,39 +607,70 @@ def _resolution_answers(M):
     return res, (res.status, res.period, res.term_vertices, contents, exts)
 
 
+def _counting_covers(monkeypatch):
+    """The modules ``projective_cover`` is called on from now on."""
+    covered, real_cover = [], hm.projective_cover
+    monkeypatch.setattr(hm, "projective_cover",
+                        lambda M: covered.append(M) or real_cover(M))
+    return covered
+
+
 @STEP_FIELDS
 @pytest.mark.parametrize("name", STEP_ALGEBRAS)
 def test_warmed_step_table_gives_the_answers_of_a_fresh_algebra(name, field, monkeypatch):
     A = STEP_ALGEBRAS[name](field)
     mods = _step_test_modules(A)
-    held = [_resolution_answers(M)[0] for M in mods]  # keeps their steps in the table
-    assert hm._steps(A)
-    covered = []
-    real_cover = hm.projective_cover
-    monkeypatch.setattr(hm, "projective_cover",
-                        lambda M: covered.append(M) or real_cover(M))
+    for M in mods:
+        _resolution_answers(M)
+    assert A._steps
+    covered = _counting_covers(monkeypatch)
     warm = [_resolution_answers(_fresh(M))[1] for M in mods]
     assert covered == []  # every step came from the table
     monkeypatch.undo()
     for k, answers in enumerate(warm):
         B = STEP_ALGEBRAS[name](field)
-        assert not hm._steps(B)
+        assert not B._steps
         assert answers == _resolution_answers(_step_test_modules(B)[k])[1]
 
 
-@STEP_FIELDS
-@pytest.mark.parametrize("name", STEP_ALGEBRAS)
-def test_step_table_keeps_no_step_alive(name, field):
-    A = STEP_ALGEBRAS[name](field)
-    mods = _step_test_modules(A)
-    held = [hm.minimal_resolution(M, cutoff=4) for M in mods]
-    # translates, syzygies and recorded presentations stay alive, holding no step
-    taus = [hm.ar_translate(_fresh(M)) for M in mods]  # noqa: F841
-    syz = [hm.syzygy(M, 2) for M in mods]  # noqa: F841
-    assert hm._steps(A)
-    del held
+def test_presentation_functors_in_turn_share_one_cover(monkeypatch):
+    A = build_algebra(fixture("double-triangle"), QQ)
+    S = md.simple_module(A, "3")
+    covered = _counting_covers(monkeypatch)
+    hm.transpose(S)
+    hm.ar_translate(S)
+    hm.nakayama_functor(S)
+    assert len(covered) == 1
+
+
+def test_dominant_dimension_after_gorenstein_dimension_takes_no_cover(monkeypatch):
+    A = build_algebra(fixture("canonical-2-221"), QQ)
+    covered = _counting_covers(monkeypatch)
+    assert hm.gorenstein_dimension(A)[0] == 2
+    assert covered
+    covered.clear()
+    assert hm.dominant_dimension(A) == 0
+    assert covered == []
+
+
+def test_reduction_covers_each_module_content_once_per_algebra(monkeypatch):
+    covered = _counting_covers(monkeypatch)
+    reduce_to_selfinjective(2, (4, 3, 3, 3))
+    # the list keeps every algebra alive, so no two of them share an id
+    pairs = [(id(M.algebra), hm._content(M)) for M in covered]
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_step_memo_dies_with_its_algebra():
+    A = build_algebra(fixture("double-triangle"), QQ)
+    for M in _step_test_modules(A):
+        hm.minimal_resolution(M, cutoff=4)
+        hm.ar_translate(M)
+    assert A._steps
+    ref = weakref.ref(A)
+    del A, M
     gc.collect()
-    assert not hm._steps(A)
+    assert ref() is None
 
 
 @STEP_FIELDS

@@ -1,4 +1,5 @@
-"""No answer depends on a random seed, so no caller can set one."""
+"""No answer depends on a random seed, so no caller can set one, and no
+boolean switch is added to a function without being listed here."""
 
 import ast
 import os
@@ -12,6 +13,9 @@ SRC = Path(qfab.__file__).parent
 # Unread parameters that the benchmark's ``queries`` workload passes.
 UNREAD_SEEDS = {"homology.minimal_resolution", "homology.ext_dim",
                 "homology.ar_translate"}
+# Parameters with a literal True/False default, as module.function(parameter).
+BOOLEAN_KNOBS = {"modules.validate(full)", "nakayama.kupisch_reduce(with_detail)",
+                 "cli.common(field_flag)"}
 
 
 def test_no_function_takes_or_passes_a_seed():
@@ -28,6 +32,22 @@ def test_no_function_takes_or_passes_a_seed():
                 if any(k.arg == "seed" for k in node.keywords):
                     found.add(f"{path.stem}:{node.lineno} call")
     assert found == UNREAD_SEEDS
+
+
+def test_every_boolean_knob_is_listed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            defaults += zip(a.kwonlyargs, a.kw_defaults)
+            for arg, default in defaults:
+                if isinstance(default, ast.Constant) and isinstance(default.value, bool):
+                    found.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}({arg.arg})")
+    assert found == BOOLEAN_KNOBS
 
 
 def test_cli_rejects_seed_flag():
