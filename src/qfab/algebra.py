@@ -10,6 +10,10 @@ normal-form paths under the length-then-lex order, structure constants = the
 reduction of concatenation modulo the closed ideal.  Arrow k of the
 presentation is ``generators[k]``, the one record of which element it is.
 
+The degree-by-degree engine keeps one product table, a . u: its coordinate
+(u, b) is "arrow b, then u", so ideal rows are carried to the next degree by
+left multiplication (``_build_graded`` says why the output is the same).
+
 ``_EchelonIdeal`` is the one normal-form routine modulo an ideal: an echelon
 span per (source, target) block, whose non-pivot keys are the normal forms.
 Both builders, the quotient A/<e> and ``endo``'s arrow choice reduce
@@ -391,6 +395,19 @@ def _validate_presentation(pres, field):
 
 
 def _build_graded(pres, field):
+    """The degree-by-degree closure.
+
+    Degree m is spanned by the coordinates (u, b): arrow b, then a
+    degree-(m-1) basis element u that starts at b's target.  An ideal
+    element r of degree m-1 gives r . b = 0 there already, so the ideal of
+    degree m is spanned by the relations of length m and by a . r for each
+    arrow a and each carried row r, where a . (x, b) = (a . x, b).  The one
+    product table, ``left_mult``, gives both, and ``split[u] = (x, b)``, the
+    coordinate u was made from, gives a . u = (a . x, b), reduced.  The
+    output is the blunt engine's: every standard word of degree m is a
+    coordinate, since subwords of standard words are standard (Green 1999),
+    so the pivots and normal forms are those of the whole path space.
+    """
     Q = pres.quiver
     nv = Q.n_vertices
     arrows = Q.arrows
@@ -415,51 +432,45 @@ def _build_graded(pres, field):
             word_lut[word] = idx
         return idx
 
+    arrow_source = [Q.vertex_index[a.source] for a in arrows]
+    arrow_target = [Q.vertex_index[a.target] for a in arrows]
     idempotent_index = [add_elt((), v, v, 0) for v in range(nv)]
-    arrow_elt = [add_elt((a_pos,), Q.vertex_index[a.source],
-                         Q.vertex_index[a.target], 1)
-                 for a_pos, a in enumerate(arrows)]
+    arrow_elt = [add_elt((a_pos,), arrow_source[a_pos], arrow_target[a_pos], 1)
+                 for a_pos in range(len(arrows))]
+    arrows_from = [[] for _ in range(nv)]
+    for a_pos, s in enumerate(arrow_source):
+        arrows_from[s].append(a_pos)
 
     # left_mult[a][u] = expansion of (a . u); entries exist for every valid
     # pairing with u below the top finished degree
-    left_mult = [{} for _ in arrows]
-    for a_pos, a in enumerate(arrows):
-        left_mult[a_pos][idempotent_index[Q.vertex_index[a.source]]] = {arrow_elt[a_pos]: one}
+    left_mult = [{idempotent_index[s]: {arrow_elt[a_pos]: one}}
+                 for a_pos, s in enumerate(arrow_source)]
+    # split[u] = (x, b): the coordinate u = x . b was made from
+    split = {arrow_elt[b]: (idempotent_index[t], b)
+             for b, t in enumerate(arrow_target)}
 
-    # rho[b][u] = expansion of (u . b) for u in finished degrees
-    rho = [{} for _ in arrows]
-    for b_pos, b in enumerate(arrows):
-        rho[b_pos][idempotent_index[Q.vertex_index[b.target]]] = {arrow_elt[b_pos]: one}
-
-    # apply_left, carried-row images and rho sum inline: a call per (mostly empty) row costs more
-    def apply_left(a_pos, vec):
-        lm = left_mult[a_pos]
-        nxt = {}
-        for u, c in vec.items():
-            for w, d in lm.get(u, {}).items():
-                s = nxt.get(w, zero) + c * d
-                if s:
-                    nxt[w] = s
-                else:
-                    nxt.pop(w, None)
-        return nxt
-
-    def path_class(word, src_vertex):
-        if not word:
-            return {idempotent_index[src_vertex]: one}
-        vec = {arrow_elt[word[0]]: one}
-        for a_pos in word[1:]:
-            vec = apply_left(a_pos, vec)
+    # the sums run inline: a call per (mostly empty) product costs more
+    def walk(word, vec):
+        """word[-1] . ... . word[0] . vec, a sparse vector over the basis."""
+        for a_pos in word:
+            lm = left_mult[a_pos]
+            nxt = {}
+            for u, c in vec.items():
+                for w, d in lm.get(u, {}).items():
+                    s = nxt.get(w, zero) + c * d
+                    if s:
+                        nxt[w] = s
+                    else:
+                        nxt.pop(w, None)
+            vec = nxt
             if not vec:
                 break
         return vec
 
+    def coord_word(ub):
+        return (ub[1],) + words[ub[0]]
+
     max_rel_len = max(rel_by_len, default=0)
-    arrow_source = [Q.vertex_index[a.source] for a in arrows]
-    arrow_target = [Q.vertex_index[a.target] for a in arrows]
-    arrows_into = [[] for _ in range(nv)]
-    for b_pos, t in enumerate(arrow_target):
-        arrows_into[t].append(b_pos)
     carried = []
     effective_len = None
     if not arrows:
@@ -474,63 +485,49 @@ def _build_graded(pres, field):
         for u in prev:
             prev_from[sources[u]].append(u)
             prev_to[targets[u]].append(u)
-        # coordinate (a, u) of degree m is the path u followed by arrow a
-        coords = [(a_pos, u) for a_pos in range(len(arrows))
-                  for u in prev_to[arrow_source[a_pos]]]
+        # coordinate (u, b) of degree m is the path b followed by u
+        coords = [(u, b) for b in range(len(arrows))
+                  for u in prev_from[arrow_target[b]]]
         ideal = _EchelonIdeal(coords,
-                              lambda au: (sources[au[1]], arrow_target[au[0]]),
-                              lambda au: words[au[1]] + (au[0],), field)
+                              lambda ub: (arrow_source[ub[1]], targets[ub[0]]),
+                              coord_word, field)
         for rel in rel_by_len.get(m, []):
             vec = {}
             for coeff, pw in rel.terms:
-                w = pw.arrows
-                pre = path_class(w[:-1], Q.vertex_index[pw.source])
+                b = pw.arrows[0]
+                rest = walk(pw.arrows[1:], {idempotent_index[arrow_target[b]]: one})
                 _add_scaled(vec, field.coerce(coeff),
-                            {(w[-1], u): c for u, c in pre.items()})
+                            {(u, b): c for u, c in rest.items()})
             ideal.insert(vec)
         for row in carried:
-            # a row lies in one block; u . b needs b to end at its source
-            for b_pos in arrows_into[sources[next(iter(row))[1]]]:
+            # a row lies in one block; a . x needs a to start at its target
+            for a_pos in arrows_from[targets[next(iter(row))[0]]]:
+                lm = left_mult[a_pos]
                 vec = {}
-                for (a_pos, u), c in row.items():
-                    for w, d in rho[b_pos].get(u, {}).items():
-                        kkey = (a_pos, w)
-                        s = vec.get(kkey, zero) + c * d
+                for (x, b), c in row.items():
+                    for y, d in lm.get(x, {}).items():
+                        s = vec.get((y, b), zero) + c * d
                         if s:
-                            vec[kkey] = s
+                            vec[(y, b)] = s
                         else:
-                            vec.pop(kkey, None)
-                if vec:
-                    ideal.insert(vec)
+                            vec.pop((y, b), None)
+                ideal.insert(vec)
         carried = ideal.rows()
 
         # the new basis: the non-pivot coordinates, ascending by word
         pivots = ideal.pivots()
         new_elt = {}
-        for a_pos, u in sorted((au for au in coords if au not in pivots),
-                               key=lambda au: words[au[1]] + (au[0],)):
-            new_elt[(a_pos, u)] = add_elt(words[u] + (a_pos,), sources[u],
-                                          arrow_target[a_pos], m)
-        for a_pos, u in coords:
-            left_mult[a_pos][u] = {new_elt[au]: c for au, c
-                                   in ideal.reduce({(a_pos, u): one}).items()}
-        for b_pos in range(len(arrows)):
-            rb = rho[b_pos]
-            for u in prev_from[arrow_target[b_pos]]:
-                w = words[u]
-                a_pos = w[-1]
-                u2 = (word_lut[w[:-1]] if len(w) > 1
-                      else idempotent_index[sources[u]])
-                acc = {}
-                for x, c in rb.get(u2, {}).items():
-                    for y, d in left_mult[a_pos].get(x, {}).items():
-                        s = acc.get(y, zero) + c * d
-                        if s:
-                            acc[y] = s
-                        else:
-                            acc.pop(y, None)
-                if acc:
-                    rb[u] = acc
+        for ub in sorted((ub for ub in coords if ub not in pivots), key=coord_word):
+            new_elt[ub] = add_elt(coord_word(ub), arrow_source[ub[1]],
+                                  targets[ub[0]], m)
+            split[new_elt[ub]] = ub
+        # a . u = (a . x, b) for u = x . b, reduced
+        for a_pos in range(len(arrows)):
+            lm = left_mult[a_pos]
+            for u in prev_to[arrow_source[a_pos]]:
+                x, b = split[u]
+                vec = {(y, b): d for y, d in lm.get(x, {}).items()}
+                lm[u] = {new_elt[ub]: c for ub, c in ideal.reduce(vec).items()}
         if not new_elt and m >= max_rel_len:
             effective_len = m
         m += 1
@@ -543,12 +540,7 @@ def _build_graded(pres, field):
              for i in range(len(words))]
 
     def mult_fn(i, j):
-        vec = {j: one}
-        for a_pos in basis[i].word:
-            vec = apply_left(a_pos, vec)
-            if not vec:
-                break
-        return vec
+        return walk(basis[i].word, {j: one})
 
     alg = FDAlgebra(field, [v.id for v in Q.vertices], basis, idempotent_index,
                     mult_fn, presentation=pres, name=pres.name,

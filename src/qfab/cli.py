@@ -31,7 +31,7 @@ def _load(args):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             pres, field = parse_presentation(fh.read(), name=path)
-    if getattr(args, "field", None):
+    if args.field:
         try:
             field = field_by_name(args.field)
         except ValueError as exc:
@@ -204,23 +204,25 @@ def main(argv=None):
                     "idempotents, syzygies, higher Nakayama reduction.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, field_flag=True):
+    def common(p):
         p.add_argument("--cutoff", type=int, default=12)
-        if field_flag:
-            p.add_argument("--field", default=None, help="Q or F<p>")
+
+    def algebra_file(p):
+        p.add_argument("file", help="presentation file or fixture:<name>")
+        p.add_argument("--field", default=None, help="Q or F<p>")
 
     p = sub.add_parser("build", help="parse, close the ideal, report dimensions")
-    p.add_argument("file", help="presentation file or fixture:<name>")
+    algebra_file(p)
     common(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("analyze", help="homological dimensions and self-injectivity")
-    p.add_argument("file")
+    algebra_file(p)
     common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("fabric", help="fabric idempotent analysis")
-    p.add_argument("file")
+    algebra_file(p)
     p.add_argument("--f", required=True, help="comma-separated vertex ids")
     p.add_argument("--h", default=None, help="optional switching idempotent")
     common(p)
@@ -231,11 +233,11 @@ def main(argv=None):
     p.add_argument("--kupisch", required=True, help="comma-separated series")
     p.add_argument("--reduce", action="store_true")
     p.add_argument("--dot", default=None)
-    common(p, field_flag=False)
+    common(p)
     p.set_defaults(fn=cmd_nakayama)
 
     p = sub.add_parser("resolve", help="minimal (co)resolutions of a module")
-    p.add_argument("file")
+    algebra_file(p)
     p.add_argument("--module", required=True, help="simple|proj|inj:<vertex>")
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--injective", action="store_true")

@@ -12,6 +12,11 @@ definitional test, which reads the greatest possible companion off the AR
 translates and checks it against the definition, so that its "no" is exact
 at every size (the argument is in ``check_fabric_definitional``).
 
+No isomorphism is tested.  The fabric dimensions and the tilting pairing
+ask whether a syzygy is P_v, or P_v/<f>P_v, and read the answer off its
+dimension vector and top: yes exactly when the dimension vectors agree and
+the top is one element at v (the argument is in ``fabric_dimension``).
+
 Observed, not proved: on every vertex subset of every fixture the two
 detectors disagree only where the combinatorial test fails its condition
 (2) and the definitional one finds a companion (4 of 32 subsets of
@@ -205,6 +210,12 @@ def check_fabric_definitional(A, F, cutoff=12):
     return e, {"proj_dim_quotient": pd, "e": e, "all_translates_zero": not support}
 
 
+def _top_vertex(M):
+    """The vertex position of M's top when it is one element, else None."""
+    top = md._top(M)
+    return top[0][0] if len(top) == 1 else None
+
+
 def fabric_dimension(A, F, cutoff=12):
     """Per-projective fabric dimensions and their supremum.
 
@@ -212,31 +223,27 @@ def fabric_dimension(A, F, cutoff=12):
     P isomorphic to the n-th syzygy of an indecomposable injective A-module.
     Certified infinite when every injective's syzygy chain terminates or
     cycles without reaching P; otherwise honest ">= cutoff".
+
+    A module S is isomorphic to P = P_v/<f>P_v exactly when S has P's
+    dimension vector and a one-element top at v.  Such an S is zero on F,
+    so <f> kills it; a cover P_v -> S then factors through P, and it is onto
+    between spaces of one dimension.  So the syzygies are indexed by (dims,
+    vertex of a one-element top), and no isomorphism is tested.
     """
-    projs = hm._quotient_modules(A, F, md.projective_module)
-    chains = []
-    for w in A.vertices:
-        I = md.injective_module(A, w)
-        res = hm.minimal_resolution(I, "projective", cutoff=cutoff)
-        chains.append((w, res))
+    chains = [hm.minimal_resolution(md.injective_module(A, w), "projective",
+                                    cutoff=cutoff) for w in A.vertices]
+    least = {}   # (dims, _top_vertex) -> the least n of such a syzygy
+    for res in chains:
+        for n, S in enumerate(res.syzygies[1:], start=1):
+            key = (S.dims, _top_vertex(S))
+            least[key] = min(n, least.get(key, n))
+    closed = all(res.status != "truncated" for res in chains)
     per = {}
-    for v, P in projs.items():
-        best = None
-        all_closed = True
-        for w, res in chains:
-            syzygies = res.syzygies
-            for n in range(1, len(syzygies)):
-                S = syzygies[n]
-                if S.dims == P.dims and md.is_isomorphic(S, P):
-                    if best is None or n < best:
-                        best = n
-                    break
-            else:
-                if res.status == "truncated":
-                    all_closed = False
-        if best is not None:
-            per[v] = DimValue.finite(best)
-        elif all_closed:
+    for v, P in hm._quotient_modules(A, F, md.projective_module).items():
+        n = least.get((P.dims, A.vertex_pos[v]))
+        if n is not None:
+            per[v] = DimValue.finite(n)
+        elif closed:
             per[v] = DimValue.infinite(note="all injective syzygy chains closed")
         else:
             per[v] = DimValue.at_least(cutoff)
@@ -314,7 +321,8 @@ def special_tilting_module(A, F, E, cutoff=12):
 
     # exact sequence 0 -> A -> T0 -> T1 -> 0 with T0 in add(Ae):
     # every non-E vertex w must pair with a quotient projective whose first
-    # syzygy is P_w; its cover lives in add(Ae).
+    # syzygy is P_w; its cover lives in add(Ae).  K is P_w when it has P_w's
+    # dims and a one-element top at w, as P_w -> K is then an isomorphism.
     pairing = {}
     used = set()
     # one cover per quotient projective: its kernel and its vertices
@@ -322,13 +330,13 @@ def special_tilting_module(A, F, E, cutoff=12):
     for w in A.vertices:
         if w in Eset:
             continue
-        Pw = md.projective_module(A, w)
+        dims = tuple(md.projective_layout(A, [w])[0])
         found = None
         for v in projs:
             if v in used:
                 continue
             K = first[v].syzygies[1]
-            if K.dims == Pw.dims and md.is_isomorphic(K, Pw):
+            if K.dims == dims and _top_vertex(K) == A.vertex_pos[w]:
                 found = v
                 break
         if found is None:

@@ -450,11 +450,6 @@ def global_dimension(A, cutoff=12):
     return out
 
 
-def regular_left(A):
-    """A as a left A-module."""
-    return md.regular_module(A)
-
-
 def dual_regular(A):
     """DA as a left A-module."""
     return dual_module(md.regular_module(A.opposite()))
@@ -462,7 +457,7 @@ def dual_regular(A):
 
 def gorenstein_dimension(A, cutoff=12):
     """(Gor.dim, inj.dim _AA, proj.dim DA); 0 iff self-injective."""
-    idim = inj_dim(regular_left(A), cutoff=cutoff)
+    idim = inj_dim(md.regular_module(A), cutoff=cutoff)
     pdim = proj_dim(dual_regular(A), cutoff=cutoff)
     return dim_max(idim, pdim), idim, pdim
 
@@ -485,7 +480,7 @@ def dominant_dimension(A, cutoff=12):
 
     Term i is the sum of I_v over ``term_vertices[i]``, so it is projective
     exactly when each of those I_v is; each vertex is tested once."""
-    res = minimal_resolution(regular_left(A), "injective", cutoff=cutoff)
+    res = minimal_resolution(md.regular_module(A), "injective", cutoff=cutoff)
     projective = {}
     for i, verts in enumerate(res.term_vertices):
         for v in verts:
@@ -586,7 +581,7 @@ def certify_gorenstein(A, cutoff=12):
 
 def is_gorenstein_projective(M, gor_n):
     """Ext^i(M, A) = 0 for 1 <= i <= Gor.dim."""
-    return not gor_n or ext_vanishes_upto(M, regular_left(M.algebra), gor_n)
+    return not gor_n or ext_vanishes_upto(M, md.regular_module(M.algebra), gor_n)
 
 
 def is_gorenstein_injective(M, gor_n):

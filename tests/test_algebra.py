@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -46,11 +47,13 @@ def test_fixture_dimensions_golden(name, dim):
     assert build_algebra(fixture(name)).dim == dim
 
 
-# higher Nakayama algebras the reduction pipeline builds, and fixtures over F_3
+# higher Nakayama algebras the reduction and query pipelines build, and
+# fixtures over F_3
 ORACLE_NAKAYAMA = {f"nakayama-{n}-{''.join(map(str, series))}": (n, series)
                    for n, series in [(1, (4, 4, 3, 3)), (2, (4, 3, 3, 3)),
                                      (3, (3, 2, 2)), (2, (5, 4, 3, 3, 3, 4)),
-                                     (3, (4, 3, 3, 3)), (2, (6, 5, 4, 4, 4, 5))]}
+                                     (3, (4, 3, 3, 3)), (2, (6, 5, 4, 4, 4, 5)),
+                                     (3, (3, 3, 3))]}
 ORACLE_F3 = {f"{name}-F3": name
              for name in ["double-triangle", "preprojective-a3", "canonical-2-211"]}
 
@@ -73,10 +76,47 @@ def test_graded_engine_agrees_with_blunt_oracle(name):
     B = build_algebra_blunt(pres, field)
     assert A.dim == B.dim
     assert [b.word for b in A.basis] == [b.word for b in B.basis]
+    assert A.generators == B.generators
+    assert [A.factor(i) for i in range(A.dim)] == [B.factor(i) for i in range(B.dim)]
+    assert A.max_len == B.max_len
     # full structure-constant agreement
     for i in range(A.dim):
         for j in range(A.dim):
             assert A.mult(i, j) == B.mult(i, j)
+
+
+# The Kupisch series whose builds the digest below pins, beside every fixture
+PINNED_SERIES = [(1, (4, 4, 3, 3)), (1, (4, 3, 3, 3)), (1, (3, 3, 3)),
+                 (2, (4, 3, 3, 3)), (2, (5, 4, 3, 3, 3, 4)),
+                 (2, (6, 5, 4, 4, 4, 5)), (2, (7, 6, 5, 5, 5, 6)),
+                 (2, (5, 4, 4, 4, 4)), (3, (3, 2, 2)), (3, (3, 3, 3)),
+                 (3, (4, 3, 3, 3)), (3, (5, 4, 4, 4, 4))]
+# sha256 of what build_algebra makes of them over Q, F_3 and F_(2^31-1): a
+# builder change that keeps its output keeps this value
+PINNED_BUILD_DIGEST = "4f68c1cefb5f8a39937b3546f6725d33c46467c44c13d2d0dc4cfe3695031f64"
+
+
+def _build_digest():
+    """sha256 over each pinned build: basis words and endpoints, generators,
+    factor tables, max_len and every structure constant."""
+    h = hashlib.sha256()
+    presentations = ([fixture(name) for name in fixture_names()]
+                     + [higher_nakayama(n, s)[1] for n, s in PINNED_SERIES])
+    for field in (QQ, PrimeField(3), PrimeField(2**31 - 1)):
+        for pres in presentations:
+            A = build_algebra(pres, field)
+            factors = [sorted(A.factor(i) or (), key=lambda t: t[1:])
+                       for i in range(A.dim)]
+            table = [[sorted(A.mult(i, j).items()) for j in range(A.dim)]
+                     for i in range(A.dim)]
+            h.update(repr((pres.name, [(b.word, b.source, b.target) for b in A.basis],
+                           A.generators, factors, A.max_len, table)).encode())
+    return h.hexdigest()
+
+
+def test_builder_output_is_pinned():
+    """Any change to the builders must leave their output as it was."""
+    assert _build_digest() == PINNED_BUILD_DIGEST
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])

@@ -5,7 +5,9 @@ import pytest
 
 from qfab import cli, modules as md, homology as hm, fabric as fb, nakayama as nk
 from qfab.algebra import build_algebra, corner, quotient_by_idempotent_ideal, quiver_of
-from qfab.errors import ConditionFailed, ProjDimTooBig, NoCompanionFound
+from qfab.errors import (ConditionFailed, ProjDimTooBig, NoCompanionFound,
+                         VerificationFailed)
+from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture, fixture_names
 
 
@@ -244,6 +246,80 @@ def _census(name):
                    _outcome(fb.check_fabric_definitional, A, F))
                for r in range(A.n_vertices + 1)
                for F in itertools.combinations(A.vertices, r)}
+
+
+def _fabric_dimension_by_isomorphism(A, F, cutoff=12):
+    """Reference per-projective fabric dimensions: the least n with an
+    isomorphism P ~ Omega^n I_w, tested on every syzygy of P's dims."""
+    chains = [hm.minimal_resolution(md.injective_module(A, w), "projective",
+                                    cutoff=cutoff) for w in A.vertices]
+    per = {}
+    for v, P in hm._quotient_modules(A, F, md.projective_module).items():
+        best, all_closed = None, True
+        for res in chains:
+            syzygies = res.syzygies
+            for n in range(1, len(syzygies)):
+                S = syzygies[n]
+                if S.dims == P.dims and md.is_isomorphic(S, P):
+                    best = n if best is None else min(best, n)
+                    break
+            else:
+                all_closed &= res.status != "truncated"
+        if best is not None:
+            per[v] = hm.DimValue.finite(best)
+        elif all_closed:
+            per[v] = hm.DimValue.infinite(note="all injective syzygy chains closed")
+        else:
+            per[v] = hm.DimValue.at_least(cutoff)
+    return per
+
+
+def _tilting_pairing_by_isomorphism(A, F, E):
+    """Reference tilting pairing: each vertex w outside E with the first
+    unused quotient projective whose first syzygy is isomorphic to P_w;
+    None when some w has none."""
+    projs = hm._quotient_modules(A, F, md.projective_module)
+    pairing = {}
+    for w in A.vertices:
+        if w in E:
+            continue
+        Pw = md.projective_module(A, w)
+        found = next((v for v, P in projs.items() if v not in pairing.values()
+                      and md.is_isomorphic(hm.minimal_resolution(P, cutoff=0)
+                                           .syzygies[1], Pw)), None)
+        if found is None:
+            return None
+        pairing[w] = found
+    return pairing
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", [name for name in fixture_names()
+                                  if fixture(name).quiver.n_vertices <= 6])
+def test_top_criterion_agrees_with_isomorphism_references(name, field):
+    """Fabric dimensions and the tilting pairing, read off dimension vectors
+    and one-element tops, agree with the isomorphism tests on every vertex
+    subset with a companion."""
+    A = build_algebra(fixture(name), field)
+    checked = 0
+    for r in range(A.n_vertices + 1):
+        for F in map(list, itertools.combinations(A.vertices, r)):
+            try:
+                e, _ = fb.check_fabric_definitional(A, F)
+            except (ProjDimTooBig, NoCompanionFound):
+                continue
+            per, _ = fb.fabric_dimension(A, F)
+            want = _fabric_dimension_by_isomorphism(A, F)
+            assert ({v: (d.kind, d.value, d.note) for v, d in per.items()}
+                    == {v: (d.kind, d.value, d.note) for v, d in want.items()}), F
+            try:
+                pairing = fb.special_tilting_module(A, F, e)[1]["pairing"]
+            except VerificationFailed as exc:
+                assert "pairs with" in str(exc), (F, exc)
+                pairing = None
+            assert pairing == _tilting_pairing_by_isomorphism(A, F, e), F
+            checked += 1
+    assert checked
 
 
 def test_companion_rule_agrees_with_the_subset_search():

@@ -209,7 +209,7 @@ def test_gen_membership_level_zero_top_support(double_triangle):
 
 def test_cogen_membership_dual(double_triangle):
     A = double_triangle
-    reg = hm.regular_left(A)
+    reg = md.regular_module(A)
     # the regular module embeds in injectives supported where its socle sits
     res = hm.minimal_resolution(reg, "injective", cutoff=2)
     soc_support = sorted(set(res.term_vertices[0]))
@@ -343,7 +343,7 @@ def test_projective_cover_columns_beyond_unit_factor_tables(name, field):
 
 def _dominant_dimension_per_term(A, cutoff=12):
     """The oracle: a cover and kernel of each whole coresolution term."""
-    res = hm.minimal_resolution(hm.regular_left(A), "injective", cutoff=cutoff)
+    res = hm.minimal_resolution(md.regular_module(A), "injective", cutoff=cutoff)
     for i, term in enumerate(res.terms):
         if not hm.is_projective_module(term):
             return hm.DimValue.finite(i)
