@@ -470,7 +470,6 @@ def _build_graded(pres, field):
     def coord_word(ub):
         return (ub[1],) + words[ub[0]]
 
-    max_rel_len = max(rel_by_len, default=0)
     carried = []
     effective_len = None
     if not arrows:
@@ -528,7 +527,7 @@ def _build_graded(pres, field):
                 x, b = split[u]
                 vec = {(y, b): d for y, d in lm.get(x, {}).items()}
                 lm[u] = {new_elt[ub]: c for ub, c in ideal.reduce(vec).items()}
-        if not new_elt and m >= max_rel_len:
+        if not new_elt:
             effective_len = m
         m += 1
     if effective_len is None:

@@ -53,7 +53,9 @@ def endomorphism_algebra(summands):
     that each gives one vertex.  Raises SummandsNotDistinct when two are
     isomorphic and SummandDecomposable when a summand's End/rad is not the
     ground field: it is decomposable, or indecomposable with a larger
-    division ring there.
+    division ring there.  The characteristic must be 0 or above the
+    dimension of each summand (the precondition of ``md.is_indecomposable``);
+    below that this raises ``QfabError`` naming the bound.
     """
     if not summands:
         raise QfabError("no summands")
@@ -68,7 +70,9 @@ def endomorphism_algebra(summands):
                 f"summand {i}: End/rad is not the ground field (the summand is "
                 f"decomposable, or its End/rad is a larger division ring)")
         for j in range(i + 1, t):
-            if md.is_isomorphic(summands[i], summands[j]):
+            # End(M_i) is local, so the maps M_i -> M_j that are not
+            # invertible form a subspace: M_i ~ M_j iff a basis map is
+            if any(h.is_isomorphism() for h in md.hom_space(summands[i], summands[j])):
                 raise SummandsNotDistinct(f"summands {i} and {j} are isomorphic")
 
     field = A.field

@@ -20,7 +20,10 @@ the top is one element at v (the argument is in ``fabric_dimension``).
 Observed, not proved: on every vertex subset of every fixture the two
 detectors disagree only where the combinatorial test fails its condition
 (2) and the definitional one finds a companion (4 of 32 subsets of
-canonical-2-211, 18 of 256 of canonical-2-221).
+canonical-2-211, 18 of 256 of canonical-2-221).  These 22 are exactly the
+vertex sets with a companion e where T = Ae + A/<f> has proj.dim 1 and
+Ext^1(T, T) = 0 but fewer summands than vertices, so T is only partial
+tilting (Bongartz's count in ``special_tilting_module``).
 """
 
 from __future__ import annotations
@@ -295,15 +298,21 @@ def cofabric_dimension(A, F, cutoff=12):
 
 
 def special_tilting_module(A, F, E, cutoff=12):
-    """T = Ae + A/<f>, with the three tilting axioms verified.
+    """T = Ae + A/<f>, verified tilting by Bongartz's criterion: proj.dim
+    at most 1, Ext^1(T, T) = 0 and n pairwise non-isomorphic indecomposable
+    summands, n the number of vertices (Bongartz, LNM 903, 1981).  Every
+    summand has a one-element top, so two coincide only as Ae_u and
+    P_u/<f>P_u, exactly when <f>P_u = 0, that is, when both have the same
+    dimension vector.  The transcript records the count as ``summands`` and
+    the exact sequence 0 -> A -> T0 -> T1 -> 0 as ``pairing``.
 
-    Returns (T, transcript).  Verification failures raise VerificationFailed
-    since the theory guarantees the axioms for a fabric idempotent.
+    Returns (T, transcript); a failed axiom raises VerificationFailed, a
+    short count "partial tilting: k of n summands".
     """
     Eset = set(E)
     projs = hm._quotient_modules(A, F, md.projective_module)
-    summands = [md.projective_module(A, v) for v in A.vertices if v in Eset]
-    summands += list(projs.values())
+    frees = {v: md.projective_module(A, v) for v in A.vertices if v in Eset}
+    summands = list(frees.values()) + list(projs.values())
     if not summands:
         raise QfabError("empty tilting candidate")
     T, _, _ = md.direct_sum(summands)
@@ -318,6 +327,12 @@ def special_tilting_module(A, F, E, cutoff=12):
     transcript["ext1"] = ext1
     if ext1 != 0:
         raise VerificationFailed(f"Ext^1(T, T) = {ext1} != 0")
+
+    count = len(summands) - sum(1 for v, P in frees.items()
+                                if v in projs and projs[v].dims == P.dims)
+    transcript["summands"] = count
+    if count != A.n_vertices:
+        raise VerificationFailed(f"partial tilting: {count} of {A.n_vertices} summands")
 
     # exact sequence 0 -> A -> T0 -> T1 -> 0 with T0 in add(Ae):
     # every non-E vertex w must pair with a quotient projective whose first

@@ -50,7 +50,9 @@ resolution of M take no cover and no kernel.
 Periodicity is screened by tops: a syzygy goes to ``is_isomorphic`` only
 when its dimension vector and its top match those of an earlier syzygy; the
 step that makes a syzygy takes its top, and the screen and the next cover
-read that one.  A period the screen misses leaves ``>=cutoff``.
+read that one.  Over Q, and over F_p with p above twice the syzygy's
+dimension, ``is_isomorphic`` is exact; over a smaller F_p it can answer
+"undecided", and a period it misses there leaves ``>=cutoff``.
 
 Every free module + Ae_v here (cover terms and Hom(P, A) in the
 presentation) is built by ``modules.free_module``, and its coordinates are

@@ -32,16 +32,15 @@ solve a linear system.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .linalg import (Matrix, _kernel, from_columns, kernel_basis, rank,
-                     Span, Subspace, unit_vectors)
+                     Subspace, unit_vectors)
 from .errors import (AlgebraMismatch, QfabError, DimensionMismatch, InputError,
                      NotQuotientModule)
 
-# Random combinations is_isomorphic draws when no exact step decides, and
-# the largest grid of Hom coefficients it or is_isomorphic_exhaustive walks.
-ISO_TRIALS = 2
+# The largest grid of Hom coefficients that is_isomorphic walks where the
+# trace form does not decide (F_p, p <= dim M + dim N), or that
+# is_isomorphic_exhaustive walks.
 ISO_GRID_LIMIT = 2 ** 12
 
 
@@ -632,14 +631,19 @@ def is_isomorphic(M, N):
 
     1. unequal dimension vectors or Hom = 0 say no, a zero module yes;
     2. an invertible Hom basis map says yes;
-    3. if M or N has a simple top, End is local, so the non-isomorphisms
+    3. if M or N has a simple top, it is local, and so is End, so the non-isomorphisms
        form a subspace of Hom(M, N): no invertible basis map means no
        ("local-basis");
-    4. over F_p with p ** dim Hom <= ``ISO_GRID_LIMIT``, the grid of
-       ``is_isomorphic_exhaustive`` decides ("exhaustive");
-    5. else ``ISO_TRIALS`` combinations from a fixed stream are tried.  Their
-       no, "randomized-no", is the only inexact answer: a trial errs with
-       probability at most 2**-64 over Q and total_dim / p over F_p.
+    4. the sum of the basis maps, if invertible, says yes;
+    5. over Q, or F_p with p > dim M + dim N, the trace form decides
+       ("trace-rank"): with c = ``_trace_rank`` of Hom(M, N) with Hom(N, M),
+       s(M + N) = s(M) + s(N) + 2c (``_end_top_dim``), so by Krull-Schmidt
+       M ~ N iff 2c = s(M) + s(N), and c = 0 says no.  A yes takes its
+       witness from ``_pencil`` or else the grid range(D + 1) ** dim Hom,
+       D = dim M, which holds one by Schwartz-Zippel;
+    6. over a smaller F_p, the grid of ``is_isomorphic_exhaustive`` decides
+       ("exhaustive") up to ``ISO_GRID_LIMIT`` points; above that the no is
+       "undecided", the one answer that proves nothing.
     """
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("isomorphism test across algebras")
@@ -653,17 +657,27 @@ def is_isomorphic(M, N):
     for phi in basis:
         if phi.is_isomorphism():
             return IsoCertificate(True, witness=phi)
-    if _has_simple_top(M) or _has_simple_top(N):
+    if len(_top(M)) == 1 or len(_top(N)) == 1:
         return IsoCertificate(False, reason="local-basis")
-    p = M.field.characteristic
-    if p and p ** len(basis) <= ISO_GRID_LIMIT:
-        points, reason = _grid(M, len(basis))[1], "exhaustive"
-    else:
-        rng, spread = random.Random(0), M.total_dim * 2 ** 64
-        points = ([rng.randrange(spread) for _ in basis] for _ in range(ISO_TRIALS))
-        reason = "randomized-no"
+    phi = sum(basis[1:], basis[0])
+    if phi.is_isomorphism():
+        return IsoCertificate(True, witness=phi)
+    p, D = M.field.characteristic, M.total_dim
+    size, points = _grid(M, len(basis))
+    if not p or p > 2 * D:
+        c = _trace_rank(basis, hom_space(N, M))
+        if not c or 2 * c != _end_top_dim(M) + _end_top_dim(N):
+            return IsoCertificate(False, reason="trace-rank")
+        phi = _pencil(basis, D)
+        if not phi.is_isomorphism():
+            phi = _first_invertible(basis, points, M.field)
+        if phi is None:
+            raise QfabError("the trace form says isomorphic, the grid holds no isomorphism")
+        return IsoCertificate(True, witness=phi)
+    if size > ISO_GRID_LIMIT:
+        return IsoCertificate(False, reason="undecided")
     phi = _first_invertible(basis, points, M.field)
-    return IsoCertificate(phi is not None, witness=phi, reason="" if phi else reason)
+    return IsoCertificate(phi is not None, witness=phi, reason="" if phi else "exhaustive")
 
 
 def is_isomorphic_exhaustive(M, N):
@@ -698,71 +712,52 @@ def _first_invertible(basis, points, field):
     return None
 
 
-def _has_simple_top(M):
-    """Is M/rad(M) one-dimensional?  Then M is local, and so is End(M)."""
-    return len(_top(M)) == 1
+def _pencil(basis, D):
+    """x = h_1 + c_2 h_2 + c_3 h_3 + ..., each c_k the first of 1, ..., D + 1
+    giving the partial sum the highest rank, which the rank of x + t h keeps
+    for all but at most D values of t.  The sum can still miss an isomorphism."""
+    x, F = basis[0], basis[0].source.field
+    for h in basis[1:]:
+        x = max((x + h.scale(F.coerce(c)) for c in range(1, D + 2)), key=ModuleMap.rank)
+    return x
 
 
-def endo_structure(M):
-    """Endomorphism basis plus structure constants (composition)."""
-    basis = hom_space(M, M)
-    n = len(basis)
-    span = Span(sum(d * d for d in M.dims), M.field)
-    for h in basis:
-        span.add(h.as_vector())
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            x = span.add(basis[i].compose(basis[j]).as_vector())
-            if x is None:
-                raise QfabError("composition left the endomorphism space")
-            table[(i, j)] = x
-    return basis, table
-
-
-def endo_radical_dim(M):
-    """dim of rad End(M), the kernel of the trace form of End(M)'s regular
-    representation (exact in characteristic zero only).
-
-    dim End(M) minus this is dim End(M)/rad, which is 1 exactly when End(M)
-    is local with the ground field as its residue field.  That is what
-    ``is_indecomposable`` decides: over a field that is not algebraically
-    closed an indecomposable M can have a larger division ring as
-    End(M)/rad."""
-    if M.field.characteristic != 0:
-        raise QfabError("endomorphism radical via trace form needs char 0")
-    basis, table = endo_structure(M)
-    n = len(basis)
-    if n == 0:
+def _trace_rank(xs, ys):
+    """The rank of (x, y) -> tr(x o y) on maps xs: M -> N and ys: N -> M.
+    tr(x o y) sums x_v[i][j] * y_v[j][i] over the vertices v and entries,
+    so the Gram matrix is the flat xs times the flat transposed ys."""
+    if not xs or not ys:
         return 0
-    left_trace = []
-    for l in range(n):
-        tr = M.field.zero
-        for k in range(n):
-            tr = tr + table[(l, k)][k]
-        left_trace.append(tr)
-    gram = [[M.field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = table[(i, j)]
-            tr = M.field.zero
-            for l in range(n):
-                if prod[l]:
-                    tr = tr + prod[l] * left_trace[l]
-            gram[i][j] = tr
-    return n - rank(Matrix(n, n, gram, M.field))
+    F, flat = xs[0].source.field, [x.as_vector() for x in xs]
+    n = len(flat[0])
+    cols = [[m.data[j][i] for m in y.mats for i in range(m.cols) for j in range(m.rows)]
+            for y in ys]
+    return rank(Matrix(len(xs), n, flat, F) * from_columns(cols, n, F))
+
+
+def _end_top_dim(M):
+    """s(M) = dim End(M)/rad: the rank of End(M)'s trace form, whose kernel
+    is the radical in characteristic 0 or above dim M (Dickson's criterion;
+    Cohen, Ivanyos and Wales, JPAA 117, 1997)."""
+    E = hom_space(M, M)
+    return _trace_rank(E, E)
 
 
 def is_indecomposable(M):
-    """Is End(M)/rad End(M) the ground field?  True implies M is
-    indecomposable (End(M) is local).  False means M is zero, decomposable,
+    """Is End(M)/rad End(M) the ground field (``_end_top_dim`` is 1)?  True
+    implies M is indecomposable (End(M) is local).  False means M is zero, decomposable,
     or indecomposable with End(M)/rad a larger division ring: over Q, the
     Kronecker module Q^2 with a = 1 and b a rotation by 90 degrees has
     End(M) = Q(i) and gets False, like a decomposable module.  The name is
-    kept; over an algebraically closed field the two properties agree."""
+    kept; over an algebraically closed field the two properties agree.
+    Precondition: characteristic 0 or above dim M, else ``QfabError``."""
     if M.total_dim == 0:
         return False
-    return len(hom_space(M, M)) - endo_radical_dim(M) == 1
+    p = M.field.characteristic
+    if p and p <= M.total_dim:
+        raise QfabError(f"indecomposability by the trace form needs characteristic "
+                        f"0 or above dim M = {M.total_dim}, not {p}")
+    return _end_top_dim(M) == 1
 
 
 # ---------------------------------------------------------------------------

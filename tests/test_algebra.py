@@ -58,17 +58,27 @@ ORACLE_F3 = {f"{name}-F3": name
              for name in ["double-triangle", "preprojective-a3", "canonical-2-211"]}
 
 
+def _loop_x2_x3():
+    """One loop x with the relations x^2 and x^3: x^3 is implied by x^2, so
+    both engines stop at the least nilpotency bound, 2."""
+    Q = Quiver(["1"], [("x", "1", "1")])
+    return Presentation(Q, [relation(path(Q, "x", "x")),
+                            relation(path(Q, "x", "x", "x"))])
+
+
 def _oracle_input(name):
     """The presentation and field of one blunt-oracle case."""
     if name in ORACLE_NAKAYAMA:
         return higher_nakayama(*ORACLE_NAKAYAMA[name])[1], QQ
     if name in ORACLE_F3:
         return fixture(ORACLE_F3[name]), PrimeField(3)
+    if name == "loop-x2-x3":
+        return _loop_x2_x3(), QQ
     return fixture(name), QQ
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIMS) + sorted(ORACLE_NAKAYAMA)
-                         + sorted(ORACLE_F3))
+                         + sorted(ORACLE_F3) + ["loop-x2-x3"])
 def test_graded_engine_agrees_with_blunt_oracle(name):
     pres, field = _oracle_input(name)
     A = build_algebra(pres, field)
@@ -79,6 +89,8 @@ def test_graded_engine_agrees_with_blunt_oracle(name):
     assert A.generators == B.generators
     assert [A.factor(i) for i in range(A.dim)] == [B.factor(i) for i in range(B.dim)]
     assert A.max_len == B.max_len
+    if name == "loop-x2-x3":
+        assert A.max_len == 2
     # full structure-constant agreement
     for i in range(A.dim):
         for j in range(A.dim):

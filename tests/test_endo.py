@@ -3,7 +3,8 @@ import pytest
 from qfab import modules as md, homology as hm, fabric as fb
 from qfab.algebra import build_algebra, check_presentation_isomorphism, generator_lifts
 from qfab.endo import endomorphism_algebra
-from qfab.errors import SummandDecomposable
+from qfab.errors import QfabError, SummandDecomposable
+from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
 from qfab.linalg import Matrix
 from qfab.quiver import Presentation, Quiver
@@ -90,9 +91,10 @@ def test_is_indecomposable_decides_a_split_local_endomorphism_ring(b):
     A = _kronecker_algebra()
     M = _kronecker_module(A, b)
     # End(M) is the matrices commuting with b, two-dimensional and semisimple
-    # for both: End(M)/rad is not the ground field, so both get False
+    # for both (its trace form has rank 2, so rad End(M) = 0): End(M)/rad is
+    # not the ground field, so both get False
     assert len(md.hom_space(M, M)) == 2
-    assert md.endo_radical_dim(M) == 0
+    assert md._end_top_dim(M) == 2
     assert not md.is_indecomposable(M)
     with pytest.raises(SummandDecomposable, match="End/rad is not the ground field"):
         endomorphism_algebra([M])
@@ -105,3 +107,39 @@ def test_is_indecomposable_decides_a_split_local_endomorphism_ring(b):
         # M is the sum of the modules Q => Q with b = 1 and b = 2
         lines = [_kronecker_module(A, [[c]]) for c in (1, 2)]
         assert md.is_isomorphic(M, md.direct_sum(lines)[0])
+
+
+def _modules_every_field_builds(A):
+    """Projectives, injectives, truncated projectives, radicals of
+    projectives and sums with P_v for the first vertex v: the same modules
+    over every field."""
+    P = [md.projective_module(A, v) for v in A.vertices]
+    I = [md.injective_module(A, v) for v in A.vertices]
+    mods = P + I + [M for _, _, M in md.truncated_projectives(A)]
+    mods += [md.radical_submodule(X)[0] for X in P]
+    return mods + [md.direct_sum([P[0], X])[0] for X in P + I]
+
+
+@pytest.mark.parametrize("name", ["double-triangle", "preprojective-a3",
+                                  "two-ag-square"])
+def test_is_indecomposable_over_a_large_prime_agrees_with_q(name):
+    answers = [[md.is_indecomposable(M) for M in
+                _modules_every_field_builds(build_algebra(fixture(name), field))]
+               for field in (QQ, PrimeField(101))]
+    assert answers[0] == answers[1]
+    assert True in answers[0] and False in answers[0]
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_end_of_projectives_builds_over_a_prime_above_their_dimensions(p):
+    A = build_algebra(fixture("preprojective-a3"), PrimeField(p))
+    data = endomorphism_algebra([md.projective_module(A, v) for v in A.vertices])
+    assert data.algebra.dim == 10
+
+
+def test_end_of_projectives_over_f3_names_the_dimension_bound():
+    A = build_algebra(fixture("preprojective-a3"), PrimeField(3))
+    P = [md.projective_module(A, v) for v in A.vertices]
+    assert max(X.total_dim for X in P) == 4
+    with pytest.raises(QfabError, match="characteristic 0 or above dim M = 3, not 3"):
+        endomorphism_algebra(P)

@@ -58,9 +58,9 @@ def test_cli_rejects_seed_flag():
     assert "--seed" in r.stderr
 
 
-def test_only_the_last_isomorphism_step_draws_random_numbers():
-    """``modules.is_isomorphic`` ends in draws from a fixed stream; no other
-    module of the package imports ``random``."""
+def test_no_module_imports_random():
+    """Every answer is exact or says it is undecided, so no module of the
+    package imports ``random``."""
     importers = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -72,4 +72,4 @@ def test_only_the_last_isomorphism_step_draws_random_numbers():
                 continue
             if "random" in names:
                 importers.add(path.stem)
-    assert importers == {"modules"}
+    assert importers == set()
