@@ -642,8 +642,9 @@ def is_isomorphic(M, N):
        witness from ``_pencil`` or else the grid range(D + 1) ** dim Hom,
        D = dim M, which holds one by Schwartz-Zippel;
     6. over a smaller F_p, the grid of ``is_isomorphic_exhaustive`` decides
-       ("exhaustive") up to ``ISO_GRID_LIMIT`` points; above that the no is
-       "undecided", the one answer that proves nothing.
+       ("exhaustive") up to ``ISO_GRID_LIMIT`` points; above that an
+       invertible ``_pencil`` says yes, and otherwise the no is "undecided",
+       the one answer that proves nothing.
     """
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("isomorphism test across algebras")
@@ -675,6 +676,9 @@ def is_isomorphic(M, N):
             raise QfabError("the trace form says isomorphic, the grid holds no isomorphism")
         return IsoCertificate(True, witness=phi)
     if size > ISO_GRID_LIMIT:
+        phi = _pencil(basis, D)
+        if phi.is_isomorphism():
+            return IsoCertificate(True, witness=phi)
         return IsoCertificate(False, reason="undecided")
     phi = _first_invertible(basis, points, M.field)
     return IsoCertificate(phi is not None, witness=phi, reason="" if phi else "exhaustive")

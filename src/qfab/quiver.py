@@ -18,7 +18,6 @@ from .errors import QfabError
 @dataclass(frozen=True)
 class Vertex:
     id: str
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,6 @@ class Arrow:
     id: str
     source: str
     target: str
-    label: str = ""
 
 
 class Quiver:

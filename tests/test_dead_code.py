@@ -1,7 +1,8 @@
 """No dead code: every module-level function of ``qfab.linalg``, every
 method of ``Subspace`` and ``Span``, and every module-level private
-``_function`` of the package is used somewhere in the package, and every
-parameter of every function is read in its body."""
+``_function`` of the package is used somewhere in the package, every
+parameter of every function is read in its body, and every ``__slots__``
+field of a class is read outside the class's ``__init__``."""
 
 import ast
 from pathlib import Path
@@ -82,4 +83,38 @@ def test_every_parameter_is_read():
                 if name not in read and not (name == "seed" and label in UNREAD_SEEDS):
                     unread.append(f"{label}({name})")
     assert seen > 500
+    assert unread == []
+
+
+def _attribute_read(name, own):
+    """Is ``.name`` loaded as an attribute anywhere in the package outside
+    the def node ``own``?"""
+    stack = list(TREES.values())
+    while stack:
+        node = stack.pop()
+        if node is own:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.ctx, ast.Load)):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_slot_is_read_outside_its_init():
+    fields = []
+    for mod, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            init = next((m for m in cls.body if isinstance(m, ast.FunctionDef)
+                         and m.name == "__init__"), None)
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    fields += [(f"{mod}.{cls.name}.{name}", name, init)
+                               for name in ast.literal_eval(stmt.value)]
+    assert {"homology._Step.next_verts", "linalg.Matrix.data"} <= {label for label, *_ in fields}
+    unread = [label for label, name, init in fields if not _attribute_read(name, init)]
     assert unread == []

@@ -502,24 +502,25 @@ def test_recorded_presentation_changes_no_functor(name, field, monkeypatch):
             for cutoff in (0, 1, 4):
                 X = _fresh(M)
                 res = hm.minimal_resolution(X, cutoff=cutoff)
-                # the presentation is read off the resolution's first step
+                # the presentation is the resolution's first step
                 with monkeypatch.context() as mp:
                     mp.setattr(hm, "projective_cover", _raise)
-                    verts0, verts1, d = hm._presentation(X)
-                assert verts0 is res.term_vertices[0]
+                    step = hm._step(X)
+                assert step is res.steps[0]
+                assert step.verts is res.term_vertices[0]
                 if projective:
-                    assert verts1 == [] and d == []
+                    assert step.next_verts == [] and step.d == []
                 elif cutoff == 0:
-                    assert verts1 == [A.vertices[v] for v, _ in hm._top(res.syzygies[1])]
-                    assert d is res.steps[0].d is not None
+                    assert step.next_verts == [A.vertices[v]
+                                               for v, _ in hm._top(res.syzygies[1])]
                 else:
-                    assert verts1 == res.term_vertices[1] and d is res.steps[0].d
+                    assert step.next_verts == res.term_vertices[1]
                 assert all(_same_module(f(X), w)
                            for f, w in zip(PRESENTATION_FUNCTORS, want))
             X = _fresh(M)
             hm.syzygy(X)
-            verts0, verts1, d = hm._presentation(X)
-            assert (verts1 == [] and d == []) == projective
+            step = hm._step(X)
+            assert (step.next_verts == [] and step.d == []) == projective
             assert all(_same_module(f(X), w) for f, w in zip(PRESENTATION_FUNCTORS, want))
 
 
@@ -570,7 +571,8 @@ def test_top_screen_changes_no_resolution(name, field, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(md, "radical_spaces", counting_radical)
             res = hm.minimal_resolution(M, cutoff=6)
-        # the next cover reuses the screen's top: no module's top is taken twice
+        # the screen takes no top, and the next cover reuses the one its step
+        # took: no module's top is taken twice
         assert len({id(X) for X in topped}) == len(topped)
         status, period, verts, n = _resolution_by_every_dims_match(_fresh(M), 6)
         assert (res.status, res.period, res.term_vertices) == (status, period, verts)
@@ -698,11 +700,14 @@ def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, f
                 want.extend((r, *at[(w, k)], c)
                             for k, c in enumerate(d.mats[w].column(col)) if c)
             assert res.steps[i - 1].d == want
+        # step i lists the vertices of term i + 1, the source of its d
+        for i in range(len(res.steps) - 1):
+            assert res.term_vertices[i + 1] == res.steps[i].next_verts
+        if res.status == "terminated":
+            assert res.steps[-1].next_verts == [] and res.steps[-1].d == []
         X = _fresh(M)
-        verts0, verts1, d0 = hm._presentation(X)
-        assert verts0 == res.term_vertices[0]
-        assert (verts1, d0) == ((res.term_vertices[1], res.steps[0].d)
-                                if len(res.steps) > 1 else ([], []))
+        step = hm._step(X)
+        assert step is res.steps[0] and step.verts == res.term_vertices[0]
 
 
 CORESOLUTION_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3)],
@@ -786,9 +791,10 @@ def test_ext_matches_dimension_shifting(name, field):
         M = md.simple_module(A, v)
         res = hm.minimal_resolution(M, cutoff=6)
         listed = len(res.terms)
-        # a truncated resolution gives Ext^i only while term i + 1 is listed;
-        # a periodic one gives every degree, past its listed terms too
-        degrees = range(1, listed - 1 if res.status == "truncated" else 10)
+        # step i is the whole differential P_{i+1} -> P_i, so a truncated
+        # resolution gives Ext^i at every listed degree, the last one too; a
+        # periodic one gives every degree, past its listed terms too
+        degrees = range(1, listed if res.status == "truncated" else 10)
         omega, terms = [M], []
         for _ in degrees:
             P, K = _fresh_syzygy(omega[-1])
@@ -867,3 +873,12 @@ def test_ext_over_quotient_by_ideal_of_proj_dim_at_most_one_is_ext_over_algebra(
                     differing += 1
     assert compared and not mismatches
     assert differing
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_ext_without_a_resolution_takes_one_cover_per_step_it_reads(i, monkeypatch):
+    # Ext^i reads steps i - 1 and i, so a fresh resolution stops at step i
+    A = build_algebra(fixture("preprojective-a4"), QQ)
+    covered = _counting_covers(monkeypatch)
+    hm.ext_dim(md.simple_module(A, "2"), md.simple_module(A, "1"), i)
+    assert len(covered) == i + 1

@@ -145,6 +145,20 @@ def test_isomorphism_agrees_with_exhaustive_in_every_field(field):
         assert _checked_isomorphism(md.direct_sum([M, M])[0], MN).reason in ISO_REASONS
 
 
+def test_pencil_decides_a_sum_the_small_field_grid_cannot_walk():
+    """Over F_3, 3 ** dim Hom(X + Y, Y + X) exceeds ``ISO_GRID_LIMIT`` and no
+    basis map or their sum is invertible; the pencil finds an isomorphism."""
+    A = build_algebra(fixture("preprojective-a3"), PrimeField(3))
+    X, Y = (md.direct_sum([md.simple_module(A, "3"), _arrow_module(A, s, t)])[0]
+            for s, t in (("1", "2"), ("2", "1")))
+    XY, YX = md.direct_sum([X, Y])[0], md.direct_sum([Y, X])[0]
+    basis = md.hom_space(XY, YX)
+    assert md._grid(XY, len(basis))[0] > md.ISO_GRID_LIMIT
+    assert not any(phi.is_isomorphism() for phi in basis)
+    assert not sum(basis[1:], basis[0]).is_isomorphism()
+    assert _checked_isomorphism(XY, YX)
+
+
 def test_is_isomorphic_symmetric(double_triangle):
     A = double_triangle
     rng = random.Random(8)
