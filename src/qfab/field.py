@@ -99,12 +99,12 @@ class FpElement:
         ov = _residue(other, self.p)
         if ov == 0:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.v * pow(ov, self.p - 2, self.p), self.p)
+        return FpElement(self.v * pow(ov, -1, self.p), self.p)
 
     def __rtruediv__(self, other):
         if self.v == 0:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(_residue(other, self.p) * pow(self.v, self.p - 2, self.p), self.p)
+        return FpElement(_residue(other, self.p) * pow(self.v, -1, self.p), self.p)
 
     def __neg__(self):
         return FpElement(-self.v, self.p)

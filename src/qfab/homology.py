@@ -41,10 +41,10 @@ vertices (dominant dimension, Ext, gen_l) build no dual.
 
 A map of free modules is fixed by its generator images (Green, Solberg and
 Zacharia, "Minimal projective resolutions", Trans. AMS 353, 2001).  The
-generator of K's cover at a top coordinate (v, c) of K goes to column c of
-K's inclusion into P at v.  The step reads these images off the inclusion
-once, in the pass over K's top that lists ``next_verts``, as A-coefficients
-over the summands of P, and keeps them as ``d`` in place of the inclusion.
+generator of K's cover at a top coordinate (v, c) of K goes to basis vector
+c of K in P at v.  The step reads these images off K's basis once, in the
+pass over K's top that lists ``next_verts``, as A-coefficients over the
+summands of P, and keeps them as ``d`` in place of the inclusion.
 The Hom complex, the transpose and the Nakayama functor read the step as it
 is: Ext^i reads steps i - 1 and i alone, and the presentation of M is its
 step, so the transpose, tau and nu after a resolution of M take no cover
@@ -58,10 +58,15 @@ p above twice the syzygy's dimension, ``is_isomorphic`` is exact; over a
 smaller F_p it tries a pencil of Hom maps before it can answer
 "undecided", and a period it misses there leaves ``>=cutoff``.
 
-Every free module + Ae_v here (cover terms and Hom(P, A) in the
-presentation) is built by ``modules.free_module``, and its coordinates are
-read from ``modules.projective_layout``, the single source of free-module
-coordinates.
+A free module + Ae_v is built here, by ``modules.free_module``, only as a
+cover term ``P``, which the step keeps.  Every other free module is an
+intermediate and stays its coordinates, a ``modules.FreeLayout``: the
+syzygy K is a submodule of the layout of P, and Hom(d, A) maps the
+op-layout over ``verts`` to the one over ``next_verts``, whose quotient is
+the transpose and whose kernel gives nu.  A generator acts on a layout
+through A's product table, so none of them builds generator matrices, a
+projection or an inclusion.  ``modules.projective_layout`` is the single
+source of free-module coordinates.
 
 A resolution step costs what the module costs, not what the algebra costs.
 Blocks with a zero side are never computed (see ``modules``), and
@@ -77,12 +82,12 @@ from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
 
 from .algebra import quotient_by_idempotent_ideal
-from .linalg import Matrix, from_columns, rank
+from .linalg import Matrix, _kernel, from_columns, rank
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
 from .modules import (ModuleMap, Representation, _top, dual_module,
                       free_module, injective_module, is_isomorphic,
-                      projective_layout, simple_module, zero_module)
+                      simple_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +221,37 @@ class _Step:
     """One resolution step of a module M, the whole differential from the
     cover term of the syzygy ``K`` into ``P``, M's minimal cover term:
     ``verts`` and ``next_verts`` list the vertices of the tops of M and of
-    K, over which the two terms are free, and ``d`` is read off K's
-    inclusion when the step is made.
+    K, over which the two terms are free, and ``d`` is read off K's basis
+    in P when the step is made.
+
+    ``bases[v]`` is the kernel basis of the cover at v, an echelon basis
+    with its unit coordinates.  K's generator matrices are read off A's
+    product table applied to it (``modules.FreeLayout`` over ``verts``), not
+    off P's generator matrices.
 
     ``d`` lists (r, s, i, c), by r and then by k: the generator of summand r
     of K's cover is the unit vector at the r-th top coordinate (v, col) of
-    K, and its image, column col of the inclusion at v, has c at the
-    coordinate k where ``projective_layout`` puts basis element i of A in
-    summand s of P.  The image is the sum of these c * (i in summand s).  A
-    projective M has ``next_verts`` and d empty.  A step keeps neither the
-    inclusion nor any reference to M."""
+    K, and its image, basis vector col at v, has c at the coordinate k where
+    ``projective_layout`` puts basis element i of A in summand s of P.  The
+    image is the sum of these c * (i in summand s).  A projective M has
+    ``next_verts`` and d empty.  A step keeps neither the basis nor any
+    reference to M.
+
+    ``P`` is kept although the step reads only its layout: ``Resolution.terms``
+    reads it, and the objects a step holds set where the cyclic collector's
+    full collections fall on a long pass; a step without ``P`` moved the
+    first one of a ``reduce`` pass into its median operation (ROADMAP)."""
 
     __slots__ = ("P", "verts", "K", "next_verts", "d")
 
-    def __init__(self, P, verts, K, inc):
-        self.P, self.verts, self.K = P, verts, K
-        A = P.algebra
-        _, pos = projective_layout(A, verts)
-        at = {wk: (s, i) for s, slots in enumerate(pos) for i, wk in slots.items()}
-        top = _top(K)
-        self.next_verts = [A.vertices[v] for v, _ in top]
-        self.d = [(r, *at[(v, k)], c) for r, (v, col) in enumerate(top)
-                  for k, c in enumerate(inc.mats[v].column(col)) if c]
+    def __init__(self, P, verts, bases):
+        self.P, self.verts = P, verts
+        layout = md.FreeLayout(P.algebra, verts)
+        self.K, _ = md._sub_representation(layout, bases)
+        top = _top(self.K)
+        self.next_verts = [P.algebra.vertices[v] for v, _ in top]
+        self.d = [(r, *layout.at[v][k], c) for r, (v, col) in enumerate(top)
+                  for k, c in enumerate(bases[v][0][col]) if c]
 
 
 def _content(M):
@@ -253,7 +267,7 @@ def _step(M):
     step = steps.get(key)
     if step is None:
         P, cover, verts = projective_cover(M)
-        step = steps[key] = _Step(P, verts, *md.kernel(cover))
+        step = steps[key] = _Step(P, verts, [_kernel(m) for m in cover.mats])
     return step
 
 
@@ -504,34 +518,36 @@ def is_self_injective(A):
 
 def transpose(M):
     """Tr(M) over the opposite algebra: the cokernel of Hom(d, A) for the
-    minimal presentation d of M, its step; zero when M is projective."""
+    minimal presentation d of M, its step; zero when M is projective.  It
+    is the quotient of the free op-module over ``step.next_verts`` by the
+    column spans of Hom(d, A), on its layout: no free module and no
+    projection is built."""
     step = _step(M)
     if not step.next_verts:
         return zero_module(M.algebra.opposite())
-    C, _ = md.cokernel(_dual_presentation_map(M.algebra, step))
-    return C
+    _, H1, mats = _dual_presentation_map(M.algebra, step)
+    return md._quotient(H1, [md._column_span(m) for m in mats])[0]
 
 
 def _dual_presentation_map(A, step):
-    """Hom(P0, A) -> Hom(P1, A), psi -> psi . d, in op-module coordinates,
-    for the step d: P1 -> P0.
+    """Hom(P0, A) -> Hom(P1, A), psi -> psi . d, for the step d: P1 -> P0,
+    as (H0, H1, matrices by vertex).
 
-    Hom(+ Ae_v, A) = + e_v A is the free op-module over the same vertices.
+    Hom(+ Ae_v, A) = + e_v A is the free op-module over the same vertices,
+    so H0 and H1 are the op-layouts (``modules.FreeLayout``) over
+    ``step.verts`` and ``step.next_verts``, and no free module is built.
     """
     op = A.opposite()
-    H0, pos0 = free_module(op, step.verts)
-    H1, pos1 = free_module(op, step.next_verts)
-    mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
-            for w in range(op.n_vertices)]
+    H0, H1 = md.FreeLayout(op, step.verts), md.FreeLayout(op, step.next_verts)
+    mats = [[[A.field.zero] * d0 for _ in range(d1)] for d0, d1 in zip(H0.dims, H1.dims)]
     for r, s, i, c in step.d:
         # y_s -> c * (i . y_s): left multiplication by i, e_{v_s} A -> e_{v_r} A
-        for x, (_, k_x) in pos0[s].items():
+        for x, (_, k_x) in H0.pos[s].items():
             for y, cy in A.mult(i, x).items():
-                w, k_y = pos1[r][y]
+                w, k_y = H1.pos[r][y]
                 mats[w][k_y][k_x] += c * cy
-    f_mats = [Matrix(H1.dims[w], H0.dims[w], mats[w], A.field)
-              for w in range(op.n_vertices)]
-    return ModuleMap(H0, H1, f_mats)
+    return H0, H1, [Matrix(d1, d0, m, A.field)
+                    for d0, d1, m in zip(H0.dims, H1.dims, mats)]
 
 
 def ar_translate(M, seed=None):
@@ -549,9 +565,10 @@ def ar_translate_inverse(M):
 
 def nakayama_functor(M):
     """nu(M) = D Hom(M, A).  Hom(-, A) is left exact, so Hom(M, A) is the
-    kernel of Hom(d, A) for a minimal presentation d of M."""
-    H, _ = md.kernel(_dual_presentation_map(M.algebra, _step(M)))
-    return dual_module(H)
+    kernel of Hom(d, A) for a minimal presentation d of M, a submodule of
+    the free op-module over ``step.verts`` read on its layout."""
+    H0, _, mats = _dual_presentation_map(M.algebra, _step(M))
+    return dual_module(md._sub_representation(H0, [_kernel(m) for m in mats])[0])
 
 
 # ---------------------------------------------------------------------------

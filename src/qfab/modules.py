@@ -26,7 +26,16 @@ vertex with its unit coordinates: the pivots of a ``Subspace`` (``image``,
 kernel basis (``kernel``, ``socle``).  The basis matrix is the identity at
 those rows, so the coordinates of a vector of the span are its entries
 there: submodules read their generator matrices off the images and never
-solve a linear system.
+solve a linear system.  A quotient is handed to ``_quotient`` as one
+``Subspace`` per vertex, and lives on the coordinates off its pivots.
+
+Both routines take the images of their vectors from the ambient's ``act``.
+The ambient is a ``Representation``, which multiplies by its generator
+matrices, or a ``FreeLayout``: a free module + Ae_v that is only an
+intermediate (a syzygy's cover term, Hom(P, A) in a presentation) is its
+``projective_layout`` coordinates, and a generator acts on them through A's
+product table, g . (s, i) = sum_j mult(g, i)[j] (s, j), sparsely, with none
+of the module's generator matrices built.
 """
 
 from __future__ import annotations
@@ -111,6 +120,12 @@ class Representation:
                               for c, g, u in terms), A.field)
         self._action[idx] = m
         return m
+
+    def act(self, g, cols):
+        """Generator g applied to the vectors ``cols`` at its source: their
+        images, as lists."""
+        m = self.action(g)
+        return [m.apply(c) for c in cols]
 
     def validate(self, full=False):
         """Check multiplicativity of the action.
@@ -258,6 +273,49 @@ def projective_layout(A, vertex_ids):
     return dims, pos
 
 
+class FreeLayout:
+    """The free module + Ae_v over the listed vertices as coordinates alone.
+
+    ``dims`` and ``pos`` are ``projective_layout``'s, and ``at[w][k] = (s, i)``
+    inverts ``pos``.  A map of free modules is fixed by its generator images
+    (Green, Solberg and Zacharia, Trans. AMS 353, 2001), so ``act`` reads
+    g . (s, i) = sum_j mult(g, i)[j] (s, j) off A's product table, touching
+    only the non-zero entries, and no generator matrix is built."""
+
+    __slots__ = ("algebra", "dims", "pos", "at")
+
+    def __init__(self, A, vertex_ids):
+        self.algebra = A
+        self.dims, self.pos = projective_layout(A, vertex_ids)
+        self.at = [[None] * d for d in self.dims]
+        for s, slots in enumerate(self.pos):
+            for i, (w, k) in slots.items():
+                self.at[w][k] = s, i
+
+    def act(self, g, cols):
+        """Generator g applied to the vectors ``cols`` at its source: their
+        images, as lists.  Only the coordinates g does not kill are read."""
+        A = self.algebra
+        b = A.basis[g]
+        live = []  # (k, [(coordinate of g . (s, i), coefficient)]) where g . (s, i) != 0
+        for k, (s, i) in enumerate(self.at[b.source]):
+            prod = A.mult(g, i)
+            if prod:
+                slots = self.pos[s]
+                live.append((k, [(slots[j][1], c) for j, c in prod.items()]))
+        zero, n = A.field.zero, self.dims[b.target]
+        out = []
+        for col in cols:
+            y = [zero] * n
+            for k, terms in live:
+                x = col[k]
+                if x:
+                    for kk, c in terms:
+                        y[kk] = y[kk] + c * x
+            out.append(y)
+        return out
+
+
 def free_module(A, vertex_ids):
     """The free module + Ae_v over the listed vertices, with its layout.
 
@@ -357,14 +415,16 @@ def _sub_representation(N, bases):
     ``bases[v]`` is ``(vectors, units)``: vectors in N_v whose matrix of
     columns is the identity at the rows ``units``.  A vector of their span is
     the combination with its entries at ``units`` as coefficients, so each
-    generator matrix is read off the image, and one product checks that the
-    span is action-stable.  That product equals the image at the unit rows
-    by construction, so only the other rows are computed and compared.
-    Returns (module, inclusion).
+    generator matrix is read off the images ``N.act(g, vectors)``, and one
+    product checks that the span is action-stable.  That product equals the
+    images at the unit rows by construction, so only the other rows are
+    computed and compared.  N is a ``Representation`` or a ``FreeLayout``.
+    Returns (module, inclusion); a layout is no module, so the inclusion
+    into it is None.
     """
     A = N.algebra
-    mats = [from_columns(cols, N.dims[v], A.field) for v, (cols, _) in enumerate(bases)]
-    dims = [m.cols for m in mats]
+    F = A.field
+    dims = [len(cols) for cols, _ in bases]
     off_units = {}  # by target vertex: the rows off the units, and the basis there
     gen_mats = {}
     for v, d in enumerate(dims):
@@ -372,21 +432,25 @@ def _sub_representation(N, bases):
             continue  # empty blocks: Representation leaves them out
         for g in A.generators_from(v):
             t = A.basis[g].target
-            img = N.action(g) * mats[v]
-            units = bases[t][1]
-            x = Matrix(dims[t], d, [img.data[p] for p in units], A.field)
+            img = N.act(g, bases[v][0])
+            basis, units = bases[t]
+            x = Matrix(dims[t], d, [[y[p] for y in img] for p in units], F)
             off = off_units.get(t)
             if off is None:
                 unit_set = set(units)
                 rows = [p for p in range(N.dims[t]) if p not in unit_set]
                 off = off_units[t] = rows, Matrix(len(rows), dims[t],
-                                                  [mats[t].data[p] for p in rows], A.field)
+                                                  [[y[p] for y in basis] for p in rows], F)
             rows, basis_off = off
-            if rows and (basis_off * x).data != tuple([img.data[p] for p in rows]):
+            if rows and (basis_off * x).data != tuple([tuple([y[p] for y in img])
+                                                       for p in rows]):
                 raise QfabError("subspace is not action-stable")
             gen_mats[g] = x
     S = Representation(A, dims, gen_mats)
-    return S, ModuleMap(S, N, mats)
+    if not isinstance(N, Representation):
+        return S, None
+    return S, ModuleMap(S, N, [from_columns(cols, N.dims[v], F)
+                               for v, (cols, _) in enumerate(bases)])
 
 
 def kernel(f: ModuleMap):
@@ -408,31 +472,46 @@ def image(f: ModuleMap):
                                           for sub in map(_column_span, f.mats)])
 
 
-def cokernel(f: ModuleMap):
-    """Cokernel with the projection from the target."""
-    A = f.source.algebra
-    N = f.target
-    subs = [_column_span(m) for m in f.mats]
+def _quotient(N, subs):
+    """N modulo an action-stable subspace, ``subs[v]`` a ``Subspace`` of N_v.
+
+    The quotient lives on the coordinates of N_v off the pivots of
+    ``subs[v]``, its ``complements``: a class is the residue of
+    ``subs[v].reduce`` there.  A generator's matrix reads the images of
+    those unit vectors, ``N.act``, and reduces them at the target.  N is a
+    ``Representation`` or a ``FreeLayout``.  Returns (module, complements).
+    """
+    A = N.algebra
+    F = A.field
     complements = []
     for v, sub in enumerate(subs):
         pivset = set(sub.pivots)
         complements.append([k for k in range(N.dims[v]) if k not in pivset])
     dims = [len(c) for c in complements]
-
-    def project(v, vec):
-        res = subs[v].reduce(vec)
-        return [res[k] for k in complements[v]]
-
-    proj_mats = []
-    for v in range(A.n_vertices):
-        cols = [project(v, u) for u in unit_vectors(N.dims[v], A.field)]
-        proj_mats.append(from_columns(cols, dims[v], A.field))
+    units = {}  # by source vertex: the unit vectors at the complement
     gen_mats = {}
     for g, v, t in _supported_generators(A, dims):
-        act = N.action(g)
-        cols = [project(t, act.column(k)) for k in complements[v]]
-        gen_mats[g] = from_columns(cols, dims[t], A.field)
-    C = Representation(A, dims, gen_mats)
+        u = units.get(v)
+        if u is None:
+            us = unit_vectors(N.dims[v], F)
+            u = units[v] = [us[k] for k in complements[v]]
+        cols = [[res[k] for k in complements[t]]
+                for res in map(subs[t].reduce, N.act(g, u))]
+        gen_mats[g] = from_columns(cols, dims[t], F)
+    return Representation(A, dims, gen_mats), complements
+
+
+def cokernel(f: ModuleMap):
+    """Cokernel with the projection from the target."""
+    N = f.target
+    F = N.field
+    subs = [_column_span(m) for m in f.mats]
+    C, complements = _quotient(N, subs)
+    proj_mats = []
+    for v, sub in enumerate(subs):
+        cols = [[res[k] for k in complements[v]]
+                for res in map(sub.reduce, unit_vectors(N.dims[v], F))]
+        proj_mats.append(from_columns(cols, C.dims[v], F))
     return C, ModuleMap(N, C, proj_mats)
 
 

@@ -64,3 +64,27 @@ def test_large_primes_are_accepted_quickly(p):
 def test_prime_at_or_above_the_bound_is_refused(p):
     with pytest.raises(ValueError, match=str(PRIME_BOUND)):
         PrimeField(p)
+
+
+# the largest prime below the bound
+BELOW_BOUND = 3_317_044_064_679_887_385_961_813
+
+
+def test_below_bound_is_the_largest_prime_under_the_bound():
+    assert BELOW_BOUND < PRIME_BOUND and is_prime(BELOW_BOUND)
+    assert not any(is_prime(n) for n in range(BELOW_BOUND + 1, PRIME_BOUND))
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1, BELOW_BOUND])
+def test_division_inverts_and_refuses_zero(p):
+    F = PrimeField(p)
+    for x in {1, 2, p // 2, p - 2, p - 1} - {0, p}:
+        a = F.coerce(x)
+        assert a * (F.one / a) == F.one
+        assert a * (1 / a) == F.one  # the reflected division
+        assert (a * a) / a == a
+    for num in (F.one, 1):
+        with pytest.raises(ZeroDivisionError, match="division by zero in F_p"):
+            num / F.zero
+    with pytest.raises(ZeroDivisionError, match="division by zero in F_p"):
+        F.one / 0

@@ -11,7 +11,7 @@ from qfab import modules as md, homology as hm
 from qfab.algebra import build_algebra, quotient_by_idempotent_ideal
 from qfab.field import QQ, PrimeField
 from qfab.linalg import Matrix, Subspace, from_columns, rank
-from qfab.quiver import Quiver, Presentation
+from qfab.quiver import Quiver, Presentation, path, relation
 from qfab.fixtures import fixture, fixture_names
 from qfab.nakayama import higher_nakayama, reduce_to_selfinjective
 
@@ -428,8 +428,26 @@ def _test_modules(A):
 
 
 PRESENTATION_FIXTURES = ["double-triangle", "two-ag-square", "preprojective-a3"]
+
+
+def _signed_double_triangle():
+    """double-triangle with its two 3 -> 3 circuits negatives of each other,
+    so that products of basis elements carry the coefficient -1.  In every
+    fixture they carry 1, which would hide a reader of the product table
+    that drops the coefficient."""
+    Q = fixture("double-triangle").quiver
+    rels = [relation((1, path(Q, "de", "ep", "ze")), (1, path(Q, "ga", "al", "be"))),
+            relation(path(Q, "be", "ga", "al")), relation(path(Q, "ze", "de", "ep"))]
+    return Presentation(Q, rels, name="double-triangle-signed")
+
+
+def _presentation_algebra(name, field):
+    pres = _signed_double_triangle() if name == "double-triangle-signed" else fixture(name)
+    return build_algebra(pres, field)
 EXACT_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)],
                                        ids=["Q", "F_2^31-1"])
+STEP_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2 ** 31 - 1)],
+                                      ids=["Q", "F_3", "F_2^31-1"])
 
 
 @EXACT_FIELDS
@@ -524,6 +542,60 @@ def test_recorded_presentation_changes_no_functor(name, field, monkeypatch):
             assert all(_same_module(f(X), w) for f, w in zip(PRESENTATION_FUNCTORS, want))
 
 
+ALL_PRESENTATION_FUNCTORS = PRESENTATION_FUNCTORS + [hm.ar_translate_inverse]
+
+
+def _dual_presentation_by_free_modules(A, step):
+    """The oracle: Hom(d, A) as a module map of free op-modules built by
+    ``free_module``, psi -> psi . d."""
+    op = A.opposite()
+    H0, pos0 = md.free_module(op, step.verts)
+    H1, pos1 = md.free_module(op, step.next_verts)
+    mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
+            for w in range(op.n_vertices)]
+    for r, s, i, c in step.d:
+        for x, (_, k_x) in pos0[s].items():
+            for y, cy in A.mult(i, x).items():
+                w, k_y = pos1[r][y]
+                mats[w][k_y][k_x] += c * cy
+    return md.ModuleMap(H0, H1, [Matrix(H1.dims[w], H0.dims[w], mats[w], A.field)
+                                 for w in range(op.n_vertices)])
+
+
+def _transpose_by_free_modules(M):
+    step = hm._step(M)
+    if not step.next_verts:
+        return md.zero_module(M.algebra.opposite())
+    return md.cokernel(_dual_presentation_by_free_modules(M.algebra, step))[0]
+
+
+def _nakayama_by_free_modules(M):
+    f = _dual_presentation_by_free_modules(M.algebra, hm._step(M))
+    return md.dual_module(md.kernel(f)[0])
+
+
+def _presentation_functors_by_free_modules(M):
+    """The oracle of ``ALL_PRESENTATION_FUNCTORS``, in order: free modules
+    and ``md.cokernel``/``md.kernel`` on the step's presentation."""
+    return [_transpose_by_free_modules(M), md.dual_module(_transpose_by_free_modules(M)),
+            _nakayama_by_free_modules(M), _transpose_by_free_modules(md.dual_module(M))]
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", PRESENTATION_FIXTURES + ["double-triangle-signed"])
+def test_presentation_functors_act_through_the_product_table(name, field, monkeypatch):
+    A0 = _presentation_algebra(name, field)
+    for A in (A0, A0.opposite()):
+        for M in _test_modules(A):
+            want = _presentation_functors_by_free_modules(M)  # puts both steps in the memo
+            with monkeypatch.context() as mp:
+                for layer, fn in ((hm, "free_module"), (md, "free_module"),
+                                  (md, "cokernel"), (md, "kernel")):
+                    mp.setattr(layer, fn, _raise)
+                got = [f(_fresh(M)) for f in ALL_PRESENTATION_FUNCTORS]
+            assert all(_same_module(g, w) for g, w in zip(got, want))
+
+
 def _resolution_by_every_dims_match(M, cutoff):
     """The oracle: (status, period, term vertices) with ``is_isomorphic`` run
     on every earlier syzygy of the same dimension vector, and the number of
@@ -582,11 +654,11 @@ def test_top_screen_changes_no_resolution(name, field, monkeypatch):
     assert (screened > 0) == (name not in TOP_SCREEN_UNUSED)
 
 
-STEP_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2 ** 31 - 1)],
-                                      ids=["Q", "F_3", "F_2^31-1"])
 STEP_ALGEBRAS = {
     "double-triangle": lambda field: build_algebra(fixture("double-triangle"), field),
     "nakayama-2-4333": lambda field: higher_nakayama(2, (4, 3, 3, 3), field=field)[0],
+    "double-triangle-signed": lambda field: _presentation_algebra("double-triangle-signed",
+                                                                  field),
 }
 
 
@@ -633,6 +705,48 @@ def test_warmed_step_table_gives_the_answers_of_a_fresh_algebra(name, field, mon
         B = STEP_ALGEBRAS[name](field)
         assert not B._steps
         assert answers == _resolution_answers(_step_test_modules(B)[k])[1]
+
+
+def _d_from_inclusion(A, verts, K, inc):
+    """The oracle of ``_Step.d``: the columns of K's inclusion into the cover
+    term at K's top coordinates, located by ``projective_layout``."""
+    _, pos = md.projective_layout(A, verts)
+    at = {wk: (s, i) for s, slots in enumerate(pos) for i, wk in slots.items()}
+    return [(r, *at[(v, k)], c) for r, (v, col) in enumerate(md._top(K))
+            for k, c in enumerate(inc.mats[v].column(col)) if c]
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", STEP_ALGEBRAS)
+def test_step_syzygy_is_the_kernel_of_the_cover(name, field):
+    A = STEP_ALGEBRAS[name](field)
+    checked = 0
+    for M in _step_test_modules(A):
+        for X in hm.minimal_resolution(M, cutoff=3).syzygies:
+            step = hm._step(_fresh(X))
+            P, cover, verts = hm.projective_cover(_fresh(X))
+            K, inc = md.kernel(cover)
+            assert step.verts == verts and step.P.dims == P.dims
+            assert hm._content(step.K) == hm._content(K)
+            assert step.d == _d_from_inclusion(A, verts, K, inc)
+            checked += bool(step.d)
+    assert checked
+
+
+def test_each_new_step_takes_one_cover(monkeypatch):
+    # the benchmark's homology.projective_cover counters count these calls
+    A = STEP_ALGEBRAS["nakayama-2-4333"](QQ)
+    op = A.opposite()
+    covered = _counting_covers(monkeypatch)
+    built = 0
+    for M in _step_test_modules(A):
+        before = len(A._steps) + len(op._steps)
+        hm.minimal_resolution(M, cutoff=3)
+        for f in ALL_PRESENTATION_FUNCTORS:
+            f(_fresh(M))
+        hm.minimal_resolution(M, "injective", cutoff=2)
+        built += len(A._steps) + len(op._steps) - before
+    assert built and len(covered) == built
 
 
 def test_presentation_functors_in_turn_share_one_cover(monkeypatch):

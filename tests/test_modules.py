@@ -591,13 +591,19 @@ def test_sub_representation_rejects_a_basis_that_is_not_action_stable(double_tri
     unit = [A.field.one if j == k else A.field.zero for j in range(P.dims[v])]
     bases = [([], []) for _ in A.vertices]
     bases[v] = ([unit], [k])
-    with pytest.raises(QfabError, match="not action-stable"):
-        md._sub_representation(P, bases)
+    # the images from P's generator matrices and from A's product table
+    layout = md.FreeLayout(A, ["1"])
+    assert tuple(layout.dims) == P.dims and layout.pos == pos
+    for N in (P, layout):
+        with pytest.raises(QfabError, match="not action-stable"):
+            md._sub_representation(N, bases)
     # every unit vector at every vertex spans P itself
     whole = [(unit_vectors(d, A.field), range(d)) for d in P.dims]
     S, inc = md._sub_representation(P, whole)
     assert S.dims == P.dims and inc.intertwines()
     assert all(S.action(g) == P.action(g) for g in A.generators)
+    T, none = md._sub_representation(layout, whole)
+    assert none is None and T.gen_mats == S.gen_mats
 
 
 @functools.cache
