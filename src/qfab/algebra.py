@@ -541,7 +541,7 @@ def _build_graded(pres, field):
     def mult_fn(i, j):
         return walk(basis[i].word, {j: one})
 
-    alg = FDAlgebra(field, [v.id for v in Q.vertices], basis, idempotent_index,
+    alg = FDAlgebra(field, Q.vertices, basis, idempotent_index,
                     mult_fn, presentation=pres, name=pres.name,
                     max_len=effective_len)
     alg._generators = arrow_elt
@@ -660,7 +660,7 @@ def build_algebra_blunt(pres: Presentation, field=QQ):
     def mult_fn(i, j):
         return reduce_path(basis[j].word + basis[i].word, basis[j].source)
 
-    alg = FDAlgebra(field, [v.id for v in Q.vertices], basis, idempotent_index,
+    alg = FDAlgebra(field, Q.vertices, basis, idempotent_index,
                     mult_fn, presentation=pres, name=pres.name, max_len=eff)
     alg._generators = arrow_elt
     factor = {}
@@ -929,7 +929,7 @@ def _is_isomorphism(pres, Apres, B, vertex_map, arrow_images):
     sub = Subspace(B.dim, B.field)
     count = 0
     for v in Q.vertices:
-        if sub.insert(_dense(eval_word((), v.id), B.dim, zero)):
+        if sub.insert(_dense(eval_word((), v), B.dim, zero)):
             count += 1
     for b in Apres.basis:
         if b.length >= 1:

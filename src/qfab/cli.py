@@ -1,9 +1,11 @@
 """The qfab command line.
 
 Commands: build, analyze, fabric, nakayama, resolve.  Exit codes: 0 success,
-1 verification failure, 2 input error.  Every report records the cutoff and
-field that produced it.  No answer depends on anything else, so re-running
-with those knobs reproduces the bytes.
+1 verification failure, 2 input error.  ``analyze``, ``fabric`` and
+``nakayama`` take ``--cutoff``, past which a dimension is only bounded below;
+``resolve``'s depth is ``--steps``.  Every report records the field, cutoff
+and steps that produced it.  No answer depends on anything else, so
+re-running with those knobs reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def cmd_fabric(args):
             doc.add(f"fab.dim P_{v}", d, indent=1)
         doc.add("fab.dim", report.fab_dim)
         try:
-            T, ttr = fb.special_tilting_module(A, F, report.e, cutoff=args.cutoff)
+            _, ttr = fb.special_tilting_module(A, F, report.e, cutoff=args.cutoff)
             doc.add("tilting-module", "verified")
             doc.add("tilting-proj-dim", ttr["proj_dim"], indent=1)
             doc.add("tilting-ext1", ttr["ext1"], indent=1)
@@ -213,7 +215,6 @@ def main(argv=None):
 
     p = sub.add_parser("build", help="parse, close the ideal, report dimensions")
     algebra_file(p)
-    common(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("analyze", help="homological dimensions and self-injectivity")
@@ -242,7 +243,6 @@ def main(argv=None):
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--injective", action="store_true")
     p.add_argument("--dot", default=None)
-    common(p)
     p.set_defaults(fn=cmd_resolve)
 
     args = ap.parse_args(argv)

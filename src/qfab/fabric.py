@@ -102,7 +102,7 @@ def check_fabric_combinatorial(A, F, cutoff=12):
     # condition (2): arrows into a distinguished target come from its own
     # source vertex or from another distinguished target
     for j, (jp, _) in sorted(iprime.items()):
-        for (s, t, h) in arrows:
+        for (s, t, _) in arrows:
             if t == jp and s != j and s not in prime_targets:
                 raise ConditionFailed(2, f"arrow {s}->{t} into {j}' has source "
                                          f"{s} not {j} and not a distinguished target")
@@ -144,8 +144,6 @@ def check_fabric_combinatorial(A, F, cutoff=12):
 
 def _quotient_proj_dim(A, F, cutoff=12):
     Abar = quotient_by_idempotent_ideal(A, F)
-    if Abar.is_zero():
-        return DimValue.finite(0)
     Mf = md.inflate_from_quotient(md.regular_module(Abar), A)
     return hm.proj_dim(Mf, cutoff=cutoff)
 
@@ -160,11 +158,11 @@ def _holds_over_quotient(A, M, E, test):
 
 
 def _companion_valid(A, F, E, taus):
-    for v, tau in taus.items():
+    for tau in taus.values():
         if not _holds_over_quotient(A, tau, E, hm.is_injective_module):
             return False
     injs = hm._quotient_modules(A, E, md.injective_module)
-    for w, I in injs.items():
+    for I in injs.values():
         tinv = hm.ar_translate_inverse(I)
         if not _holds_over_quotient(A, tinv, F, hm.is_projective_module):
             return False
@@ -378,23 +376,19 @@ def singular_reduction(A, F, cutoff=12):
     Checks gl.dim(A/<f>) < infinity and proj.dim over fAf of fA < infinity;
     returns (corner, certificate)."""
     Abar = quotient_by_idempotent_ideal(A, F)
-    cert = {}
-    if Abar.is_zero():
-        cert["quotient_gl_dim"] = DimValue.finite(0)
-    else:
-        g = hm.global_dimension(Abar, cutoff=cutoff)
-        cert["quotient_gl_dim"] = g
-        if g.kind == "infinite":
-            raise InfiniteQuotientGlobalDimension(
-                f"gl.dim(A/<f>) certified infinite: {g.note}")
-        if g.kind == "at_least":
-            raise QfabError(f"gl.dim(A/<f>) undecided below cutoff {cutoff}")
+    g = hm.global_dimension(Abar, cutoff=cutoff)
+    cert = {"quotient_gl_dim": g}
+    if g.kind == "infinite":
+        raise InfiniteQuotientGlobalDimension(
+            f"gl.dim(A/<f>) certified infinite: {g.note}")
+    if g.kind == "at_least":
+        raise QfabError(f"gl.dim(A/<f>) undecided below cutoff {cutoff}")
     C = corner(A, F)
     fA = md.restrict_to_corner(md.regular_module(A), C)
     pdim = hm.proj_dim(fA, cutoff=cutoff)
     cert["corner_proj_dim_fA"] = pdim
     if pdim.kind == "infinite":
-        raise CornerProjDimUnbounded(f"proj.dim_fAf(fA) certified infinite")
+        raise CornerProjDimUnbounded("proj.dim_fAf(fA) certified infinite")
     if pdim.kind == "at_least":
         raise QfabError(f"proj.dim_fAf(fA) undecided below cutoff {cutoff}")
     cert["singular_equivalence"] = True

@@ -74,7 +74,7 @@ def _commutator_relations(Q, arrows_by_label):
     for lbl in labels:
         for a in arrows_by_label[lbl]:
             arrow_from[(lbl, a.source)] = a
-    for v in [v.id for v in Q.vertices]:
+    for v in Q.vertices:
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
                 p, q = labels[i], labels[j]

@@ -165,9 +165,6 @@ def projective_cover(M):
     A = M.algebra
     F = A.field
     summand_data = _top(M)
-    if not summand_data:
-        Z = zero_module(A)
-        return Z, ModuleMap.zero(Z, M), []
     P, pos = free_module(A, [A.vertices[v] for v, _ in summand_data])
     zero_cols = [(F.zero,) * d for d in M.dims]
     cols = [[z] * n for z, n in zip(zero_cols, P.dims)]

@@ -64,10 +64,10 @@ class Matrix:
         self.field = field
 
     @staticmethod
-    def from_rows(rows, field=QQ, cols=None):
+    def from_rows(rows, field=QQ):
         rows = [list(r) for r in rows]
         n = len(rows)
-        m = len(rows[0]) if rows else (cols if cols is not None else 0)
+        m = len(rows[0]) if rows else 0
         coerced = [[field.coerce(x) for x in r] for r in rows]
         return Matrix(n, m, coerced, field)
 
@@ -122,9 +122,6 @@ class Matrix:
             self.field,
         )
 
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
-
     def scale(self, c):
         if not self.rows or not self.cols:
             return self
@@ -132,23 +129,21 @@ class Matrix:
                       [[c * x if x else x for x in r] for r in self.data], self.field)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            if not self.rows or not self.cols or not other.cols:
-                return Matrix.zero(self.rows, other.cols, self.field)
-            z = self.field.zero
-            right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
-            out = []
-            for r in self.data:
-                row = [z] * other.cols
-                for a, nz in zip(r, right):
-                    if a:
-                        for j, b in nz:
-                            row[j] = row[j] + a * b
-                out.append(row)
-            return Matrix(self.rows, other.cols, out, self.field)
-        return self.scale(other)
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        if not self.rows or not self.cols or not other.cols:
+            return Matrix.zero(self.rows, other.cols, self.field)
+        z = self.field.zero
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        out = []
+        for r in self.data:
+            row = [z] * other.cols
+            for a, nz in zip(r, right):
+                if a:
+                    for j, b in nz:
+                        row[j] = row[j] + a * b
+            out.append(row)
+        return Matrix(self.rows, other.cols, out, self.field)
 
     def apply(self, vec):
         """Matrix times a column vector (list)."""

@@ -88,9 +88,6 @@ class Representation:
     def total_dim(self):
         return sum(self.dims)
 
-    def is_zero(self):
-        return self.total_dim == 0
-
     def __repr__(self):
         return f"Representation(dim {list(self.dims)})"
 
@@ -557,7 +554,7 @@ def radical_submodule(M):
 
 def top(M):
     """M/rad(M) with the projection."""
-    R, inc = radical_submodule(M)
+    _, inc = radical_submodule(M)
     return cokernel(inc)
 
 
@@ -852,8 +849,7 @@ def standard_module(A, kind, vertex_id):
     """The simple, projective or injective module at a vertex; an unknown
     kind or vertex is an ``InputError``."""
     make = {"simple": simple_module, "proj": projective_module,
-            "projective": projective_module, "inj": injective_module,
-            "injective": injective_module}.get(kind)
+            "inj": injective_module}.get(kind)
     if make is None:
         raise InputError(f"unknown module kind {kind!r}: expected "
                          f"simple|proj|inj:<vertex>")

@@ -115,7 +115,6 @@ def higher_nakayama(n, entries, field=None):
     if n == 1:
         return _ordinary_nakayama(series, field)
     verts = nak_vertices(n, series)
-    vset = set(verts)
     k = series.k
     labels = [vertex_label(v) for v in verts]
     if len(set(labels)) != len(labels):
@@ -205,9 +204,11 @@ def _ordinary_nakayama(series, field=None):
 # ---------------------------------------------------------------------------
 
 
-def kupisch_reduce(n, entries, with_detail=False):
-    """One contraction round on the series; None when the result leaves the
-    Kupisch axioms (the corner is then acyclic with trivial singularity).
+def kupisch_reduce(n, entries):
+    """One contraction round on the series: ``(reduced, detail)``, where
+    ``reduced`` is None when the result leaves the Kupisch axioms (the
+    corner is then acyclic with trivial singularity) and ``detail`` maps each
+    position i to (its subset, its new entry).
 
     Hypotheses (HypothesisViolated otherwise): l_0 != 1, l_{k-1} <= l_0 and
     l_1 < l_0; constant series are fixed points handled by the caller.
@@ -219,9 +220,9 @@ def kupisch_reduce(n, entries, with_detail=False):
         raise HypothesisViolated("l_0 = 1 has trivial singularity; no reduction")
     if series.is_constant():
         raise HypothesisViolated("constant series are terminal")
-    if k >= 2 and not (ls[-1] <= ls[0] and ls[1] < ls[0]):
+    if not _meets_hypotheses(ls):
         raise HypothesisViolated(
-            f"need l_(k-1) <= l_0 and l_1 < l_0; rotate the series first")
+            "need l_(k-1) <= l_0 and l_1 < l_0; rotate the series first")
     detail = {0: (None, 0)}
     for i in range(1, k):
         subset = [i]
@@ -243,9 +244,7 @@ def kupisch_reduce(n, entries, with_detail=False):
             result = validate_kupisch(reduced)
         except AxiomViolation:
             result = None
-    if with_detail:
-        return result, detail
-    return result
+    return result, detail
 
 
 def coordinate_rank_map(k):
@@ -351,7 +350,7 @@ def reduce_to_selfinjective(n, entries, cutoff=24):
             trace.stages.append(StageRecord(round_no, j, tuple(fverts), C.dim,
                                             fabric_e, cert))
             stage = C
-        reduced, detail = kupisch_reduce(n, series, with_detail=True)
+        reduced, detail = kupisch_reduce(n, series)
         trace.rounds.append({"round": round_no, "series": series,
                              "reduced": reduced, "detail": detail})
         if reduced is None:
@@ -378,17 +377,21 @@ def _end_trivial(trace, terminal, series, cutoff, expected):
     return trace
 
 
+def _meets_hypotheses(ls):
+    """Do the entries meet the hypotheses k >= 2, l_(k-1) <= l_0 and l_1 < l_0?"""
+    return len(ls) >= 2 and ls[-1] <= ls[0] and ls[1] < ls[0]
+
+
 def _rotation_for_hypotheses(series):
     """Rotate a non-constant series so l_0 is a strict local maximum from the
     right (l_1 < l_0, l_(k-1) <= l_0); rotations relabel the algebra."""
     ls = series.entries
-    k = series.k
-    if k >= 2 and ls[-1] <= ls[0] and ls[1] < ls[0]:
+    if _meets_hypotheses(ls):
         return series
     mx = max(ls)
-    for r in range(k):
+    for r in range(series.k):
         rot = ls[r:] + ls[:r]
-        if rot[0] == mx and rot[1 % k] < mx and rot[-1] <= mx and is_valid_kupisch(rot):
+        if rot[0] == mx and _meets_hypotheses(rot) and is_valid_kupisch(rot):
             return KupischSeries(rot)
     raise HypothesisViolated(f"no rotation of {series} satisfies the hypotheses")
 

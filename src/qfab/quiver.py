@@ -16,11 +16,6 @@ from .errors import QfabError
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: str
-
-
-@dataclass(frozen=True)
 class Arrow:
     id: str
     source: str
@@ -31,14 +26,14 @@ class Quiver:
     """A finite directed multigraph with string vertex/arrow ids."""
 
     def __init__(self, vertices, arrows):
-        self.vertices = [v if isinstance(v, Vertex) else Vertex(str(v)) for v in vertices]
+        self.vertices = [str(v) for v in vertices]
         self.arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
         seen = set()
         for v in self.vertices:
-            if v.id in seen:
-                raise QfabError(f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-        self.vertex_index = {v.id: i for i, v in enumerate(self.vertices)}
+            if v in seen:
+                raise QfabError(f"duplicate vertex id {v!r}")
+            seen.add(v)
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         seen = set()
         for a in self.arrows:
             if a.id in seen:
@@ -61,29 +56,24 @@ class Quiver:
 
 
 class PathWord:
-    """A composable sequence of arrows of a fixed quiver.
+    """A composable, non-empty sequence of arrows of a fixed quiver.
 
-    ``arrows`` holds arrow indices in application order.  The empty word at a
-    vertex is the stationary path (the vertex idempotent).
+    ``arrows`` holds arrow indices in application order.
     """
 
     __slots__ = ("quiver", "arrows", "source", "target")
 
-    def __init__(self, quiver, arrows, vertex=None):
+    def __init__(self, quiver, arrows):
         self.quiver = quiver
         self.arrows = tuple(arrows)
         if not self.arrows:
-            if vertex is None:
-                raise QfabError("a stationary path needs a vertex")
-            self.source = vertex
-            self.target = vertex
-        else:
-            arrs = [quiver.arrows[i] for i in self.arrows]
-            for x, y in zip(arrs, arrs[1:]):
-                if x.target != y.source:
-                    raise QfabError(f"arrows {x.id!r}, {y.id!r} do not compose")
-            self.source = arrs[0].source
-            self.target = arrs[-1].target
+            raise QfabError("a path word needs at least one arrow")
+        arrs = [quiver.arrows[i] for i in self.arrows]
+        for x, y in zip(arrs, arrs[1:]):
+            if x.target != y.source:
+                raise QfabError(f"arrows {x.id!r}, {y.id!r} do not compose")
+        self.source = arrs[0].source
+        self.target = arrs[-1].target
 
     @property
     def length(self):
@@ -100,8 +90,6 @@ class PathWord:
         return hash((self.arrows, self.source))
 
     def __repr__(self):
-        if not self.arrows:
-            return f"e_{self.source}"
         return "*".join(self.quiver.arrows[i].id for i in reversed(self.arrows))
 
 
@@ -161,10 +149,8 @@ class Presentation:
         return 2 + self.quiver.n_arrows * self.max_relation_length()
 
 
-def path(quiver, *arrow_ids, at=None):
+def path(quiver, *arrow_ids):
     """Build a PathWord from arrow ids listed in application order."""
-    if not arrow_ids:
-        return PathWord(quiver, (), vertex=at)
     return PathWord(quiver, tuple(quiver.arrow_index[a] for a in arrow_ids))
 
 

@@ -132,7 +132,7 @@ def print_presentation(pres, field=QQ):
     else:
         out.append("field Q")
     for v in pres.quiver.vertices:
-        out.append(f"vertex {v.id}")
+        out.append(f"vertex {v}")
     for a in pres.quiver.arrows:
         out.append(f"arrow {a.id}: {a.source} -> {a.target}")
     for rel in pres.relations:
@@ -160,7 +160,7 @@ def export_dot(obj, name="quiver"):
         pres = obj if isinstance(obj, _P) else None
         Q = obj.quiver if pres is not None else obj
         for v in Q.vertices:
-            lines.append(f'  "{v.id}";')
+            lines.append(f'  "{v}";')
         for a in Q.arrows:
             lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.id}"];')
         if pres is not None:

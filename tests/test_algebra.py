@@ -22,6 +22,16 @@ def test_one_vertex_no_arrows():
     A.validate()
 
 
+def test_quiver_vertices_are_ids_and_a_path_word_needs_an_arrow():
+    Q = Quiver([1, "2"], [("a", "1", "2")])
+    assert Q.vertices == ["1", "2"] and Q.vertex_index == {"1": 0, "2": 1}
+    assert repr(path(Q, "a")) == "a"
+    with pytest.raises(QfabError, match="at least one arrow"):
+        path(Q)
+    with pytest.raises(QfabError, match="duplicate vertex id '1'"):
+        Quiver(["1", 1], [])
+
+
 def test_preprojective_a2_dimension_and_basis():
     A = build_algebra(fixture("preprojective-a2"))
     assert A.dim == 4

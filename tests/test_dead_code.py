@@ -1,13 +1,16 @@
 """No dead code: every module-level function of ``qfab.linalg``, every
 method of ``Subspace`` and ``Span``, and every module-level private
 ``_function`` of the package is used somewhere in the package, every
-parameter of every function is read in its body, and every ``__slots__``
-field of a class is read outside the class's ``__init__``."""
+parameter and every local of every function is read in its body, every
+``__slots__`` field of a class is read outside the class's ``__init__``, and
+every option of a ``qfab`` command is read by the function that runs it."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import qfab
+from qfab import cli
 from test_knobs import UNREAD_SEEDS
 
 SRC = Path(qfab.__file__).parent
@@ -117,4 +120,70 @@ def test_every_slot_is_read_outside_its_init():
                                for name in ast.literal_eval(stmt.value)]
     assert {"homology._Step.next_verts", "linalg.Matrix.data"} <= {label for label, *_ in fields}
     unread = [label for label, name, init in fields if not _attribute_read(name, init)]
+    assert unread == []
+
+
+def test_every_local_is_read():
+    """A name a function assigns (``_`` aside) is read in that function or
+    in a function nested in it."""
+    unread, seen = [], 0
+    for mod, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = [n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)]
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            stored = {n.id for n in names if isinstance(n.ctx, ast.Store)} - {"_"}
+            seen += len(stored)
+            unread += [f"{mod}.{getattr(node, 'name', '<lambda>')}({name})"
+                       for name in sorted(stored - read)]
+    assert seen > 1000
+    assert unread == []
+
+
+class _Parsed(Exception):
+    """Raised in place of parsing, to hand ``qfab.cli.main``'s parser out."""
+
+
+def _cli_parser(monkeypatch):
+    """The argument parser that ``qfab.cli.main`` builds."""
+    def capture(self, *args, **kwargs):
+        raise _Parsed(self)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    try:
+        cli.main([])
+    except _Parsed as caught:
+        return caught.args[0]
+    raise AssertionError("qfab.cli.main parsed no arguments")
+
+
+def _args_read(fn, defs):
+    """The ``args.<dest>`` attributes that the cli function ``fn`` loads,
+    with those of the cli functions it hands ``args`` to."""
+    read = set()
+    for node in ast.walk(defs[fn]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args" and isinstance(node.ctx, ast.Load)):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in defs and node.func.id != fn
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            read |= _args_read(node.func.id, defs)
+    return read
+
+
+def test_every_cli_option_is_read_by_its_command(monkeypatch):
+    parser = _cli_parser(monkeypatch)
+    defs = {node.name: node for node in TREES["cli"].body
+            if isinstance(node, ast.FunctionDef)}
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"build", "analyze", "fabric", "nakayama", "resolve"}
+    unread = []
+    for name, sub in sorted(commands.items()):
+        fn = sub.get_default("fn").__name__
+        read = _args_read(fn, defs)
+        unread += [f"{name} --{a.dest}" for a in sub._actions
+                   if a.dest != "help" and a.dest not in read]
     assert unread == []

@@ -88,6 +88,12 @@ def test_singular_reduction_double_triangle(double_triangle):
     assert cert["quotient_gl_dim"].is_finite
     assert cert["corner_proj_dim_fA"].is_finite
     assert cert["singular_equivalence"] is True
+    # f = 1: the quotient A/<f> is the zero algebra and the corner is A
+    C, cert = fb.singular_reduction(double_triangle, list(double_triangle.vertices))
+    assert C.dim == double_triangle.dim
+    assert cert == {"quotient_gl_dim": hm.DimValue.finite(0),
+                    "corner_proj_dim_fA": hm.DimValue.finite(0),
+                    "singular_equivalence": True}
 
 
 def test_cofabric_is_fabric_on_the_opposite(double_triangle, two_ag):

@@ -107,6 +107,18 @@ def test_dot_export_resolution(double_triangle):
     assert "P_3" in dot and "shape=box" in dot
 
 
+def test_dot_export_coresolution(double_triangle):
+    from qfab import modules as md, homology as hm
+    res = hm.minimal_resolution(md.projective_module(double_triangle, "3"),
+                                "injective", cutoff=4)
+    assert res.term_vertices == [["1", "4"], ["3"]]
+    dot = export_dot(res)
+    assert '  t0 [label="I_1 + I_4", shape=box];' in dot
+    assert '  t1 [label="I_3", shape=box];' in dot
+    assert "  t0 -> t1;" in dot
+    assert "P_" not in dot and "t1 -> t0" not in dot
+
+
 def test_report_document_stable():
     doc = ReportDocument("t")
     doc.add("b", 2)
@@ -208,6 +220,17 @@ def test_cli_resolve(tmp_path):
     assert r.returncode == 0
     assert "term 0" in r.stdout
     assert out.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "fixture:double-triangle"],
+    ["resolve", "fixture:double-triangle", "--module", "simple:3"],
+], ids=["build", "resolve"])
+def test_cli_takes_no_cutoff_where_none_is_read(args):
+    r = _run_cli(*args, "--cutoff", "3")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --cutoff 3" in r.stderr
+    assert r.stdout == ""
 
 
 def test_cli_input_error_exit_code():

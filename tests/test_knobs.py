@@ -14,7 +14,7 @@ SRC = Path(qfab.__file__).parent
 UNREAD_SEEDS = {"homology.minimal_resolution", "homology.ext_dim",
                 "homology.ar_translate"}
 # Parameters with a literal True/False default, as module.function(parameter).
-BOOLEAN_KNOBS = {"modules.validate(full)", "nakayama.kupisch_reduce(with_detail)"}
+BOOLEAN_KNOBS = {"modules.validate(full)"}
 
 
 def test_no_function_takes_or_passes_a_seed():

@@ -13,7 +13,7 @@ from qfab.field import QQ, PrimeField
 from qfab.fixtures import fixture
 from qfab.linalg import Matrix, from_columns, kernel_basis, rank, unit_vectors
 from qfab.quiver import Presentation, Quiver, path, relation
-from qfab.errors import (DimensionMismatch, NotQuotientModule, QfabError,
+from qfab.errors import (DimensionMismatch, InputError, NotQuotientModule, QfabError,
                          SummandsNotDistinct, SummandDecomposable)
 
 
@@ -508,6 +508,14 @@ def test_gen_mats_hold_exactly_the_supported_generators(name, field):
         assert set(M.gen_mats) == {g for g in A.generators if
                                    M.dims[A.basis[g].source] and M.dims[A.basis[g].target]}
         assert all(m.rows and m.cols for m in M.gen_mats.values())
+
+
+@pytest.mark.parametrize("kind", ["projective", "injective"])
+def test_standard_module_kinds_are_simple_proj_inj(double_triangle, kind):
+    with pytest.raises(InputError) as exc:
+        md.standard_module(double_triangle, kind, "3")
+    assert str(exc.value) == (f"unknown module kind {kind!r}: expected "
+                              f"simple|proj|inj:<vertex>")
 
 
 def _block_sum_by_definition(summands, g):

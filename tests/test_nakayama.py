@@ -9,7 +9,7 @@ from qfab.nakayama import (KupischSeries, validate_kupisch, higher_nakayama,
                            kupisch_reduce, contraction_pass,
                            reduce_to_selfinjective, coordinate_rank_map,
                            nak_vertices, vertex_label, ReductionTrace,
-                           _cross_check_corner)
+                           _cross_check_corner, _rotation_for_hypotheses)
 from qfab.quiver import Presentation, Relation
 
 
@@ -68,7 +68,7 @@ def test_line_series_finite_global_dimension():
 
 
 def test_kupisch_reduce_4333():
-    red, detail = kupisch_reduce(2, (4, 3, 3, 3), with_detail=True)
+    red, detail = kupisch_reduce(2, (4, 3, 3, 3))
     assert red.entries == (2, 2, 2)
     assert detail[1] == ((1, 2), 2)
     assert detail[2] == ((2, 3), 2)
@@ -78,7 +78,7 @@ def test_kupisch_reduce_4333():
 def test_kupisch_reduce_golden_n1():
     # straight-from-formula evaluation: (3,2,2) at n=1 yields raw counts
     # (0,2,1); dropping the zero leaves (2,1) which is not a Kupisch series
-    red = kupisch_reduce(1, (3, 2, 2))
+    red, _ = kupisch_reduce(1, (3, 2, 2))
     assert red is None
 
 
@@ -87,6 +87,17 @@ def test_kupisch_reduce_hypotheses():
         kupisch_reduce(2, (2, 2, 2))
     with pytest.raises(HypothesisViolated):
         kupisch_reduce(2, (1, 2, 2))
+
+
+@pytest.mark.parametrize("entries, rotated", [((3, 4, 4), (4, 3, 4)),
+                                              ((4, 4, 3, 3), (4, 3, 3, 4))])
+def test_kupisch_reduce_takes_the_rotation_that_meets_its_hypotheses(entries, rotated):
+    series = validate_kupisch(entries)
+    with pytest.raises(HypothesisViolated, match="rotate the series first"):
+        kupisch_reduce(2, series)
+    rot = _rotation_for_hypotheses(series)
+    assert rot.entries == rotated
+    assert kupisch_reduce(2, rot)[1][0] == (None, 0)
 
 
 def test_contraction_pass_selects_by_coordinate():
