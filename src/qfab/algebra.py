@@ -99,9 +99,6 @@ class FDAlgebra:
     def radical_indices(self):
         return [i for i, b in enumerate(self.basis) if b.length >= 1]
 
-    def is_zero(self):
-        return self.dim == 0
-
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
         return f"FDAlgebra({self.n_vertices} vertices, dim {self.dim}{nm})"

@@ -343,7 +343,7 @@ def special_tilting_module(A, F, E, cutoff=12):
     for w in A.vertices:
         if w in Eset:
             continue
-        dims = tuple(md.projective_layout(A, [w])[0])
+        dims = md.FreeModule(A, [w]).dims
         found = None
         for v in projs:
             if v in used:

@@ -58,15 +58,15 @@ p above twice the syzygy's dimension, ``is_isomorphic`` is exact; over a
 smaller F_p it tries a pencil of Hom maps before it can answer
 "undecided", and a period it misses there leaves ``>=cutoff``.
 
-A free module + Ae_v is built here, by ``modules.free_module``, only as a
-cover term ``P``, which the step keeps.  Every other free module is an
-intermediate and stays its coordinates, a ``modules.FreeLayout``: the
-syzygy K is a submodule of the layout of P, and Hom(d, A) maps the
-op-layout over ``verts`` to the one over ``next_verts``, whose quotient is
-the transpose and whose kernel gives nu.  A generator acts on a layout
-through A's product table, so none of them builds generator matrices, a
-projection or an inclusion.  ``modules.projective_layout`` is the single
-source of free-module coordinates.
+Every free module + Ae_v here is a ``modules.FreeModule``: its
+coordinates, with an ``act`` that reads A's product table, and generator
+matrices built only when something reads ``gen_mats``.  The cover term P of
+a step is one: the syzygy K is a submodule of P read through ``act``, and
+``d`` locates its images by ``P.at``.  Hom(d, A) maps the free op-module
+over ``verts`` to the one over ``next_verts``; its quotient is the
+transpose and its kernel gives nu.  No resolution step, transpose or
+Nakayama functor builds the generator matrices of a free module, a
+projection or an inclusion.
 
 A resolution step costs what the module costs, not what the algebra costs.
 Blocks with a zero side are never computed (see ``modules``), and
@@ -85,9 +85,8 @@ from .algebra import quotient_by_idempotent_ideal
 from .linalg import Matrix, _kernel, from_columns, rank
 from .errors import QfabError, NotGorensteinCertified
 from . import modules as md
-from .modules import (ModuleMap, Representation, _top, dual_module,
-                      free_module, injective_module, is_isomorphic,
-                      simple_module, zero_module)
+from .modules import (FreeModule, ModuleMap, Representation, _top, dual_module,
+                      injective_module, is_isomorphic, simple_module, zero_module)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +164,11 @@ def projective_cover(M):
     A = M.algebra
     F = A.field
     summand_data = _top(M)
-    P, pos = free_module(A, [A.vertices[v] for v, _ in summand_data])
+    P = FreeModule(A, [A.vertices[v] for v, _ in summand_data])
     zero_cols = [(F.zero,) * d for d in M.dims]
     cols = [[z] * n for z, n in zip(zero_cols, P.dims)]
     walks = {}
-    for (v, c), slots in zip(summand_data, pos):
+    for (v, c), slots in zip(summand_data, P.pos):
         walk = walks.get(v)
         if walk is None:
             walk = walks[v] = sorted(slots, key=lambda i: A.basis[i].length)
@@ -222,32 +221,31 @@ class _Step:
     in P when the step is made.
 
     ``bases[v]`` is the kernel basis of the cover at v, an echelon basis
-    with its unit coordinates.  K's generator matrices are read off A's
-    product table applied to it (``modules.FreeLayout`` over ``verts``), not
-    off P's generator matrices.
+    with its unit coordinates.  K's generator matrices are read off P's
+    ``act``, A's product table, not off generator matrices of P.
 
     ``d`` lists (r, s, i, c), by r and then by k: the generator of summand r
     of K's cover is the unit vector at the r-th top coordinate (v, col) of
-    K, and its image, basis vector col at v, has c at the coordinate k where
-    ``projective_layout`` puts basis element i of A in summand s of P.  The
-    image is the sum of these c * (i in summand s).  A projective M has
+    K, and its image, basis vector col at v, has c at the coordinate k of P
+    that holds basis element i of A in summand s (``P.at[v][k] = (s, i)``).
+    The image is the sum of these c * (i in summand s).  A projective M has
     ``next_verts`` and d empty.  A step keeps neither the basis nor any
     reference to M.
 
-    ``P`` is kept although the step reads only its layout: ``Resolution.terms``
-    reads it, and the objects a step holds set where the cyclic collector's
-    full collections fall on a long pass; a step without ``P`` moved the
-    first one of a ``reduce`` pass into its median operation (ROADMAP)."""
+    ``P`` is kept, as its coordinates: its generator matrices are built
+    only if a reader of ``Resolution.terms`` asks for them.  The terms read
+    it, and the objects a step holds set where the cyclic collector's full
+    collections fall on a long pass: a step without ``P`` moved the first
+    one of a ``reduce`` pass into its median operation (ROADMAP)."""
 
     __slots__ = ("P", "verts", "K", "next_verts", "d")
 
     def __init__(self, P, verts, bases):
         self.P, self.verts = P, verts
-        layout = md.FreeLayout(P.algebra, verts)
-        self.K, _ = md._sub_representation(layout, bases)
+        self.K = md._sub_representation(P, bases)
         top = _top(self.K)
         self.next_verts = [P.algebra.vertices[v] for v, _ in top]
-        self.d = [(r, *layout.at[v][k], c) for r, (v, col) in enumerate(top)
+        self.d = [(r, *P.at[v][k], c) for r, (v, col) in enumerate(top)
                   for k, c in enumerate(bases[v][0][col]) if c]
 
 
@@ -351,10 +349,8 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
 
 
 def extend_resolution(res, n_terms):
-    """Mechanically grow a resolution to n_terms terms.
-
-    Used to evaluate the Hom complex at degrees beyond an early periodicity
-    break; the status flag is left untouched.
+    """Mechanically grow a resolution to n_terms terms, past an early
+    periodicity break too; the status flag is left untouched.
     """
     steps = res.steps
     K = steps[-1].K if steps else res.module
@@ -410,17 +406,18 @@ def _ext_from_resolution(res, N, i):
         start, p = res.period
         if i >= len(steps):  # so i > start
             i = start + 1 + (i - start - 1) % p
-        # a periodic resolution never ends, so this lists step i
-        extend_resolution(res, i + 1)
     elif i >= len(steps):
         if res.status == "terminated":
             return 0
         raise QfabError("resolution truncated below requested Ext degree")
-    _, dim_i = _hom_offsets(steps[i].verts, N)
+    # i is at most one past the listed steps of a periodic resolution, which
+    # never ends: that step comes from the step memo, and res is left as is
+    step = steps[i] if i < len(steps) else _step(steps[-1].K)
+    _, dim_i = _hom_offsets(step.verts, N)
     if dim_i == 0:
         return 0
     rank_in = rank(_hom_complex_matrix(steps[i - 1], N)) if i else 0
-    return dim_i - rank_in - rank(_hom_complex_matrix(steps[i], N))
+    return dim_i - rank_in - rank(_hom_complex_matrix(step, N))
 
 
 def ext_vanishes_upto(M, N, n, resolution=None):
@@ -517,8 +514,8 @@ def transpose(M):
     """Tr(M) over the opposite algebra: the cokernel of Hom(d, A) for the
     minimal presentation d of M, its step; zero when M is projective.  It
     is the quotient of the free op-module over ``step.next_verts`` by the
-    column spans of Hom(d, A), on its layout: no free module and no
-    projection is built."""
+    column spans of Hom(d, A), read through its ``act``: no generator matrix
+    of a free module and no projection is built."""
     step = _step(M)
     if not step.next_verts:
         return zero_module(M.algebra.opposite())
@@ -531,11 +528,11 @@ def _dual_presentation_map(A, step):
     as (H0, H1, matrices by vertex).
 
     Hom(+ Ae_v, A) = + e_v A is the free op-module over the same vertices,
-    so H0 and H1 are the op-layouts (``modules.FreeLayout``) over
-    ``step.verts`` and ``step.next_verts``, and no free module is built.
+    so H0 and H1 are the ``FreeModule``s over A^op on ``step.verts`` and
+    ``step.next_verts``, and the matrices are read off their ``pos``.
     """
     op = A.opposite()
-    H0, H1 = md.FreeLayout(op, step.verts), md.FreeLayout(op, step.next_verts)
+    H0, H1 = FreeModule(op, step.verts), FreeModule(op, step.next_verts)
     mats = [[[A.field.zero] * d0 for _ in range(d1)] for d0, d1 in zip(H0.dims, H1.dims)]
     for r, s, i, c in step.d:
         # y_s -> c * (i . y_s): left multiplication by i, e_{v_s} A -> e_{v_r} A
@@ -563,9 +560,9 @@ def ar_translate_inverse(M):
 def nakayama_functor(M):
     """nu(M) = D Hom(M, A).  Hom(-, A) is left exact, so Hom(M, A) is the
     kernel of Hom(d, A) for a minimal presentation d of M, a submodule of
-    the free op-module over ``step.verts`` read on its layout."""
+    the free op-module over ``step.verts`` read through its ``act``."""
     H0, _, mats = _dual_presentation_map(M.algebra, _step(M))
-    return dual_module(md._sub_representation(H0, [_kernel(m) for m in mats])[0])
+    return dual_module(md._sub_representation(H0, [_kernel(m) for m in mats]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,34 +8,37 @@ computation (kernels, images, homs) remains exact linear algebra.
 
 Modules are small and live on a few vertices, so most blocks have a zero
 side.  Such a block is never computed: ``Representation.action`` returns the
-shared ``Matrix.zero`` for it, and ``free_module``, ``cokernel``,
-``direct_sum`` and ``dual_module`` build nothing for it.  ``radical_spaces`` reads only ``gen_mats``, and ``socle``,
-``submodule_generated_by``, ``hom_space``, ``restrict_to_corner`` and
-``inflate_from_quotient`` read only the generators leaving a non-zero
-vertex, through ``FDAlgebra.generators_from``.  A module costs its
-support: ``Representation.gen_mats`` holds exactly the generators whose
-source and target spaces are both non-zero.  The constructor checks the
-shape of every matrix it is given, drops those with a zero side, and fills
-in a shared zero for a supported generator left out.
-``_supported_generators`` lists those generators, through
-``FDAlgebra.generators_from`` at the non-zero vertices.
+shared ``Matrix.zero`` for it, and ``FreeModule``, ``cokernel``,
+``direct_sum`` and ``dual_module`` build nothing for it.  ``radical_spaces``
+reads only ``gen_mats``, and ``socle``, ``submodule_generated_by``,
+``hom_space``, ``restrict_to_corner`` and ``inflate_from_quotient`` read
+only the generators leaving a non-zero vertex, through
+``FDAlgebra.generators_from``.  A module costs its support:
+``Representation.gen_mats`` holds exactly the generators whose source and
+target spaces are both non-zero.  The constructor checks the shape of every
+matrix it is given, drops those with a zero side, and fills in a shared
+zero for a supported generator left out.  ``_supported_generators`` lists
+those generators, through ``FDAlgebra.generators_from`` at the non-zero
+vertices.
 
-A submodule is handed to ``_sub_representation`` as an echelon basis per
-vertex with its unit coordinates: the pivots of a ``Subspace`` (``image``,
-``radical_submodule``, ``submodule_generated_by``) or the free columns of a
-kernel basis (``kernel``, ``socle``).  The basis matrix is the identity at
-those rows, so the coordinates of a vector of the span are its entries
-there: submodules read their generator matrices off the images and never
-solve a linear system.  A quotient is handed to ``_quotient`` as one
-``Subspace`` per vertex, and lives on the coordinates off its pivots.
+A submodule is handed to ``_sub_representation`` (``_submodule`` adds its
+inclusion) as an echelon basis per vertex with its unit coordinates: the
+pivots of a ``Subspace`` (``image``, ``radical_submodule``,
+``submodule_generated_by``) or the free columns of a kernel basis
+(``kernel``, ``socle``).  The basis matrix is the identity at those rows,
+so the coordinates of a vector of the span are its entries there:
+submodules read their generator matrices off the images and never solve a
+linear system.  A quotient is handed to ``_quotient`` as one ``Subspace``
+per vertex, and lives on the coordinates off its pivots.
 
 Both routines take the images of their vectors from the ambient's ``act``.
-The ambient is a ``Representation``, which multiplies by its generator
-matrices, or a ``FreeLayout``: a free module + Ae_v that is only an
-intermediate (a syzygy's cover term, Hom(P, A) in a presentation) is its
-``projective_layout`` coordinates, and a generator acts on them through A's
-product table, g . (s, i) = sum_j mult(g, i)[j] (s, j), sparsely, with none
-of the module's generator matrices built.
+A ``Representation`` multiplies by its generator matrices.  A free module
++ Ae_v is one object, ``FreeModule``: its coordinates (``pos`` and their
+inverse ``at``) and an ``act`` that reads A's product table,
+g . (s, i) = sum_j mult(g, i)[j] (s, j), sparsely.  Its generator matrices
+are built only when ``gen_mats`` is read, so a free module that is only an
+intermediate (a syzygy's cover term, Hom(P, A) in a presentation) never
+builds them.
 """
 
 from __future__ import annotations
@@ -249,45 +252,60 @@ def simple_module(A, vertex_id):
     return Representation(A, dims, {})
 
 
-def projective_layout(A, vertex_ids):
-    """Coordinates of the free module + Ae_{v_s} over the listed vertices.
+class FreeModule(Representation):
+    """The free module + Ae_v over the listed vertices.
 
-    Returns ``(dims, pos)``: ``pos[s][i] = (w, k)`` puts basis element i of A
-    (source ``vertex_ids[s]``) of summand s at coordinate k of the vertex-w
-    space.  Coordinates run by vertex w, then summand s, then
-    ``A.by_source`` order, the block order of ``direct_sum``.  A vertex may
-    be listed more than once.
-    """
-    dims = [0] * A.n_vertices
-    pos = []
-    for v in vertex_ids:
-        slots = {}
-        for i in A.by_source(A.vertex_pos[v]):
-            w = A.basis[i].target
-            slots[i] = (w, dims[w])
-            dims[w] += 1
-        pos.append(slots)
-    return dims, pos
+    ``pos[s][i] = (w, k)`` puts basis element i of A (source ``vertex_ids[s]``)
+    of summand s at coordinate k of the vertex-w space, and
+    ``at[w][k] = (s, i)`` inverts it.  Coordinates run by vertex w, then
+    summand s, then ``A.by_source`` order, the block order of
+    ``direct_sum``.  A vertex may be listed more than once.
 
-
-class FreeLayout:
-    """The free module + Ae_v over the listed vertices as coordinates alone.
-
-    ``dims`` and ``pos`` are ``projective_layout``'s, and ``at[w][k] = (s, i)``
-    inverts ``pos``.  A map of free modules is fixed by its generator images
-    (Green, Solberg and Zacharia, Trans. AMS 353, 2001), so ``act`` reads
+    A map of free modules is fixed by its generator images (Green, Solberg
+    and Zacharia, Trans. AMS 353, 2001), so ``act`` reads
     g . (s, i) = sum_j mult(g, i)[j] (s, j) off A's product table, touching
-    only the non-zero entries, and no generator matrix is built."""
-
-    __slots__ = ("algebra", "dims", "pos", "at")
+    only the non-zero entries.  The generator matrices are built from the
+    same table when ``gen_mats`` is first read, and never when only ``act``
+    and the coordinates are."""
 
     def __init__(self, A, vertex_ids):
         self.algebra = A
-        self.dims, self.pos = projective_layout(A, vertex_ids)
-        self.at = [[None] * d for d in self.dims]
-        for s, slots in enumerate(self.pos):
-            for i, (w, k) in slots.items():
-                self.at[w][k] = s, i
+        dims = [0] * A.n_vertices
+        self.pos, self.at = [], [[] for _ in dims]
+        for s, v in enumerate(vertex_ids):
+            slots = {}
+            for i in A.by_source(A.vertex_pos[v]):
+                w = A.basis[i].target
+                slots[i] = (w, dims[w])
+                self.at[w].append((s, i))
+                dims[w] += 1
+            self.pos.append(slots)
+        self.dims = tuple(dims)
+        self._gen_mats = None
+        self._action = {}
+        self._top = None
+
+    @property
+    def gen_mats(self):
+        """The generator matrices, built from A's product table when first
+        read."""
+        if self._gen_mats is None:
+            A, dims = self.algebra, self.dims
+            zero = A.field.zero
+            leaving = [[] for _ in dims]  # supported generators by source vertex
+            rows = {}
+            for g, v, t in _supported_generators(A, dims):
+                leaving[v].append(g)
+                rows[g] = [[zero] * dims[v] for _ in range(dims[t])]
+            for slots in self.pos:
+                for i, (w, k) in slots.items():
+                    for g in leaving[w]:
+                        m = rows[g]
+                        for j, c in A.mult(g, i).items():
+                            m[slots[j][1]][k] = c
+            self._gen_mats = {g: Matrix(len(m), dims[A.basis[g].source], m, A.field)
+                              for g, m in rows.items()}
+        return self._gen_mats
 
     def act(self, g, cols):
         """Generator g applied to the vectors ``cols`` at its source: their
@@ -313,31 +331,9 @@ class FreeLayout:
         return out
 
 
-def free_module(A, vertex_ids):
-    """The free module + Ae_v over the listed vertices, with its layout.
-
-    Returns ``(P, pos)`` with ``pos`` as in ``projective_layout``."""
-    dims, pos = projective_layout(A, vertex_ids)
-    zero = A.field.zero
-    leaving = [[] for _ in dims]  # supported generators by source vertex
-    rows = {}
-    for g, v, t in _supported_generators(A, dims):
-        leaving[v].append(g)
-        rows[g] = [[zero] * dims[v] for _ in range(dims[t])]
-    for slots in pos:
-        for i, (w, k) in slots.items():
-            for g in leaving[w]:
-                m = rows[g]
-                for j, c in A.mult(g, i).items():
-                    m[slots[j][1]][k] = c
-    gen_mats = {g: Matrix(len(m), dims[A.basis[g].source], m, A.field)
-                for g, m in rows.items()}
-    return Representation(A, dims, gen_mats), pos
-
-
 def projective_module(A, vertex_id):
     """Ae_v: basis = algebra basis elements with source v."""
-    return free_module(A, [vertex_id])[0]
+    return FreeModule(A, [vertex_id])
 
 
 def dual_module(M):
@@ -356,7 +352,7 @@ def injective_module(A, vertex_id):
 
 def regular_module(A):
     """The left regular module, as the direct sum of all Ae_v in vertex order."""
-    return free_module(A, A.vertices)[0]
+    return FreeModule(A, A.vertices)
 
 
 def direct_sum(summands):
@@ -415,9 +411,7 @@ def _sub_representation(N, bases):
     generator matrix is read off the images ``N.act(g, vectors)``, and one
     product checks that the span is action-stable.  That product equals the
     images at the unit rows by construction, so only the other rows are
-    computed and compared.  N is a ``Representation`` or a ``FreeLayout``.
-    Returns (module, inclusion); a layout is no module, so the inclusion
-    into it is None.
+    computed and compared.  Returns the submodule alone.
     """
     A = N.algebra
     F = A.field
@@ -443,16 +437,19 @@ def _sub_representation(N, bases):
                                                        for p in rows]):
                 raise QfabError("subspace is not action-stable")
             gen_mats[g] = x
-    S = Representation(A, dims, gen_mats)
-    if not isinstance(N, Representation):
-        return S, None
-    return S, ModuleMap(S, N, [from_columns(cols, N.dims[v], F)
+    return Representation(A, dims, gen_mats)
+
+
+def _submodule(N, bases):
+    """``_sub_representation`` of N on ``bases`` with its inclusion into N."""
+    S = _sub_representation(N, bases)
+    return S, ModuleMap(S, N, [from_columns(cols, N.dims[v], N.field)
                                for v, (cols, _) in enumerate(bases)])
 
 
 def kernel(f: ModuleMap):
     """Kernel with its inclusion."""
-    return _sub_representation(f.source, [_kernel(m) for m in f.mats])
+    return _submodule(f.source, [_kernel(m) for m in f.mats])
 
 
 def _column_span(m):
@@ -465,8 +462,8 @@ def _column_span(m):
 
 def image(f: ModuleMap):
     """Image as a submodule of the target, with its inclusion."""
-    return _sub_representation(f.target, [(sub.rows, sub.pivots)
-                                          for sub in map(_column_span, f.mats)])
+    return _submodule(f.target, [(sub.rows, sub.pivots)
+                                 for sub in map(_column_span, f.mats)])
 
 
 def _quotient(N, subs):
@@ -475,8 +472,8 @@ def _quotient(N, subs):
     The quotient lives on the coordinates of N_v off the pivots of
     ``subs[v]``, its ``complements``: a class is the residue of
     ``subs[v].reduce`` there.  A generator's matrix reads the images of
-    those unit vectors, ``N.act``, and reduces them at the target.  N is a
-    ``Representation`` or a ``FreeLayout``.  Returns (module, complements).
+    those unit vectors, ``N.act``, and reduces them at the target.  Returns
+    (module, complements).
     """
     A = N.algebra
     F = A.field
@@ -548,8 +545,7 @@ def _top(M):
 
 def radical_submodule(M):
     """rad(M) = rad(A).M with its inclusion."""
-    return _sub_representation(M, [(sub.rows, sub.pivots)
-                                   for sub in radical_spaces(M)])
+    return _submodule(M, [(sub.rows, sub.pivots) for sub in radical_spaces(M)])
 
 
 def top(M):
@@ -568,7 +564,7 @@ def socle(M):
             stack = M.action(g) if stack is None else stack.vstack(M.action(g))
         bases.append((unit_vectors(M.dims[v], A.field), range(M.dims[v]))
                      if stack is None else _kernel(stack))
-    return _sub_representation(M, bases)
+    return _submodule(M, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -873,22 +869,22 @@ def submodule_generated_by(N, seeds):
         v, vec = work.pop()
         for g in A.generators_from(v):
             t = A.basis[g].target
-            img = N.action(g).apply(vec)
+            img, = N.act(g, [vec])
             if any(img) and subs[t].insert(img):
                 work.append((t, img))
-    return _sub_representation(N, [(sub.rows, sub.pivots) for sub in subs])
+    return _submodule(N, [(sub.rows, sub.pivots) for sub in subs])
 
 
 def truncated_projectives(A):
     """(v, j, P_v modulo the submodule its paths of length j generate) for
     every vertex v and every j >= 1 with such paths, by j, then by v:
     non-projective modules with a simple top, the simples first."""
-    frees = [(v, *free_module(A, [v])) for v in A.vertices]
+    frees = [(v, FreeModule(A, [v])) for v in A.vertices]
     out = []
     for j in range(1, max((b.length for b in A.basis), default=0) + 1):
-        for v, P, pos in frees:
+        for v, P in frees:
             seeds = []
-            for i, (w, k) in pos[0].items():
+            for i, (w, k) in P.pos[0].items():
                 if A.basis[i].length == j:
                     unit = [A.field.zero] * P.dims[w]
                     unit[k] = A.field.one

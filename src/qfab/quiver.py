@@ -80,14 +80,11 @@ class PathWord:
         return len(self.arrows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PathWord)
-            and self.arrows == other.arrows
-            and self.source == other.source
-        )
+        # a word has at least one arrow, so its arrows fix its source
+        return isinstance(other, PathWord) and self.arrows == other.arrows
 
     def __hash__(self):
-        return hash((self.arrows, self.source))
+        return hash(self.arrows)
 
     def __repr__(self):
         return "*".join(self.quiver.arrows[i].id for i in reversed(self.arrows))

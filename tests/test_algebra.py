@@ -32,6 +32,17 @@ def test_quiver_vertices_are_ids_and_a_path_word_needs_an_arrow():
         Quiver(["1", 1], [])
 
 
+def test_path_words_are_equal_exactly_when_their_arrows_are():
+    Q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2")])
+    ab, ab_again = path(Q, "a", "b"), path(Q, "a", "b")
+    assert ab is not ab_again and ab == ab_again and hash(ab) == hash(ab_again)
+    assert len({ab, ab_again}) == 1
+    others = [path(Q, "c", "b"), path(Q, "a"), path(Q, "b")]
+    for w in others:
+        assert w.arrows != ab.arrows and w != ab
+    assert len({ab, *others}) == 4
+
+
 def test_preprojective_a2_dimension_and_basis():
     A = build_algebra(fixture("preprojective-a2"))
     assert A.dim == 4
@@ -295,7 +306,7 @@ def test_quotient_by_empty_set_is_identity(double_triangle):
 
 def test_quotient_all_vertices_is_zero(double_triangle):
     Abar = quotient_by_idempotent_ideal(double_triangle, list("12345"))
-    assert Abar.is_zero()
+    assert Abar.dim == 0
 
 
 def test_quotient_double_triangle_prints_semisimple(double_triangle):

@@ -8,7 +8,11 @@ checks, which rebuild each terminal algebra with the blunt engine and test
 Cartan determinants: both builders and the idempotent quotient, end to end.
 The third runs the ``queries`` workload's checks (Ext^1 by Hom dimensions,
 Euler characteristics, periodicity witnesses and tau against projectivity):
-resolutions, their differentials and presentations, end to end.
+resolutions, their differentials and presentations, end to end.  The fourth
+runs the ``analyze`` workload's checks (the dimension rules, agreement of
+the fabric detectors, and each tilting module rebuilt apart from the
+program): the CLI reports, fabric detection and homological dimensions, end
+to end.
 """
 
 import json
@@ -49,5 +53,11 @@ def test_reduce_workload_passes_its_own_checks():
 
 def test_queries_workload_passes_its_own_checks():
     out = _child("--workload", "queries", "--seed", "907", "--check", "1")
+    assert out["errors"] == []
+    assert out["failed"] == []
+
+
+def test_analyze_workload_passes_its_own_checks():
+    out = _child("--workload", "analyze", "--seed", "907", "--check", "1")
     assert out["errors"] == []
     assert out["failed"] == []

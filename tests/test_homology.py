@@ -291,8 +291,7 @@ def test_projective_cover_columns_are_actions_on_unit_generators(name, field):
         P, cover, verts = hm.projective_cover(M)
         tops = _top_coordinates(M)
         assert verts == [A.vertices[v] for v, _ in tops]
-        _, pos = md.free_module(A, verts)
-        for (v, c), slots in zip(tops, pos):
+        for (v, c), slots in zip(tops, md.FreeModule(A, verts).pos):
             unit = [field.zero] * M.dims[v]
             unit[c] = field.one
             for i, (w, k) in slots.items():
@@ -308,8 +307,7 @@ def _assert_cover_columns_are_actions(M):
     P, cover, verts = hm.projective_cover(M)
     tops = _top_coordinates(M)
     assert verts == [A.vertices[v] for v, _ in tops]
-    _, pos = md.free_module(A, verts)
-    for (v, c), slots in zip(tops, pos):
+    for (v, c), slots in zip(tops, md.FreeModule(A, verts).pos):
         unit = [A.field.zero] * M.dims[v]
         unit[c] = A.field.one
         for i, (w, k) in slots.items():
@@ -393,14 +391,15 @@ def _nakayama_functor_by_hom_spaces(M):
     right action of each generator solved for in those bases by sympy."""
     A = M.algebra
     op = A.opposite()
-    projs = {v: md.free_module(A, [v]) for v in A.vertices}
-    bases = {v: md.hom_space(M, P) for v, (P, _) in projs.items()}
+    projs = {v: md.FreeModule(A, [v]) for v in A.vertices}
+    bases = {v: md.hom_space(M, P) for v, P in projs.items()}
     gen_mats = {}
     for g in op.generators:
         vj, vi = A.vertices[op.basis[g].source], A.vertices[op.basis[g].target]
         if bases[vj] and bases[vi]:
             # x -> x . g as a map Ae_j -> Ae_i
-            (Pj, (slots_j,)), (Pi, (slots_i,)) = projs[vj], projs[vi]
+            Pj, Pi = projs[vj], projs[vi]
+            (slots_j,), (slots_i,) = Pj.pos, Pi.pos
             mats = [[[A.field.zero] * Pj.dims[w] for _ in range(Pi.dims[w])]
                     for w in range(A.n_vertices)]
             for x, (w, k_x) in slots_j.items():
@@ -488,11 +487,12 @@ def test_projective_by_top_builds_no_cover(name, field, monkeypatch):
         mods += [md.direct_sum([M, N])[0] for M, N in zip(mods, mods[1:])]
         # the oracle of test_projective_by_dimension_matches_zero_cover_kernel
         want = [md.kernel(hm.projective_cover(M)[1])[0].total_dim == 0 for M in mods]
+        fresh = [_fresh(M) for M in mods]
         with monkeypatch.context() as mp:
-            for layer, fn in ((hm, "projective_cover"), (hm, "free_module"),
-                              (md, "free_module")):
-                mp.setattr(layer, fn, _raise)
-            got = [hm.is_projective_module(_fresh(M)) for M in mods]
+            mp.setattr(hm, "projective_cover", _raise)
+            mp.setattr(md.FreeModule, "gen_mats", property(_raise))
+            mp.setattr(md.FreeModule, "__init__", _raise)  # no free module at all
+            got = [hm.is_projective_module(X) for X in fresh]
         assert got == want
         assert any(want) and not all(want)
 
@@ -542,21 +542,45 @@ def test_recorded_presentation_changes_no_functor(name, field, monkeypatch):
             assert all(_same_module(f(X), w) for f, w in zip(PRESENTATION_FUNCTORS, want))
 
 
+def _query_answers(M):
+    """The benchmark's ``queries`` operation on M (a resolution to cutoff 4,
+    Ext^1 to every simple and tau), as values that compare across algebras."""
+    A = M.algebra
+    res = hm.minimal_resolution(M, cutoff=4)
+    exts = [hm.ext_dim(M, md.simple_module(A, v), 1, resolution=res) for v in A.vertices]
+    return res.status, res.period, res.term_vertices, exts, hm._content(hm.ar_translate(M))
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
+def test_queries_operation_builds_no_free_module_matrices(name, field, monkeypatch):
+    A = build_algebra(fixture(name), field)
+    fresh = [_fresh(M) for M in _test_modules(A)]
+    assert not A._steps
+    with monkeypatch.context() as mp:
+        mp.setattr(md.FreeModule, "gen_mats", property(_raise))
+        got = [_query_answers(M) for M in fresh]
+    B = build_algebra(fixture(name), field)
+    assert B is not A and not B._steps
+    assert got == [_query_answers(M) for M in _test_modules(B)]
+
+
 ALL_PRESENTATION_FUNCTORS = PRESENTATION_FUNCTORS + [hm.ar_translate_inverse]
 
 
 def _dual_presentation_by_free_modules(A, step):
-    """The oracle: Hom(d, A) as a module map of free op-modules built by
-    ``free_module``, psi -> psi . d."""
+    """The oracle: Hom(d, A) as a module map of free op-modules, plain
+    copies of ``FreeModule``s that act by their generator matrices,
+    psi -> psi . d."""
     op = A.opposite()
-    H0, pos0 = md.free_module(op, step.verts)
-    H1, pos1 = md.free_module(op, step.next_verts)
+    F0, F1 = md.FreeModule(op, step.verts), md.FreeModule(op, step.next_verts)
+    H0, H1 = _fresh(F0), _fresh(F1)
     mats = [[[A.field.zero] * H0.dims[w] for _ in range(H1.dims[w])]
             for w in range(op.n_vertices)]
     for r, s, i, c in step.d:
-        for x, (_, k_x) in pos0[s].items():
+        for x, (_, k_x) in F0.pos[s].items():
             for y, cy in A.mult(i, x).items():
-                w, k_y = pos1[r][y]
+                w, k_y = F1.pos[r][y]
                 mats[w][k_y][k_x] += c * cy
     return md.ModuleMap(H0, H1, [Matrix(H1.dims[w], H0.dims[w], mats[w], A.field)
                                  for w in range(op.n_vertices)])
@@ -588,11 +612,12 @@ def test_presentation_functors_act_through_the_product_table(name, field, monkey
     for A in (A0, A0.opposite()):
         for M in _test_modules(A):
             want = _presentation_functors_by_free_modules(M)  # puts both steps in the memo
+            copies = [_fresh(M) for _ in ALL_PRESENTATION_FUNCTORS]
             with monkeypatch.context() as mp:
-                for layer, fn in ((hm, "free_module"), (md, "free_module"),
-                                  (md, "cokernel"), (md, "kernel")):
-                    mp.setattr(layer, fn, _raise)
-                got = [f(_fresh(M)) for f in ALL_PRESENTATION_FUNCTORS]
+                mp.setattr(md.FreeModule, "gen_mats", property(_raise))
+                for fn in ("cokernel", "kernel"):
+                    mp.setattr(md, fn, _raise)
+                got = [f(X) for f, X in zip(ALL_PRESENTATION_FUNCTORS, copies)]
             assert all(_same_module(g, w) for g, w in zip(got, want))
 
 
@@ -709,8 +734,8 @@ def test_warmed_step_table_gives_the_answers_of_a_fresh_algebra(name, field, mon
 
 def _d_from_inclusion(A, verts, K, inc):
     """The oracle of ``_Step.d``: the columns of K's inclusion into the cover
-    term at K's top coordinates, located by ``projective_layout``."""
-    _, pos = md.projective_layout(A, verts)
+    term at K's top coordinates, located by the ``FreeModule`` coordinates."""
+    pos = md.FreeModule(A, verts).pos
     at = {wk: (s, i) for s, slots in enumerate(pos) for i, wk in slots.items()}
     return [(r, *at[(v, k)], c) for r, (v, col) in enumerate(md._top(K))
             for k, c in enumerate(inc.mats[v].column(col)) if c]
@@ -805,8 +830,8 @@ def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, f
             P, cover, verts = hm.projective_cover(res.syzygies[i])
             assert verts == res.term_vertices[i] and P.dims == res.terms[i].dims
             d = inc.compose(cover)
-            _, pos = md.projective_layout(A, verts)
-            _, pos_prev = md.projective_layout(A, res.term_vertices[i - 1])
+            pos = md.FreeModule(A, verts).pos
+            pos_prev = md.FreeModule(A, res.term_vertices[i - 1]).pos
             at = {wk: (s, j) for s, slots in enumerate(pos_prev) for j, wk in slots.items()}
             want = []
             for r, (v, slots) in enumerate(zip(verts, pos)):
@@ -822,6 +847,27 @@ def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, f
         X = _fresh(M)
         step = hm._step(X)
         assert step is res.steps[0] and step.verts == res.term_vertices[0]
+
+
+@pytest.mark.parametrize("name, v", [("double-triangle", "2"), ("two-ag-square", "2"),
+                                     ("preprojective-a3", "1"), ("preprojective-a4", "1")])
+def test_ext_past_a_period_leaves_the_resolution_as_it_is(name, v):
+    A = build_algebra(fixture(name), QQ)
+    S = md.simple_module(A, v)
+    res = hm.minimal_resolution(S)
+    assert res.status == "periodic"
+    steps, verts = list(res.steps), res.term_vertices
+    top = 3 * len(steps) + 2
+    # the oracle: the same resolution grown past every degree read
+    grown = hm.minimal_resolution(S)
+    hm.extend_resolution(grown, top + 1)
+    assert len(grown.steps) == top + 1
+    simples = [md.simple_module(A, w) for w in A.vertices]
+    for i in range(1, top + 1):
+        for N in simples:
+            assert (hm.ext_dim(S, N, i, resolution=res)
+                    == hm.ext_dim(S, N, i, resolution=grown))
+    assert res.steps == steps and res.term_vertices == verts
 
 
 CORESOLUTION_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3)],

@@ -329,7 +329,7 @@ def test_free_module_matches_direct_sum_of_projectives(name):
     for A in (B, B.opposite()):
         first, last = A.vertices[0], A.vertices[-1]
         for verts in (list(A.vertices), [last], [first, last, first]):
-            P, _ = md.free_module(A, verts)
+            P = md.FreeModule(A, verts)
             R, _, _ = md.direct_sum([md.projective_module(A, v) for v in verts])
             assert P.dims == R.dims
             for g in A.generators:
@@ -341,7 +341,8 @@ def test_projective_layout_follows_by_source_order(name):
     A = build_algebra(fixture(name))
     zero, one = A.field.zero, A.field.one
     verts = [A.vertices[-1], *A.vertices, A.vertices[-1]]
-    dims, pos = md.projective_layout(A, verts)
+    P = md.FreeModule(A, verts)
+    dims, pos = P.dims, P.pos
     for w in range(A.n_vertices):
         # coordinates of vertex w: by summand, then by A.by_source order
         want = [(s, i) for s, v in enumerate(verts)
@@ -350,9 +351,8 @@ def test_projective_layout_follows_by_source_order(name):
                      for i, (w2, k) in slots.items() if w2 == w)
         assert [k for k, _ in got] == list(range(dims[w]))
         assert [si for _, si in got] == want
+        assert P.at[w] == want  # at inverts pos
     # the generators act by left multiplication in these coordinates
-    P, pos2 = md.free_module(A, verts)
-    assert pos2 == pos and list(P.dims) == dims
     for g in A.generators:
         bg = A.basis[g]
         for slots in pos:
@@ -365,6 +365,7 @@ def test_projective_layout_follows_by_source_order(name):
                 for j, c in A.mult(g, i).items():
                     want[slots[j][1]] = c
                 assert P.action(g).apply(unit) == want
+                assert P.act(g, [unit]) == [want]
 
 
 SMALL_FIXTURES = ["beilinson-2", "canonical-2-211", "double-triangle", "two-ag-square",
@@ -589,29 +590,29 @@ def test_socle_is_the_common_kernel_of_the_arrows(name, field):
 
 def test_sub_representation_rejects_a_basis_that_is_not_action_stable(double_triangle):
     A = double_triangle
-    P, pos = md.free_module(A, ["1"])
+    P = md.FreeModule(A, ["1"])
     v = A.vertex_pos["1"]
     assert any(A.basis[g].source == v for g in A.generators)
     # the span of e_1 alone: the arrow 1 -> 2 sends it outside
     e = next(i for i in A.by_source(v) if A.basis[i].length == 0)
-    w, k = pos[0][e]
+    w, k = P.pos[0][e]
     assert w == v
     unit = [A.field.one if j == k else A.field.zero for j in range(P.dims[v])]
     bases = [([], []) for _ in A.vertices]
     bases[v] = ([unit], [k])
-    # the images from P's generator matrices and from A's product table
-    layout = md.FreeLayout(A, ["1"])
-    assert tuple(layout.dims) == P.dims and layout.pos == pos
-    for N in (P, layout):
+    # the images from A's product table (FreeModule.act) and from the
+    # generator matrices of a plain Representation with the same matrices
+    plain = md.Representation(A, P.dims, P.gen_mats)
+    for N in (P, plain):
         with pytest.raises(QfabError, match="not action-stable"):
             md._sub_representation(N, bases)
     # every unit vector at every vertex spans P itself
     whole = [(unit_vectors(d, A.field), range(d)) for d in P.dims]
-    S, inc = md._sub_representation(P, whole)
+    S, inc = md._submodule(plain, whole)
     assert S.dims == P.dims and inc.intertwines()
     assert all(S.action(g) == P.action(g) for g in A.generators)
-    T, none = md._sub_representation(layout, whole)
-    assert none is None and T.gen_mats == S.gen_mats
+    T = md._sub_representation(P, whole)
+    assert T.gen_mats == S.gen_mats
 
 
 @functools.cache
