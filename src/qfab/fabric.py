@@ -338,8 +338,8 @@ def special_tilting_module(A, F, E, cutoff=12):
     # dims and a one-element top at w, as P_w -> K is then an isomorphism.
     pairing = {}
     used = set()
-    # one cover per quotient projective: its kernel and its vertices
-    first = {v: hm.minimal_resolution(P, cutoff=0) for v, P in projs.items()}
+    # one step per quotient projective: its kernel and its cover's vertices
+    first = {v: hm._step(P) for v, P in projs.items()}
     for w in A.vertices:
         if w in Eset:
             continue
@@ -348,7 +348,7 @@ def special_tilting_module(A, F, E, cutoff=12):
         for v in projs:
             if v in used:
                 continue
-            K = first[v].syzygies[1]
+            K = first[v].K
             if K.dims == dims and _top_vertex(K) == A.vertex_pos[w]:
                 found = v
                 break
@@ -357,7 +357,7 @@ def special_tilting_module(A, F, E, cutoff=12):
         pairing[w] = found
         used.add(found)
     for w, v in pairing.items():
-        if any(u not in Eset for u in first[v].term_vertices[0]):
+        if any(u not in Eset for u in first[v].verts):
             raise VerificationFailed(f"middle term of the sequence for {w} "
                                      f"is not generated by e-vertices")
     transcript["pairing"] = pairing

@@ -7,6 +7,8 @@ resolution chosen.
 
 from __future__ import annotations
 
+import re
+
 from .errors import UnknownFixture, ParameterOutOfRange
 from .quiver import Quiver, Arrow, Presentation, path, relation
 
@@ -150,12 +152,10 @@ def fixture(name):
     """Fixture presentation by name; preprojective-aN takes 2 <= N <= 6."""
     if name in _FIXTURES:
         return _FIXTURES[name]()
-    if name.startswith("preprojective-a"):
-        try:
-            n = int(name[len("preprojective-a"):])
-        except ValueError:
-            raise UnknownFixture(f"unknown fixture {name!r}")
-        return preprojective_a(n)
+    # N only in its canonical decimal spelling: no sign, space or leading zero
+    m = re.fullmatch(r"preprojective-a(0|[1-9][0-9]*)", name)
+    if m:
+        return preprojective_a(int(m.group(1)))
     raise UnknownFixture(f"unknown fixture {name!r}")
 
 

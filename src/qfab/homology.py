@@ -104,16 +104,16 @@ class DimValue:
         self.note = note
 
     @staticmethod
-    def finite(n, note=""):
-        return DimValue("finite", n, note)
+    def finite(n):
+        return DimValue("finite", n)
 
     @staticmethod
     def infinite(note=""):
         return DimValue("infinite", None, note)
 
     @staticmethod
-    def at_least(n, note=""):
-        return DimValue("at_least", n, note)
+    def at_least(n):
+        return DimValue("at_least", n)
 
     @property
     def is_finite(self):
@@ -288,8 +288,9 @@ class Resolution:
     status: str
     period: tuple | None = None
     period_witness: object = None
-    # the terms read so far, extended as the steps grow: ``terms`` hands out
-    # this one list, so a term a caller appends to it stays in it
+    # the terms read so far; the steps do not grow once
+    # ``minimal_resolution`` returns, and ``terms`` hands out this one list,
+    # so a term a caller appends to it stays in it
     # (``perfbench/test_checks.py`` tampers with a resolution that way)
     _terms: list = dc_field(default_factory=list, init=False, repr=False,
                             compare=False)
@@ -327,8 +328,7 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
                        direction="injective")
     if direction != "projective":
         raise QfabError(f"unknown resolution direction {direction!r}")
-    res = Resolution("projective", M, [], "truncated")
-    steps, K = res.steps, M
+    steps, K = [], M
     while len(steps) <= cutoff and K.total_dim:
         steps.append(_step(K))
         K = steps[-1].K
@@ -339,24 +339,10 @@ def minimal_resolution(M, direction="projective", cutoff=10, seed=None):
                 continue
             cert = is_isomorphic(earlier, K)
             if cert:
-                res.status = "periodic"
-                res.period = (j, len(steps) - j)
-                res.period_witness = cert
-                return res
-    if not K.total_dim:
-        res.status = "terminated"
-    return res
-
-
-def extend_resolution(res, n_terms):
-    """Mechanically grow a resolution to n_terms terms, past an early
-    periodicity break too; the status flag is left untouched.
-    """
-    steps = res.steps
-    K = steps[-1].K if steps else res.module
-    while len(steps) < n_terms and K.total_dim:
-        steps.append(_step(K))
-        K = steps[-1].K
+                return Resolution("projective", M, steps, "periodic",
+                                  (j, len(steps) - j), cert)
+    return Resolution("projective", M, steps,
+                      "truncated" if K.total_dim else "terminated")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +406,8 @@ def _ext_from_resolution(res, N, i):
     return dim_i - rank_in - rank(_hom_complex_matrix(step, N))
 
 
-def ext_vanishes_upto(M, N, n, resolution=None):
-    res = resolution or minimal_resolution(M, "projective", cutoff=n)
+def ext_vanishes_upto(M, N, n):
+    res = minimal_resolution(M, "projective", cutoff=n)
     for i in range(1, n + 1):
         if _ext_from_resolution(res, N, i) != 0:
             return False
@@ -614,15 +600,6 @@ class GenMembershipReport:
         return self.verdict
 
 
-def _resolution_closure_bound(res):
-    if res.status == "terminated":
-        return len(res.steps)
-    if res.status == "periodic":
-        start, p = res.period
-        return start + p
-    return None
-
-
 def gen_membership(M, e_vertices, level, cutoff=20):
     """Is M in gen_level(Ae)?  Runs both characterisations and cross-checks:
 
@@ -634,21 +611,21 @@ def gen_membership(M, e_vertices, level, cutoff=20):
     A = M.algebra
     eset = set(e_vertices)
     res = minimal_resolution(M, "projective", cutoff=cutoff)
-    bound = _resolution_closure_bound(res)
+    # a resolution that terminates or repeats is closed by its listed steps:
+    # a period (start, p) ends at the last one, start + p == len(steps)
+    n, closed = len(res.steps), res.status != "truncated"
     if level == "inf":
-        if bound is None:
+        if not closed:
             raise QfabError(
                 f"resolution neither terminates nor repeats within {cutoff}; "
                 f"cannot decide gen_inf (raise the cutoff)")
-        check_upto = bound - 1
+        check_upto = n - 1
     else:
-        if level >= len(res.steps) and res.status == "truncated":
+        if level >= n and not closed:
             raise QfabError("resolution truncated below the requested level")
-        check_upto = min(level, len(res.steps) - 1)
+        check_upto = min(level, n - 1)
     viol = None
     for i in range(check_upto + 1):
-        if i >= len(res.steps):
-            break
         bad = [v for v in res.steps[i].verts if v not in eset]
         if bad:
             viol = (i, bad)
@@ -658,12 +635,11 @@ def gen_membership(M, e_vertices, level, cutoff=20):
                 "status": res.status}
 
     injectives = _quotient_modules(A, eset, injective_module)
-    ext_upto = check_upto + 1 if level == "inf" else level
-    ext_upto = min(ext_upto, (bound if bound is not None else cutoff))
+    ext_upto = n if level == "inf" else min(level, n if closed else cutoff)
     viol_b = None
     for v, F in injectives.items():
         for i in range(0, ext_upto + 1):
-            if i >= len(res.steps) and res.status == "terminated":
+            if i >= n and res.status == "terminated":
                 break
             d = _ext_from_resolution(res, F, i)
             if d != 0:

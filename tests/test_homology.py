@@ -814,13 +814,22 @@ def test_step_memo_dies_with_its_algebra():
     assert ref() is None
 
 
+def _grow(res, n_steps):
+    """Append memoised steps to res, past a period too, until it lists
+    n_steps of them or its last syzygy is zero."""
+    K = res.steps[-1].K if res.steps else res.module
+    while len(res.steps) < n_steps and K.total_dim:
+        res.steps.append(hm._step(K))
+        K = res.steps[-1].K
+
+
 @STEP_FIELDS
 @pytest.mark.parametrize("name", STEP_ALGEBRAS)
 def test_differentials_are_the_generator_images_of_inclusion_after_cover(name, field):
     A = STEP_ALGEBRAS[name](field)
     for M in _step_test_modules(A):
         res = hm.minimal_resolution(M, cutoff=4)
-        hm.extend_resolution(res, 5)
+        _grow(res, 5)
         # one step per term: steps[i - 1].d maps term i into term i - 1
         assert len(res.steps) == len(res.terms)
         for i in range(1, len(res.terms)):
@@ -860,7 +869,7 @@ def test_ext_past_a_period_leaves_the_resolution_as_it_is(name, v):
     top = 3 * len(steps) + 2
     # the oracle: the same resolution grown past every degree read
     grown = hm.minimal_resolution(S)
-    hm.extend_resolution(grown, top + 1)
+    _grow(grown, top + 1)
     assert len(grown.steps) == top + 1
     simples = [md.simple_module(A, w) for w in A.vertices]
     for i in range(1, top + 1):
@@ -900,27 +909,37 @@ def test_injective_coresolution_is_the_resolution_of_the_dual_read_through_d(nam
 
 @CORESOLUTION_FIELDS
 @pytest.mark.parametrize("name", ["double-triangle", "preprojective-a3"])
-def test_extending_a_truncated_coresolution_gives_a_longer_one(name, field):
+def test_a_truncated_coresolution_is_a_prefix_of_a_longer_one(name, field):
     A = build_algebra(fixture(name), field)
-    extended = 0
+    truncated = 0
     for M in _simples_and_injectives(A):
         for cutoff in (0, 2):
             res = hm.minimal_resolution(M, "injective", cutoff)
             if res.status != "truncated":
                 continue
-            listed = len(res.terms)  # terms read before the steps grow
-            hm.extend_resolution(res, cutoff + 3)
-            fresh = hm.minimal_resolution(M, "injective", cutoff + 2)
-            n = len(fresh.term_vertices)
-            # a fresh coresolution stops at a period; the extension does not
-            assert res.term_vertices[:n] == fresh.term_vertices
-            if fresh.status != "periodic":
-                assert res.term_vertices == fresh.term_vertices
-            assert len(res.terms) == len(res.term_vertices) > listed
-            assert ([hm._content(I) for I in res.terms[:n]]
-                    == [hm._content(I) for I in fresh.terms])
-            extended += 1
-    assert extended
+            longer = hm.minimal_resolution(M, "injective", cutoff + 2)
+            n = len(res.term_vertices)
+            assert longer.term_vertices[:n] == res.term_vertices
+            assert ([hm._content(I) for I in longer.terms[:n]]
+                    == [hm._content(I) for I in res.terms])
+            truncated += 1
+    assert truncated
+
+
+@STEP_FIELDS
+@pytest.mark.parametrize("name", STEP_ALGEBRAS)
+def test_a_period_ends_at_the_listed_steps(name, field):
+    # a periodic resolution is closed by its steps: gen_membership reads its
+    # length as the bound of every level it decides
+    A = STEP_ALGEBRAS[name](field)
+    periodic = 0
+    for M in _step_test_modules(A):
+        for direction in ("projective", "injective"):
+            res = hm.minimal_resolution(M, direction, cutoff=6)
+            if res.status == "periodic":
+                assert sum(res.period) == len(res.steps)
+                periodic += 1
+    assert periodic
 
 
 # The readers of a step's differential, checked against oracles that build

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from qfab.textio import parse_presentation, print_presentation, export_dot, ReportDocument
-from qfab.errors import ParseError, UnknownVertex, NonParallelRelation
+from qfab.errors import (ParseError, UnknownVertex, NonParallelRelation, UnknownFixture,
+                         ParameterOutOfRange)
 from qfab.fixtures import fixture, fixture_names
 from qfab.algebra import build_algebra
 from qfab.field import QQ
@@ -33,6 +34,37 @@ def test_every_listed_fixture_builds():
     assert len(names) == len(set(names)) == 10
     for name in names:
         assert build_algebra(fixture(name)).dim > 0, name
+
+
+@pytest.mark.parametrize("name", ["preprojective-a+3", "preprojective-a 3",
+                                  "preprojective-a03", "preprojective-a3 "])
+def test_fixture_rejects_a_name_it_does_not_list(name):
+    assert name not in fixture_names()
+    with pytest.raises(UnknownFixture):
+        fixture(name)
+
+
+def test_fixture_out_of_range_keeps_its_message():
+    with pytest.raises(ParameterOutOfRange, match="2 <= n <= 6"):
+        fixture("preprojective-a7")
+
+
+def test_cli_rejects_a_fixture_name_it_does_not_list():
+    r = _run_cli("build", "fixture:preprojective-a+3")
+    assert r.returncode == 2
+    assert r.stderr == "input error: unknown fixture 'preprojective-a+3'\n"
+    assert r.stdout == ""
+
+
+def test_roundtrip_over_a_prime_field():
+    text = ("field F 5\nvertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
+            "relation 2*b*a\n")
+    pres, field = parse_presentation(text)
+    printed = print_presentation(pres, field)
+    assert printed.startswith("field F 5\n")
+    back, back_field = parse_presentation(printed)
+    assert back_field.characteristic == field.characteristic == 5
+    assert print_presentation(back, back_field) == printed
 
 
 def test_parse_field_directive():
